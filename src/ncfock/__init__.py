@@ -7,14 +7,17 @@ and spectra of rational multipliers.
 """
 
 from .errors import (
+    BoundarySingularityError,
     CertificationError,
     DimensionMismatchError,
     DomainError,
     JointlyNilpotentError,
+    MalformedJSONError,
     NCFockError,
     NotPolynomialError,
     NotRegularAtZeroError,
     ParseError,
+    ScanGridError,
     SpectralRadiusError,
     ZeroAtZeroError,
 )

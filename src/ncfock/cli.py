@@ -25,7 +25,7 @@ from . import fock
 from . import realization as rz
 from . import spectral
 from . import spectrum as sp
-from .errors import NCFockError
+from .errors import MalformedJSONError, NCFockError
 
 
 def _round15(obj):
@@ -60,12 +60,19 @@ def _emit_exact(obj, path=None):
         sys.stdout.write(text)
 
 
+def _read_json(path):
+    with open(path) as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as err:
+            raise MalformedJSONError(f"{path}: {err}") from None
+
+
 def _load_realization(args):
     if args.realization:
         if args.expression is not None:
             raise NCFockError("give an expression or --realization, not both")
-        with open(args.realization) as handle:
-            return rz.realization_from_json(json.load(handle))
+        return rz.realization_from_json(_read_json(args.realization))
     if args.expression is None:
         raise NCFockError("an expression (with -d) or --realization is required")
     if args.d is None:
@@ -116,8 +123,7 @@ def _cmd_realize(args):
 
 def _cmd_eval(args):
     r = _load_realization(args)
-    with open(args.point) as handle:
-        Z = rz.matrix_tuple_from_json(json.load(handle))
+    Z = rz.matrix_tuple_from_json(_read_json(args.point))
     value = rz.evaluate(r, Z)
     _emit({"value": [[{"re": v.real, "im": v.imag} for v in row]
                      for row in value.tolist()]}, args.out)
@@ -213,13 +219,13 @@ def _cmd_inner_test(args):
 
 def _cmd_boundary_sing(args):
     r = rz.minimize(_load_realization(args))
-    Z = spectral.boundary_singularity(r, tol=args.tol)
-    L = rz.pencil(r, Z)
+    rho = spectral.spr(r.A)
+    Z, sigma_min = spectral._boundary_singularity(r.A, rho, args.tol)
     _emit({
         "Z": rz.matrix_tuple_to_json(Z),
         "row_norm": Z.row_norm(),
-        "one_over_spr": 1.0 / spectral.spr(r.A),
-        "sigma_min": float(np.linalg.svd(L, compute_uv=False)[-1]),
+        "one_over_spr": 1.0 / rho,
+        "sigma_min": sigma_min,
     }, args.out)
     return 0
 

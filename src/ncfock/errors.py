@@ -64,6 +64,24 @@ class JointlyNilpotentError(NCFockError):
     code = "jointly-nilpotent"
 
 
+class BoundarySingularityError(NCFockError, ArithmeticError):
+    """The boundary-singularity construction or its certificate failed."""
+
+    code = "boundary-certificate-failed"
+
+
+class ScanGridError(NCFockError, ValueError):
+    """A grid scan rectangle or resolution that gives no cells."""
+
+    code = "invalid-scan-grid"
+
+
+class MalformedJSONError(NCFockError, ValueError):
+    """A JSON input that does not parse or lacks a required key."""
+
+    code = "malformed-json"
+
+
 class CertificationError(NCFockError):
     """A numerically produced factorization failed its certificates."""
 

@@ -23,8 +23,8 @@ from .realization import (
 )
 from .spectral import (
     SPR_BOUNDARY_TOL,
-    boundary_singularity,
-    similarity_to_contraction,
+    _boundary_singularity,
+    _similarity_to_contraction,
     spr,
     stein_solve,
 )
@@ -103,7 +103,7 @@ def kernel_from_realization(r, margin=None):
             f"not in Fock space: spr(A) = {s:.12g} is not < 1")
     if margin is None:
         margin = min(0.5 * (1.0 - s), 0.1)
-    S, W = similarity_to_contraction(r.A, margin)
+    S, W = _similarity_to_contraction(r.A, s, margin)
     x = S.conj().T @ r.b
     u = np.linalg.solve(S, r.c)
     return KernelVector(W.conjugate(), np.conj(x), np.conj(u))
@@ -119,6 +119,11 @@ def h2_norm(r):
     if s >= 1.0 - SPR_BOUNDARY_TOL:
         raise SpectralRadiusError(
             f"not in Fock space: spr(A) = {s:.12g} is not < 1")
+    return _h2_norm(r)
+
+
+def _h2_norm(r):
+    """h2_norm of a realization already known to have spr(A) < 1."""
     P = stein_solve(r.A, np.outer(r.c, np.conj(r.c)), side="right",
                     check_spr=False)
     value = float(np.real(np.conj(r.b) @ P @ r.b))
@@ -159,17 +164,13 @@ def is_in_fock(r, witness_tol=1e-8):
     radius = inf if s < 1e-12 else 1.0 / s
     if s < 1.0 - SPR_BOUNDARY_TOL:
         return FockMembership(verdict="in", in_h2=True, spr=s, radius=radius,
-                              h2_norm=h2_norm(r))
+                              h2_norm=_h2_norm(r))
     verdict = "boundary" if abs(s - 1.0) <= SPR_BOUNDARY_TOL else "not_in"
     try:
-        witness = boundary_singularity(r, tol=witness_tol)
+        witness, sigma_min = _boundary_singularity(r.A, s, witness_tol)
     except ArithmeticError:
         return FockMembership(verdict=verdict, in_h2=False, spr=s,
                               radius=radius)
-    L = np.eye(r.n * witness.n, dtype=complex)
-    for j in range(r.d):
-        L -= np.kron(r.A[j], witness[j])
-    sigma_min = float(np.linalg.svd(L, compute_uv=False)[-1])
     return FockMembership(verdict=verdict, in_h2=False, spr=s, radius=radius,
                           witness=witness,
                           witness_row_norm=witness.row_norm(),

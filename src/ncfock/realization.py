@@ -18,6 +18,7 @@ from . import expr as ex
 from .errors import (
     DimensionMismatchError,
     DomainError,
+    MalformedJSONError,
     NotRegularAtZeroError,
     ZeroAtZeroError,
 )
@@ -375,10 +376,6 @@ def minimize(r, tol=DEFAULT_RANK_TOL):
     return _nilpotent_cleanup(cur)
 
 
-def _ad_apply(A, P):
-    return np.einsum("jab,bc,jdc->ad", A, P, np.conj(A))
-
-
 def _orth_columns(M, cutoff):
     if M.size == 0:
         return M.reshape(M.shape[0], 0)
@@ -572,7 +569,15 @@ def realization_to_json(r):
     }
 
 
+def _require_keys(obj, keys, what):
+    missing = [k for k in keys if not isinstance(obj, dict) or k not in obj]
+    if missing:
+        raise MalformedJSONError(
+            f"{what} JSON lacks the key(s) {', '.join(map(repr, missing))}")
+
+
 def realization_from_json(obj):
+    _require_keys(obj, ("d", "n", "A", "b", "c"), "realization")
     d, n = int(obj["d"]), int(obj["n"])
     A = np.stack([_from_pairs(m) for m in obj["A"]]) if d else np.zeros((0, n, n))
     if A.shape != (d, n, n):
@@ -590,6 +595,7 @@ def matrix_tuple_to_json(Z):
 
 
 def matrix_tuple_from_json(obj):
+    _require_keys(obj, ("d", "n", "X"), "matrix tuple")
     X = np.stack([_from_pairs(m) for m in obj["X"]])
     Z = MatrixTuple(X)
     if Z.d != int(obj["d"]) or Z.n != int(obj["n"]):

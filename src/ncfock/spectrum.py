@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NCFockError, SpectralRadiusError
+from .errors import NCFockError, ScanGridError, SpectralRadiusError
 from .factorization import is_outer_rational
 from .realization import (
     MatrixTuple,
@@ -32,7 +32,7 @@ from .realization import (
     invert,
     minimize,
 )
-from .spectral import SPR_BOUNDARY_TOL, boundary_singularity, spr
+from .spectral import SPR_BOUNDARY_TOL, _boundary_singularity, spr
 from .words import NCPolynomial, words_up_to
 
 CLASS_RESOLVENT = "resolvent"
@@ -97,7 +97,7 @@ def _membership(r, lam, want_witness=False):
     witness = None
     if want_witness:
         try:
-            witness = boundary_singularity(inv, tol=1e-6)
+            witness = _boundary_singularity(inv.A, s, 1e-6)[0]
         except (NCFockError, ArithmeticError):
             witness = None
     return SpectrumMembership(verdict="spectrum", spr_value=s,
@@ -163,7 +163,8 @@ def grid_scan(r, rect, resolution, classify=True, jobs=None):
     """
     re_min, re_max, im_min, im_max = map(float, rect)
     if re_max <= re_min or im_max <= im_min or resolution <= 0:
-        raise ValueError("empty scan rectangle")
+        raise ScanGridError("empty scan rectangle: needs re_min < re_max, "
+                            "im_min < im_max and resolution > 0")
     cols = int(round((re_max - re_min) / resolution))
     rows = int(round((im_max - im_min) / resolution))
     centers_re = re_min + (np.arange(cols) + 0.5) * resolution

@@ -160,3 +160,17 @@ def random_polynomial(rng, d, degree, terms=6):
     return nf.NCPolynomial(d, {
         words[i]: complex(rng.standard_normal(), rng.standard_normal())
         for i in chosen})
+
+
+def padded(A, n, seed=None):
+    """A d x m x m tuple padded with zeros to n x n; with a seed, also
+    conjugated by a well-conditioned S = I + G/(2||G||), which keeps spr."""
+    A = np.asarray(A, dtype=complex)
+    out = np.zeros((A.shape[0], n, n), dtype=complex)
+    out[:, :A.shape[1], :A.shape[1]] = A
+    if seed is None:
+        return out
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    S = np.eye(n) + 0.5 * G / np.linalg.norm(G, 2)
+    return np.linalg.solve(S, out) @ S

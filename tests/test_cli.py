@@ -174,3 +174,39 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["spr"] == pytest.approx(0.5)
+
+
+def _error_code(capsys, *argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    return json.loads(out)["error"]["code"]
+
+
+def test_scan_zero_resolution_is_module_error(tmp_path, capsys):
+    assert _error_code(capsys, "spectrum-scan", "-d", "2", "z1",
+                       "--rect=-1.5,1.5,-1.5,1.5", "--res", "0",
+                       "--out", str(tmp_path / "s")) == "invalid-scan-grid"
+
+
+def test_scan_reversed_rect_is_module_error(tmp_path, capsys):
+    assert _error_code(capsys, "spectrum-scan", "-d", "2", "z1",
+                       "--rect=1.5,-1.5,-1.5,1.5", "--res", "0.5",
+                       "--out", str(tmp_path / "s")) == "invalid-scan-grid"
+
+
+@pytest.mark.parametrize("key", ["d", "n", "A", "b", "c"])
+def test_realization_json_missing_key(tmp_path, capsys, key):
+    doc = nf.realization_to_json(
+        nf.minimize(nf.from_expression("inv(1 - 0.5*z1)", 1)))
+    del doc[key]
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    assert _error_code(capsys, "spr", "--realization",
+                       str(path)) == "malformed-json"
+
+
+def test_boundary_sing_failed_certificate(capsys):
+    # the certificate compares floats with roundoff against tol = 0
+    assert _error_code(capsys, "boundary-sing", "-d", "2",
+                       "inv(1 - 0.5*z1*z2 - 0.5*z2*z1)",
+                       "--tol", "0") == "boundary-certificate-failed"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ncfock as nf
-from conftest import random_kernel, random_polynomial
+from conftest import padded, random_kernel, random_polynomial
 
 
 def geometric_half():
@@ -205,3 +205,62 @@ def test_toeplitz_identity_and_structure(poly_p5):
     col = Tp.matrix[:, Tp.index(())]
     for i, w in enumerate(Tp.words):
         assert col[i] == pytest.approx(poly_p5.coeff(w))
+
+
+def test_is_in_fock_boundary_at_large_n():
+    geo = nf.minimize(nf.from_expression("inv(1 - z1)", 2))
+    A = padded(geo.A, 21, seed=3)
+    e1 = np.eye(21)[0]
+    assert nf.is_in_fock(nf.Realization(A, e1, e1)).verdict == "boundary"
+
+
+@pytest.mark.parametrize("n", [16, 21])
+def test_is_in_fock_large_n_against_iterate(n):
+    # one reference spr per size: spr is positively homogeneous, so the
+    # scaled copies below have spr 0.7 and 1.2 exactly
+    rng = np.random.default_rng(n)
+    A0 = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    ref = nf.spr(A0, method="iterate")
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    inside = nf.is_in_fock(nf.Realization(0.7 / ref * A0, b, c))
+    assert inside.verdict == "in"
+    assert inside.spr == pytest.approx(0.7, rel=1e-9)
+    outside = nf.is_in_fock(nf.Realization(1.2 / ref * A0, b, c))
+    assert outside.verdict == "not_in"
+    assert outside.spr == pytest.approx(1.2, rel=1e-9)
+    assert outside.witness_row_norm == pytest.approx(1 / 1.2, abs=1e-6)
+    assert outside.witness_sigma_min <= 1e-8
+
+
+def _count_spr_calls(monkeypatch):
+    """Route the module-level names of spectral.spr through a counter."""
+    from ncfock import fock, spectral
+
+    original = spectral.spr
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (spectral, fock):
+        monkeypatch.setattr(module, "spr", counted)
+    return calls
+
+
+def test_verdict_computes_spr_once(monkeypatch, fixture_realization):
+    calls = _count_spr_calls(monkeypatch)
+    assert nf.is_in_fock(fixture_realization).verdict == "in"
+    assert len(calls) == 1
+    del calls[:]
+    nf.kernel_from_realization(fixture_realization)
+    assert len(calls) == 1
+    del calls[:]
+    # the fixture tuple scaled past the ball: its Perron matrix is positive
+    # definite, so the witness needs no recursion into a subspace
+    big = nf.Realization(1.5 * fixture_realization.A, fixture_realization.b,
+                         fixture_realization.c)
+    out = nf.is_in_fock(big)
+    assert out.verdict == "not_in" and out.witness is not None
+    assert len(calls) == 1

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import ncfock as nf
-from ncfock.spectral import row_norm
+from conftest import padded
+from ncfock.spectral import MATRIX_FREE_MIN_N, row_norm
 
 
 def test_vec_column_stacking():
@@ -67,6 +68,41 @@ def test_spr_scaling_conjugation_d1_oracle():
         s = complex(rng.standard_normal(), rng.standard_normal())
         assert nf.spr(s * A) == pytest.approx(abs(s) * nf.spr(A), rel=1e-12)
         assert nf.spr(np.conj(A)) == pytest.approx(nf.spr(A), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [20, 21, 30])
+def test_spr_matrix_free_padded_fixture(fixture_tuple, n):
+    # the Perron root has peripheral companions of equal modulus, which
+    # stalled the power iteration this route replaced
+    assert n >= MATRIX_FREE_MIN_N
+    assert nf.spr(padded(fixture_tuple, n, seed=n)) == pytest.approx(
+        2 ** -0.25, rel=1e-12)
+
+
+def test_spr_matrix_free_defective_perron_root():
+    # a Jordan block makes the Perron root of Ad defective
+    A = padded([[[0.5, 1.0], [0.0, 0.5]]], 21)
+    assert abs(nf.spr(A) - 0.5) <= 1e-7
+
+
+def test_spr_matrix_free_nilpotent_shift():
+    A = np.zeros((2, 25, 25), dtype=complex)
+    A[0] = np.diag(np.ones(24), 1)
+    A[1] = 0.5 * np.diag(np.ones(23), 2)
+    assert nf.spr(A) == 0.0
+    with pytest.raises(nf.JointlyNilpotentError):
+        nf.boundary_singularity(A)
+
+
+def test_spr_roundoff_nilpotent_takes_dense_route(monkeypatch):
+    # a shift conjugated by S is nilpotent only up to roundoff, and Arnoldi
+    # does not converge on it: spr must fall back to the dense route
+    A = np.zeros((1, 13, 13), dtype=complex)
+    A[0] = np.diag(np.ones(12), 1)
+    A = padded(A, 13, seed=13)
+    value = nf.spr(A)
+    monkeypatch.setattr("ncfock.spectral.MATRIX_FREE_MIN_N", 10 ** 9)
+    assert nf.spr(A) == value
 
 
 def test_stein_examples(fixture_tuple):
