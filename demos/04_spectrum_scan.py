@@ -4,8 +4,10 @@ The spectrum of r(L) is decided cell by cell through the joint spectral
 radius of the minimal realization of (r - lambda)^{-1}; random finite-level
 eigenvalue sampling gives the matching lower bound.  Spectrum cells split
 into sigma_0 (lambda - r outer, index 0) and sigma_pm (inner factor
-present).  For multipliers the spectrum coincides with the essential
-spectrum, so no separate essential computation is made.
+present); sigma_0 points sit on the spr = 1 knife edge, so decisive cells
+are sigma_pm and sigma_0 points show as indeterminate.  For multipliers
+the spectrum coincides with the essential spectrum, so no separate
+essential computation is made.
 
 Writes spectrum_scan.csv and spectrum_scan.pgm next to the script.
 """

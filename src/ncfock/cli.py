@@ -240,7 +240,7 @@ def _parse_rect(text):
 def _cmd_spectrum_scan(args):
     r = rz.minimize(_load_realization(args))
     scan = sp.grid_scan(r, _parse_rect(args.rect), args.res,
-                        classify=not args.no_classify, jobs=args.jobs)
+                        classify=not args.no_classify)
     prefix = args.out or "spectrum"
     with open(prefix + ".csv", "w") as handle:
         handle.write(sp.scan_to_csv(scan))
@@ -294,8 +294,7 @@ def _cmd_continuity_probe(args):
     r = rz.minimize(_load_realization(args))
     scales = tuple(float(s) for s in args.scales.split(","))
     probe = sp.continuity_probe(r, _parse_rect(args.rect), args.res,
-                                scales=scales, seed=args.seed,
-                                jobs=args.jobs)
+                                scales=scales, seed=args.seed)
     _emit({"scales": list(probe.scales), "distances": list(probe.distances),
            "rect": list(probe.rect), "resolution": probe.resolution},
           args.out)
@@ -391,7 +390,6 @@ def build_parser():
                    help="re_min,re_max,im_min,im_max")
     s.add_argument("--res", type=float, required=True)
     s.add_argument("--no-classify", action="store_true")
-    s.add_argument("--jobs", type=int, default=None)
     s.set_defaults(func=_cmd_spectrum_scan)
 
     s = subs.add_parser("spectrum-sample",
@@ -415,7 +413,6 @@ def build_parser():
     s.add_argument("--rect", required=True)
     s.add_argument("--res", type=float, required=True)
     s.add_argument("--scales", default="1e-1,1e-2,1e-3")
-    s.add_argument("--jobs", type=int, default=None)
     s.set_defaults(func=_cmd_continuity_probe)
 
     return parser

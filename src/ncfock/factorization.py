@@ -16,7 +16,6 @@ an exact Gram condition computed through one left Stein solve.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import CertificationError, SpectralRadiusError
 from .realization import (
@@ -30,6 +29,11 @@ from .realization import (
 )
 from .spectral import SPR_BOUNDARY_TOL, spr, stein_solve
 from .words import NCPolynomial, suffixes, words_up_to
+
+
+def least_squares(*args, **kwargs):
+    from scipy.optimize import least_squares  # lazy: most of import ncfock
+    return least_squares(*args, **kwargs)
 
 
 def autocorrelations(p):

@@ -3,40 +3,39 @@ variety witnesses, and the spectral-continuity probe.
 
 lambda lies in the spectrum of r(L) iff the minimal realization of
 (r - lambda)^{-1} has joint spectral radius >= 1 (with r(0) = lambda an
-immediate zero-level singularity).  The scan decides every grid cell by
-that deterministic test; random finite-level eigenvalue sampling provides
-the complementary lower bound, and sigma_0 / sigma_pm classification of
-spectrum cells follows the outerness of r - lambda.
+immediate zero-level singularity).  For minimal r = (A, b, c) that spr is
+the spr of B(lambda)_j = A_j - c b* A_j / (b* c - lambda) compressed to
+O = span{A*^w b : |w| >= 1} (see ``grid_scan``), which decides every cell;
+random finite-level eigenvalue sampling provides the complementary lower
+bound, and sigma_0 / sigma_pm classification of spectrum cells follows the
+outerness of r - lambda.
 
 For rational multipliers the spectrum coincides with the essential
 spectrum and is connected, so no separate essential-spectrum computation
-exists here; the index dichotomy is the sigma_0 / sigma_pm split.  True
-sigma_0 points sit exactly on the spr = 1 knife edge, so they usually
-surface as ``indeterminate`` cells rather than decisive sigma_0 tags.
+exists here; the index dichotomy is the sigma_0 / sigma_pm split.  r - lambda
+is outer iff the same spr is <= 1, so decisive and zero-level spectrum cells
+are sigma_pm; true sigma_0 points sit exactly on the spr = 1 knife edge and
+surface as ``indeterminate`` cells.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NCFockError, ScanGridError, SpectralRadiusError
-from .factorization import is_outer_rational
 from .realization import (
+    DEFAULT_RANK_TOL,
     MatrixTuple,
     add,
     as_matrix_tuple,
-    const,
     evaluate,
     from_polynomial,
-    invert,
     minimize,
 )
 from .spectral import SPR_BOUNDARY_TOL, _boundary_singularity, spr
 from .words import NCPolynomial, words_up_to
 
 CLASS_RESOLVENT = "resolvent"
-CLASS_SIGMA0 = "sigma_0"
 CLASS_SIGMAPM = "sigma_pm"
 CLASS_INDET = "indeterminate"
 CLASS_SPECTRUM = "spectrum"          # member tag of an unclassified scan
@@ -70,34 +69,52 @@ def _is_constant(r_min):
     return r_min.n == 1 and float(np.max(np.abs(r_min.A))) <= 1e-12
 
 
-def contains_lambda(r, lam, want_witness=False):
-    """Decide lambda in sigma(r(L)) for a minimal bounded realization.
+class _Resolvent:
+    """B(lambda) of a minimal r, compressed to O with orthonormal basis U:
+    U* A_j U - U* c b* A_j U / (b* c - lambda), from products made once.
+    As r is observable, O is the joint range of the A_j*."""
 
-    Returns "spectrum" immediately when r(0) = lambda; otherwise forms the
-    minimal realization of (r - lambda)^{-1} (size <= N + 2) and returns
-    "resolvent" iff its joint spectral radius is < 1 - 1e-9.  Values within
+    def __init__(self, r):
+        Q, s, _ = np.linalg.svd(np.hstack(np.conj(np.swapaxes(r.A, 1, 2))),
+                                full_matrices=False)
+        U = Q[:, s > DEFAULT_RANK_TOL * s[0]]
+        self.d = r.d
+        self.gamma = r.value_at_zero()
+        self.A = U.conj().T @ r.A @ U
+        self.cb = (U.conj().T @ r.c)[:, None] \
+            * (np.conj(r.b) @ r.A @ U)[:, None, :]
+
+    def at(self, lam):
+        return self.A - self.cb / (self.gamma - lam)
+
+
+def contains_lambda(r, lam, want_witness=False):
+    """Decide lambda in sigma(r(L)) for a bounded realization.
+
+    Returns "spectrum" immediately when r(0) = lambda; otherwise returns
+    "resolvent" iff the minimal realization of (r - lambda)^{-1} has joint
+    spectral radius < 1 - 1e-9, computed as in ``grid_scan``.  Values within
     1e-9 of 1 keep the spectrum verdict but set ``indeterminate``.
     """
-    _require_bounded(r)
-    return _membership(r, lam, want_witness)
+    r_min = minimize(r)
+    _require_bounded(r_min)
+    return _membership(_Resolvent(r_min), lam, want_witness)
 
 
-def _membership(r, lam, want_witness=False):
+def _membership(resolvent, lam, want_witness=False):
     lam = complex(lam)
-    gamma = r.value_at_zero()
-    if abs(gamma - lam) <= 1e-12 * max(1.0, abs(lam)):
+    if abs(resolvent.gamma - lam) <= 1e-12 * max(1.0, abs(lam)):
         return SpectrumMembership(verdict="spectrum", zero_level=True,
-                                  witness=MatrixTuple.zeros(r.d, 1)
+                                  witness=MatrixTuple.zeros(resolvent.d, 1)
                                   if want_witness else None)
-    shifted = add(r, const(-lam, r.d))
-    inv = minimize(invert(shifted, check=False))
-    s = spr(inv.A)
+    B = resolvent.at(lam)
+    s = spr(B)
     if s < 1.0 - SPR_BOUNDARY_TOL:
         return SpectrumMembership(verdict="resolvent", spr_value=s)
     witness = None
     if want_witness:
         try:
-            witness = _boundary_singularity(inv.A, s, 1e-6)[0]
+            witness = _boundary_singularity(B, s, 1e-6)[0]
         except (NCFockError, ArithmeticError):
             witness = None
     return SpectrumMembership(verdict="spectrum", spr_value=s,
@@ -131,33 +148,28 @@ class SpectrumScan:
         return complex(self.centers_re[col], self.centers_im[row])
 
 
-def _cell_decision(r_min, lam, classify):
+def _cell_decision(resolvent, lam, classify):
     try:
-        membership = _membership(r_min, lam)
+        membership = _membership(resolvent, lam)
     except NCFockError:
         return False, CLASS_INDET
     if not membership:
         return False, CLASS_RESOLVENT
     if membership.indeterminate:
         return True, CLASS_INDET
-    if not classify:
-        return True, CLASS_SPECTRUM
-    shifted = add(r_min, const(-lam, r_min.d))
-    try:
-        outer = is_outer_rational(shifted)
-    except NCFockError:
-        return True, CLASS_INDET
-    if outer.indeterminate:
-        return True, CLASS_INDET
-    return True, (CLASS_SIGMA0 if outer.outer else CLASS_SIGMAPM)
+    return True, (CLASS_SIGMAPM if classify else CLASS_SPECTRUM)
 
 
-def grid_scan(r, rect, resolution, classify=True, jobs=None):
+def grid_scan(r, rect, resolution, classify=True):
     """Scan a rectangle of the complex plane for spectrum membership.
 
-    Each cell center gets the deterministic resolvent test; spectrum cells
-    are tagged sigma_0 when r - lambda is outer (index 0) and sigma_pm when
-    it has an inner factor.  Cell errors and knife-edge values are tagged
+    Each cell center gets one spr, of B(lambda) compressed to O: it equals
+    that of the minimal inverse, as invert(r - lambda) is block triangular
+    with blocks B(lambda) and 0, every B(lambda)_j* maps O into itself and
+    minimality makes A_j vanish off O.  Spectrum cells are tagged sigma_pm
+    (spectrum if unclassified): r - lambda is outer iff that spr is <= 1,
+    which a decisive cell (spr > 1 + 1e-9) or a zero-level one (r(0) =
+    lambda) never meets.  Cell errors and knife-edge values are tagged
     indeterminate.  A constant multiplier (spectrum = one point) marks
     exactly the cell containing its value.
     """
@@ -180,27 +192,14 @@ def grid_scan(r, rect, resolution, classify=True, jobs=None):
         row = int(np.floor((im_max - mu.imag) / resolution))
         if 0 <= row < rows and 0 <= col < cols:
             member[row, col] = True
-            classes[row, col] = CLASS_SIGMAPM
-        return SpectrumScan(rect=(re_min, re_max, im_min, im_max),
-                            resolution=resolution, centers_re=centers_re,
-                            centers_im=centers_im, member=member,
-                            classes=classes, classified=classify)
-
-    cells = [(i, j) for i in range(rows) for j in range(cols)]
-
-    def work(cell):
-        i, j = cell
-        lam = complex(centers_re[j], centers_im[i])
-        return _cell_decision(r_min, lam, classify)
-
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, cells))
+            classes[row, col] = CLASS_SIGMAPM if classify else CLASS_SPECTRUM
     else:
-        results = [work(cell) for cell in cells]
-    for (i, j), (is_member, tag) in zip(cells, results):
-        member[i, j] = is_member
-        classes[i, j] = tag
+        resolvent = _Resolvent(r_min)
+        for i in range(rows):
+            for j in range(cols):
+                lam = complex(centers_re[j], centers_im[i])
+                member[i, j], classes[i, j] = _cell_decision(
+                    resolvent, lam, classify)
     return SpectrumScan(rect=(re_min, re_max, im_min, im_max),
                         resolution=resolution, centers_re=centers_re,
                         centers_im=centers_im, member=member, classes=classes,
@@ -450,7 +449,7 @@ class ContinuityProbe:
 
 
 def continuity_probe(r, rect, resolution, scales=(1e-1, 1e-2, 1e-3),
-                     degree=3, seed=0, classify=False, jobs=None):
+                     degree=3, seed=0, classify=False):
     """Hausdorff distance between the scan of r and scans of perturbed
     copies, one per noise scale.
 
@@ -460,7 +459,7 @@ def continuity_probe(r, rect, resolution, scales=(1e-1, 1e-2, 1e-3),
     table; spectral continuity predicts decay but no rate.
     """
     r_min = minimize(r)
-    base = grid_scan(r_min, rect, resolution, classify=classify, jobs=jobs)
+    base = grid_scan(r_min, rect, resolution, classify=classify)
     base_points = base.member_points()
     rng = np.random.default_rng(seed)
     words = list(words_up_to(r_min.d, degree))
@@ -475,8 +474,7 @@ def continuity_probe(r, rect, resolution, scales=(1e-1, 1e-2, 1e-3),
             noise = {w: 0.0 for w in words}
         perturbed = minimize(add(r_min, from_polynomial(
             NCPolynomial(r_min.d, noise))))
-        scan = grid_scan(perturbed, rect, resolution, classify=classify,
-                         jobs=jobs)
+        scan = grid_scan(perturbed, rect, resolution, classify=classify)
         distances.append(hausdorff_distance(base_points,
                                             scan.member_points()))
     return ContinuityProbe(scales=tuple(scales), distances=distances,

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -197,3 +200,11 @@ def test_maximality_probe(poly_p5):
 def test_certification_error_diagnostics():
     with pytest.raises(ValueError):
         nf.outer_factor(nf.NCPolynomial.zero(2))
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ncfock; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncfock as nf
-from ncfock.spectrum import CLASS_SIGMAPM
+from ncfock.spectral import SPR_BOUNDARY_TOL
+from ncfock.spectrum import (
+    CLASS_INDET,
+    CLASS_RESOLVENT,
+    CLASS_SIGMAPM,
+    CLASS_SPECTRUM,
+    _Resolvent,
+)
 
 
 @pytest.fixture(scope="module")
@@ -67,12 +76,128 @@ def test_grid_scan_conjugation_symmetry():
     assert np.array_equal(conj_scan.member, scan.member[::-1, :])
 
 
-def test_grid_scan_jobs_deterministic(z1):
+def test_grid_scan_constant_unclassified_tag():
+    c = nf.minimize(nf.const(0.3 + 0.2j, 2))
+    rect = (-1.0, 1.0, -1.0, 1.0)
+    plain = nf.grid_scan(c, rect, 0.5, classify=False)
+    classified = nf.grid_scan(c, rect, 0.5)
+    assert plain.classes[plain.member].tolist() == [CLASS_SPECTRUM]
+    assert classified.classes[classified.member].tolist() == [CLASS_SIGMAPM]
+
+
+def test_grid_scan_serial_deterministic(z1):
     rect = (-1.2, 1.2, -1.2, 1.2)
-    serial = nf.grid_scan(z1, rect, 0.3)
-    threaded = nf.grid_scan(z1, rect, 0.3, jobs=4)
-    assert np.array_equal(serial.member, threaded.member)
-    assert np.array_equal(serial.classes, threaded.classes)
+    first = nf.grid_scan(z1, rect, 0.3)
+    second = nf.grid_scan(z1, rect, 0.3)
+    assert np.array_equal(first.member, second.member)
+    assert np.array_equal(first.classes, second.classes)
+
+
+# ---------------------------------------------------------------------------
+# The resolvent tuple against the add -> invert -> minimize -> spr chain
+# ---------------------------------------------------------------------------
+
+def _reference_inverse(r_min, lam):
+    """Minimal realization of (r - lam)^{-1}, built the long way."""
+    shifted = nf.add(r_min, nf.const(-lam, r_min.d))
+    return nf.minimize(nf.invert(shifted, check=False))
+
+
+def _reference_cell(r_min, lam, classify):
+    """A scan cell decided by the spr of the minimal inverse realization,
+    classified by the outerness test of r - lam."""
+    lam = complex(lam)
+    shifted = nf.add(r_min, nf.const(-lam, r_min.d))
+    if abs(r_min.value_at_zero() - lam) > 1e-12 * max(1.0, abs(lam)):
+        s = nf.spr(_reference_inverse(r_min, lam).A)
+        if s < 1.0 - SPR_BOUNDARY_TOL:
+            return False, CLASS_RESOLVENT
+        if abs(s - 1.0) <= SPR_BOUNDARY_TOL:
+            return True, CLASS_INDET
+    if not classify:
+        return True, CLASS_SPECTRUM
+    outer = nf.is_outer_rational(shifted)
+    if outer.indeterminate:
+        return True, CLASS_INDET
+    return True, ("sigma_0" if outer.outer else CLASS_SIGMAPM)
+
+
+def _perturbed_fixture(fixture_realization, eps=1e-2, seed=3):
+    rng = np.random.default_rng(seed)
+    noise = {w: eps * rng.random() * np.exp(2j * np.pi * rng.random())
+             for w in nf.words_up_to(2, 3)}
+    return nf.minimize(nf.add(fixture_realization, nf.from_polynomial(
+        nf.NCPolynomial(2, noise))))
+
+
+def _differential_cases(fixture_realization):
+    d3 = nf.minimize(nf.from_expression(
+        "inv(1 - 0.3*z1*z2 - 0.2*z3 + 0.1*z2*z3*z1)", 3))
+    return [
+        ("z1", nf.minimize(nf.from_expression("z1", 2)),
+         (-1.3, 1.3, -1.3, 1.3), 0.2),
+        ("fixture", nf.minimize(fixture_realization),
+         (0.3, 3.8, -1.75, 1.75), 0.35),
+        ("perturbed", _perturbed_fixture(fixture_realization),
+         (0.3, 3.9, -1.8, 1.8), 0.45),
+        ("d3", d3, (-0.4, 2.6, -1.5, 1.5), 0.3),
+    ]
+
+
+def test_grid_scan_matches_minimized_inverse(fixture_realization):
+    cases = _differential_cases(fixture_realization)
+    assert cases[2][1].n == 9
+    for name, r, rect, res in cases:
+        scan = nf.grid_scan(r, rect, res)
+        for i in range(scan.member.shape[0]):
+            for j in range(scan.member.shape[1]):
+                want = _reference_cell(r, scan.center(i, j), True)
+                got = (bool(scan.member[i, j]), scan.classes[i, j])
+                assert got == want, (name, scan.center(i, j))
+        assert scan.member.any() and not scan.member.all(), name
+
+
+def test_classified_scan_is_relabelled_unclassified(fixture_realization):
+    for name, r, rect, res in _differential_cases(fixture_realization):
+        classified = nf.grid_scan(r, rect, res)
+        plain = nf.grid_scan(r, rect, res, classify=False)
+        assert np.array_equal(classified.member, plain.member), name
+        relabelled = np.where(plain.classes == CLASS_SPECTRUM,
+                              CLASS_SIGMAPM, plain.classes)
+        assert np.array_equal(classified.classes, relabelled), name
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 6), d=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_resolvent_tuple_spr_matches_minimized_inverse(n, d, seed):
+    rng = np.random.default_rng(seed)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    A = gaussian(d, n, n)
+    A *= rng.uniform(0.2, 0.9) / np.linalg.norm(np.hstack(list(A)), 2)
+    r = nf.minimize(nf.Realization(A, gaussian(n), gaussian(n)))
+    lam = r.value_at_zero() + rng.uniform(0.05, 3.0) \
+        * np.exp(2j * np.pi * rng.random())
+    got = nf.spr(_Resolvent(r).at(lam))
+    want = nf.spr(_reference_inverse(r, lam).A)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+def test_contains_lambda_witness_kills_minimized_inverse(
+        z1, fixture_realization):
+    for r, lam in ((z1, 0.5), (z1, 0.2 - 0.6j),
+                   (nf.minimize(fixture_realization), 2.3 + 0.4j),
+                   (_perturbed_fixture(fixture_realization), 2.0)):
+        res = nf.contains_lambda(r, lam, want_witness=True)
+        assert res.verdict == "spectrum" and not res.indeterminate
+        assert res.witness is not None
+        inverse = _reference_inverse(nf.minimize(r), lam)
+        sigma = np.linalg.svd(nf.pencil(inverse, res.witness),
+                              compute_uv=False)
+        assert sigma[-1] <= 1e-6, (lam, sigma[-1])
 
 
 def test_finite_spectrum_sample_levels(z1):
