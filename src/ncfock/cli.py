@@ -43,12 +43,7 @@ def _round15(obj):
 
 
 def _emit(obj, path=None):
-    text = json.dumps(_round15(obj), indent=2, sort_keys=True) + "\n"
-    if path:
-        with open(path, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit_exact(_round15(obj), path)
 
 
 def _emit_exact(obj, path=None):
@@ -125,14 +120,12 @@ def _cmd_eval(args):
     r = _load_realization(args)
     Z = rz.matrix_tuple_from_json(_read_json(args.point))
     value = rz.evaluate(r, Z)
-    _emit({"value": [[{"re": v.real, "im": v.imag} for v in row]
-                     for row in value.tolist()]}, args.out)
+    _emit({"value": value.tolist()}, args.out)
     return 0
 
 
 def _cmd_spr(args):
-    r = _load_realization(args)
-    r_min = rz.minimize(r)
+    r_min = rz.minimize(_load_realization(args))
     _emit({"spr": spectral.spr(r_min.A, method=args.method),
            "n_minimal": r_min.n}, args.out)
     return 0
@@ -172,8 +165,8 @@ def _cmd_kernel(args):
     kernel = fock.kernel_from_realization(r)
     _emit({
         "Z": rz.matrix_tuple_to_json(kernel.Z),
-        "y": [{"re": v.real, "im": v.imag} for v in kernel.y.tolist()],
-        "v": [{"re": v.real, "im": v.imag} for v in kernel.v.tolist()],
+        "y": kernel.y.tolist(),
+        "v": kernel.v.tolist(),
         "row_norm": kernel.Z.row_norm(),
     }, args.out)
     return 0
@@ -218,13 +211,12 @@ def _cmd_inner_test(args):
 
 
 def _cmd_boundary_sing(args):
-    r = rz.minimize(_load_realization(args))
-    rho = spectral.spr(r.A)
-    Z, sigma_min = spectral._boundary_singularity(r.A, rho, args.tol)
+    cp = spectral.CPMap(rz.minimize(_load_realization(args)).A)
+    Z, sigma_min = spectral._boundary_singularity(cp, args.tol)
     _emit({
         "Z": rz.matrix_tuple_to_json(Z),
         "row_norm": Z.row_norm(),
-        "one_over_spr": 1.0 / rho,
+        "one_over_spr": 1.0 / cp.spr,
         "sigma_min": sigma_min,
     }, args.out)
     return 0
@@ -238,9 +230,8 @@ def _parse_rect(text):
 
 
 def _cmd_spectrum_scan(args):
-    r = rz.minimize(_load_realization(args))
-    scan = sp.grid_scan(r, _parse_rect(args.rect), args.res,
-                        classify=not args.no_classify)
+    scan = sp.grid_scan(_load_realization(args), _parse_rect(args.rect),
+                        args.res, classify=not args.no_classify)
     prefix = args.out or "spectrum"
     with open(prefix + ".csv", "w") as handle:
         handle.write(sp.scan_to_csv(scan))
@@ -253,9 +244,9 @@ def _cmd_spectrum_scan(args):
 
 
 def _cmd_spectrum_sample(args):
-    r = rz.minimize(_load_realization(args))
     eigs, levels = sp.finite_spectrum_sample(
-        r, level_max=args.levels, samples=args.samples, seed=args.seed)
+        _load_realization(args), level_max=args.levels, samples=args.samples,
+        seed=args.seed)
     text = sp.samples_to_csv(eigs, levels)
     if args.out:
         with open(args.out, "w") as handle:
@@ -284,16 +275,16 @@ def _cmd_variety_search(args):
         _emit({
             "found": True, "level": witness.level,
             "Z": rz.matrix_tuple_to_json(witness.Z),
-            "y": [{"re": v.real, "im": v.imag} for v in witness.y.tolist()],
+            "y": witness.y.tolist(),
             "residual": witness.residual,
         }, args.out)
     return 0
 
 
 def _cmd_continuity_probe(args):
-    r = rz.minimize(_load_realization(args))
     scales = tuple(float(s) for s in args.scales.split(","))
-    probe = sp.continuity_probe(r, _parse_rect(args.rect), args.res,
+    probe = sp.continuity_probe(_load_realization(args),
+                                _parse_rect(args.rect), args.res,
                                 scales=scales, seed=args.seed)
     _emit({"scales": list(probe.scales), "distances": list(probe.distances),
            "rect": list(probe.rect), "resolution": probe.resolution},

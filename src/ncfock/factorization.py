@@ -27,7 +27,7 @@ from .realization import (
     mul,
     taylor_table,
 )
-from .spectral import SPR_BOUNDARY_TOL, spr, stein_solve
+from .spectral import SPR_BOUNDARY_TOL, CPMap, spr, stein_solve
 from .words import NCPolynomial, suffixes, words_up_to
 
 
@@ -118,12 +118,12 @@ class InnerResult:
 
 
 def is_inner(r, tol=1e-7):
-    s = spr(r.A)
+    cp = CPMap(r.A)
+    s = cp.spr
     if s >= 1.0 - SPR_BOUNDARY_TOL:
         raise SpectralRadiusError(
             f"not a bounded multiplier: spr(A) = {s:.12g}")
-    Q = stein_solve(r.A, np.outer(r.b, np.conj(r.b)), side="left",
-                    check_spr=False)
+    Q = stein_solve(cp, np.outer(r.b, np.conj(r.b)), side="left")
     Qc = Q @ r.c
     unit = complex(np.conj(r.c) @ Qc)
     unit_defect = abs(unit - 1.0)

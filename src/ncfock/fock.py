@@ -20,15 +20,17 @@ from .realization import (
     MatrixTuple,
     Realization,
     as_matrix_tuple,
+    taylor_coeff,
+    taylor_table,
 )
 from .spectral import (
     SPR_BOUNDARY_TOL,
+    CPMap,
     _boundary_singularity,
-    _similarity_to_contraction,
-    spr,
+    similarity_to_contraction,
     stein_solve,
 )
-from .words import NCPolynomial, monomial_count, words_up_to
+from .words import monomial_count, words_up_to
 
 
 class KernelVector:
@@ -59,10 +61,8 @@ class KernelVector:
         return self.Z.n
 
     def coefficient(self, word):
-        vec = self.v
-        for letter in reversed(tuple(word)):
-            vec = self.Z[letter - 1] @ vec
-        return complex(np.vdot(vec, self.y))
+        """<Z^a v, y>, the Taylor coefficient of kernel_to_realization."""
+        return taylor_coeff(kernel_to_realization(self), word)
 
     def __repr__(self):
         return f"KernelVector(d={self.d}, n={self.n}, row_norm={self.Z.row_norm():.6g})"
@@ -70,19 +70,7 @@ class KernelVector:
 
 def kernel_coefficients(kernel, max_len):
     """Coefficient table <Z^a v, y> for all words of length <= max_len."""
-    coeffs = {}
-    level = {(): kernel.v}
-    for length in range(max_len + 1):
-        for word, vec in level.items():
-            coeffs[word] = complex(np.vdot(vec, kernel.y))
-        if length == max_len:
-            break
-        nxt = {}
-        for word, vec in level.items():
-            for j in range(kernel.d):
-                nxt[(j + 1,) + word] = kernel.Z[j] @ vec
-        level = nxt
-    return NCPolynomial(kernel.d, coeffs)
+    return taylor_table(kernel_to_realization(kernel), max_len)
 
 
 def kernel_to_realization(kernel):
@@ -97,13 +85,14 @@ def kernel_from_realization(r, margin=None):
     returns {conj(W), conj(S* b), conj(S^{-1} c)}; the coefficient table of
     the result reproduces the Taylor coefficients b* A^w c.
     """
-    s = spr(r.A)
+    cp = CPMap(r.A)
+    s = cp.spr
     if s >= 1.0 - SPR_BOUNDARY_TOL:
         raise SpectralRadiusError(
             f"not in Fock space: spr(A) = {s:.12g} is not < 1")
     if margin is None:
         margin = min(0.5 * (1.0 - s), 0.1)
-    S, W = _similarity_to_contraction(r.A, s, margin)
+    S, W = similarity_to_contraction(cp, margin)
     x = S.conj().T @ r.b
     u = np.linalg.solve(S, r.c)
     return KernelVector(W.conjugate(), np.conj(x), np.conj(u))
@@ -115,17 +104,16 @@ def kernel_from_realization(r, margin=None):
 
 def h2_norm(r):
     """Fock-space norm sqrt(b* P b) with P - sum A_j P A_j* = c c*."""
-    s = spr(r.A)
+    return _h2_norm(r, CPMap(r.A))
+
+
+def _h2_norm(r, cp):
+    """h2_norm of r with cp = CPMap(r.A), whose spr it reads."""
+    s = cp.spr
     if s >= 1.0 - SPR_BOUNDARY_TOL:
         raise SpectralRadiusError(
             f"not in Fock space: spr(A) = {s:.12g} is not < 1")
-    return _h2_norm(r)
-
-
-def _h2_norm(r):
-    """h2_norm of a realization already known to have spr(A) < 1."""
-    P = stein_solve(r.A, np.outer(r.c, np.conj(r.c)), side="right",
-                    check_spr=False)
+    P = stein_solve(cp, np.outer(r.c, np.conj(r.c)), side="right")
     value = float(np.real(np.conj(r.b) @ P @ r.b))
     return float(np.sqrt(max(value, 0.0)))
 
@@ -160,14 +148,15 @@ class FockMembership:
 
 def is_in_fock(r, witness_tol=1e-8):
     """Theorem-A membership trichotomy for a minimal realization."""
-    s = spr(r.A)
+    cp = CPMap(r.A)
+    s = cp.spr
     radius = inf if s < 1e-12 else 1.0 / s
     if s < 1.0 - SPR_BOUNDARY_TOL:
         return FockMembership(verdict="in", in_h2=True, spr=s, radius=radius,
-                              h2_norm=_h2_norm(r))
+                              h2_norm=_h2_norm(r, cp))
     verdict = "boundary" if abs(s - 1.0) <= SPR_BOUNDARY_TOL else "not_in"
     try:
-        witness, sigma_min = _boundary_singularity(r.A, s, witness_tol)
+        witness, sigma_min = _boundary_singularity(cp, witness_tol)
     except ArithmeticError:
         return FockMembership(verdict=verdict, in_h2=False, spr=s,
                               radius=radius)

@@ -6,8 +6,8 @@ compile step from expression ASTs, the realization algebra (sum, scalar
 multiple, product, inverse), two-sided Krylov minimization, pencil
 evaluation, Taylor coefficients b* A^w c, and the JSON wire format.
 
-Realizations are never minimized implicitly; callers opt in, since several
-contracts pin exact state dimensions.
+Only the spectrum functions minimize their input; the Fock and factorization
+certificates take a realization as given, since several pin state dimensions.
 """
 
 from dataclasses import dataclass
@@ -221,7 +221,7 @@ def invert(r, check=True):
     c = np.concatenate([r.c / gamma, [-1.0 / gamma]])
     out = Realization(A, b, c)
     if check:
-        table = taylor_table(mul(r, out), min(4, 4))
+        table = taylor_table(mul(r, out), 4)
         scale_t = 1.0 + max((abs(v) for v in table.coeffs.values()), default=0.0)
         if not table.allclose(NCPolynomial.one(d), tol=1e-6 * scale_t):
             raise ArithmeticError(

@@ -25,8 +25,11 @@ The dense eigensolve costs O(n^6) and overtakes the Arnoldi run near n = 8
 (about 7 ms each on 2 cores); at n = 16 it takes 170 ms against 20 ms.  The
 switch sits higher, at n = 12, so that the small tuples of spectrum-scan
 cells (n <= 9 for the test functions) and of factorizations (n <= 4) keep
-the dense route and give the same numbers as before.  The Perron
-eigenmatrix that ``boundary_singularity`` needs follows the same switch.
+the dense route and give the same numbers as before.  One ``CPMap`` holds
+a tuple's spr, Perron eigenmatrix (same switch) and matrization, each
+computed once; ``spr``, ``stein_solve``, ``similarity_to_contraction`` and
+``boundary_singularity`` take it in place of the tuple, so
+``boundary_singularity`` reuses the Arnoldi run of ``spr``.
 """
 
 from functools import cached_property
@@ -76,7 +79,7 @@ def matrize(pairs):
 
 
 def _as_tuple_array(A):
-    if isinstance(A, Realization):
+    if isinstance(A, (Realization, CPMap)):
         A = A.A
     elif isinstance(A, MatrixTuple):
         A = A.X
@@ -89,7 +92,7 @@ def _as_tuple_array(A):
 
 
 class CPMap:
-    """The completely positive map Ad_{A,A*} with a cached matrization."""
+    """The CP map Ad_{A,A*}; caches A's spr, Perron pair and matrization."""
 
     def __init__(self, A):
         self.A = _as_tuple_array(A)
@@ -115,6 +118,28 @@ class CPMap:
     @cached_property
     def adjoint_matrization(self):
         return matrize([(np.conj(Aj).T, Aj) for Aj in self.A])
+
+    @cached_property
+    def spr(self):
+        return spr(self)
+
+    @cached_property
+    def perron(self):
+        """(rho(Ad), Hermitian Perron eigenmatrix): one Arnoldi run from
+        MATRIX_FREE_MIN_N up, None there if ARPACK does not converge; below
+        it a dense eig of the matrization."""
+        if self.n < MATRIX_FREE_MIN_N:
+            return _dense_perron(self)
+        from scipy.sparse.linalg import ArpackNoConvergence
+
+        try:
+            return _arnoldi_perron(self)
+        except ArpackNoConvergence:
+            return None
+
+
+def _cp_map(A):
+    return A if isinstance(A, CPMap) else CPMap(A)
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +210,9 @@ def _arnoldi_eigs(cp, k):
     return w, V / np.linalg.norm(V, axis=0)
 
 
-def _arnoldi_perron(cp, eigenmatrix=False):
-    """rho(Ad) of the CP map cp by Arnoldi, never forming its matrization;
-    with eigenmatrix=True, also the Hermitian Perron eigenmatrix.
+def _arnoldi_perron(cp):
+    """rho(Ad) of the CP map cp and its Hermitian Perron eigenmatrix by
+    Arnoldi, never forming the matrization.
 
     A positive definite Perron eigenmatrix P makes Ad/rho similar to a
     unital CP map, which is power bounded, so rho is semisimple and the top
@@ -207,15 +232,12 @@ def _arnoldi_perron(cp, eigenmatrix=False):
         star = np.abs(V.conj().T @ V[:, top]) >= 1.0 - 1e-6
         rho = float(abs(np.mean(w[star])))
         P = _hermitian_eigenmatrix(w, V, cp.n)
-    return (rho, P) if eigenmatrix else rho
+    return rho, P
 
 
-def _spr_matrix_free(A):
-    cp = CPMap(A)
-    bound = _power_bound(cp)
-    if bound == 0:
-        return 0.0
-    return float(np.sqrt(min(_arnoldi_perron(cp), bound)))
+def _dense_perron(cp):
+    w, V = np.linalg.eig(cp.matrization)
+    return float(np.max(np.abs(w))), _hermitian_eigenmatrix(w, V, cp.n)
 
 
 def spr(A, method="matrized"):
@@ -225,18 +247,18 @@ def spr(A, method="matrized"):
     sum_j conj(A_j) kron A_j, dense below MATRIX_FREE_MIN_N and by Arnoldi
     on the CP map from it up.  method "iterate": sqrt of the norm-limit
     estimate from repeated squaring.  Jointly nilpotent tuples return 0.
+    A may be a CPMap, whose cached Perron pair and matrization are used.
     """
-    A = _as_tuple_array(A)
-    if method == "matrized" and A.shape[1] >= MATRIX_FREE_MIN_N:
-        from scipy.sparse.linalg import ArpackNoConvergence
-
-        try:
-            return _spr_matrix_free(A)
-        except ArpackNoConvergence:
-            # Arnoldi stalls on a tuple that is nilpotent up to roundoff;
-            # the dense route below still gives an answer
-            pass
-    M = CPMap(A).matrization
+    cp = _cp_map(A)
+    if method == "matrized" and cp.n >= MATRIX_FREE_MIN_N:
+        bound = _power_bound(cp)
+        if bound == 0:
+            return 0.0
+        # Arnoldi stalls on a tuple that is nilpotent up to roundoff; the
+        # dense route below still gives an answer
+        if cp.perron is not None:
+            return float(np.sqrt(min(cp.perron[0], bound)))
+    M = cp.matrization
     norm = np.linalg.norm(M, 2)
     if norm == 0:
         return 0.0
@@ -267,16 +289,15 @@ def stein_solve(A, Q0, side="right", check_spr=True):
     Solved through the matrized linear system with iterative refinement;
     requires spr(A) < 1 - 1e-9.
     """
-    A = _as_tuple_array(A)
+    cp = _cp_map(A)
     Q0 = np.asarray(Q0, dtype=complex)
-    if Q0.shape != (A.shape[1], A.shape[1]):
+    if Q0.shape != (cp.n, cp.n):
         raise DimensionMismatchError("Q0 must be n x n")
     if check_spr:
-        s = spr(A)
+        s = cp.spr
         if s >= 1.0 - SPR_BOUNDARY_TOL:
             raise SpectralRadiusError(
                 f"Stein equation needs spr(A) < 1 (got spr = {s:.12g})")
-    cp = CPMap(A)
     M = cp.matrization if side == "right" else cp.adjoint_matrization
     if side not in ("right", "left"):
         raise ValueError(f"unknown side {side!r}")
@@ -288,7 +309,7 @@ def stein_solve(A, Q0, side="right", check_spr=True):
         if np.linalg.norm(resid) <= 1e-16 * np.linalg.norm(q):
             break
         x = x + np.linalg.solve(K, resid)
-    P = unvec(x, A.shape[1])
+    P = unvec(x, cp.n)
     if np.linalg.norm(Q0 - Q0.conj().T) <= 1e-12 * max(np.linalg.norm(Q0), 1e-300):
         P = (P + P.conj().T) / 2.0
     return P
@@ -311,26 +332,21 @@ def similarity_to_contraction(A, margin):
     sum_j W_j W_j* = tau^2 (I - G^{-1}), strictly below tau^2.
     As margin -> 0 the row norm approaches spr(A).
     """
-    A = _as_tuple_array(A)
-    return _similarity_to_contraction(A, spr(A), margin)
-
-
-def _similarity_to_contraction(A, s, margin):
-    """similarity_to_contraction of a d x n x n array A with s = spr(A)."""
+    cp = _cp_map(A)
+    s = cp.spr
     if s >= 1.0:
         raise SpectralRadiusError(
             f"similarity to a contraction needs spr(A) < 1 (got {s:.12g})")
     if not (0.0 < margin < 1.0 - s):
         raise ValueError("margin must lie in (0, 1 - spr(A))")
     tau = s + margin
-    G = stein_solve(A / tau, np.eye(A.shape[1], dtype=complex),
+    G = stein_solve(cp.A / tau, np.eye(cp.n, dtype=complex),
                     side="right", check_spr=False)
-    G = (G + G.conj().T) / 2.0
     w, V = np.linalg.eigh(G)
     w = np.maximum(w, 1e-300)
     S = (V * np.sqrt(w)) @ V.conj().T
     S_inv = (V / np.sqrt(w)) @ V.conj().T
-    W = np.stack([S_inv @ Aj @ S for Aj in A])
+    W = np.stack([S_inv @ Aj @ S for Aj in cp.A])
     return S, MatrixTuple(W)
 
 
@@ -354,36 +370,6 @@ def _hermitian_eigenmatrix(w, V, n):
     return P / np.linalg.norm(P)
 
 
-def _perron_eigenmatrix(A):
-    cp = CPMap(A)
-    if cp.n >= MATRIX_FREE_MIN_N:
-        from scipy.sparse.linalg import ArpackNoConvergence
-
-        try:
-            return _arnoldi_perron(cp, eigenmatrix=True)[1]
-        except ArpackNoConvergence:
-            pass
-    w, V = np.linalg.eig(cp.matrization)
-    return _hermitian_eigenmatrix(w, V, cp.n)
-
-
-def _co_isometry_point(A, rho):
-    """Singular point for a tuple whose Perron fixed point is positive definite."""
-    P = _perron_eigenmatrix(A)
-    w, V = np.linalg.eigh(P)
-    trace = float(np.trace(P).real)
-    threshold = 1e-9 * max(trace, float(w[-1]))
-    if w[0] > threshold:
-        sqrtP = (V * np.sqrt(w)) @ V.conj().T
-        inv_sqrtP = (V / np.sqrt(w)) @ V.conj().T
-        Y = np.stack([inv_sqrtP @ (Aj / rho) @ sqrtP for Aj in A])
-        return np.conj(Y) / rho, None
-    keep = V[:, w > threshold]
-    if keep.shape[1] == 0:
-        keep = V[:, [int(np.argmax(w))]]
-    return None, keep
-
-
 def boundary_singularity(r, tol=1e-8):
     """A point Z with ||Z|| = 1/spr(A) where the minimal pencil is singular.
 
@@ -394,35 +380,43 @@ def boundary_singularity(r, tol=1e-8):
     invariant subspace: compress and recurse, padding the recursive point
     with zeros.  Jointly nilpotent tuples (polynomials) are rejected.
     """
-    A = _as_tuple_array(r)
-    return _boundary_singularity(A, spr(A), tol)[0]
+    return _boundary_singularity(_cp_map(r), tol)[0]
 
 
-def _boundary_singularity(A, rho, tol):
-    """boundary_singularity of a d x n x n array A with rho = spr(A);
-    returns the point and sigma_min of the pencil at it."""
+def _boundary_singularity(cp, tol):
+    """boundary_singularity of the CPMap cp; returns the point and
+    sigma_min of the pencil at it."""
+    A, rho = cp.A, cp.spr
     scale = max(row_norm(A), 1.0)
     if rho <= 1e-12 * scale:
         raise JointlyNilpotentError(
             "spr(A) = 0: the tuple is jointly nilpotent (a polynomial), "
             "whose pencil is everywhere invertible")
 
-    def build(Asub, rho_sub, depth):
-        Z, keep = _co_isometry_point(Asub, rho_sub)
-        if Z is not None:
-            return Z
-        if depth <= 0 or keep.shape[1] >= Asub.shape[1]:
+    def build(sub, depth):
+        s = sub.spr
+        P = (sub.perron or _dense_perron(sub))[1]
+        w, V = np.linalg.eigh(P)
+        threshold = 1e-9 * max(float(np.trace(P).real), float(w[-1]))
+        if w[0] > threshold:
+            sqrtP = (V * np.sqrt(w)) @ V.conj().T
+            inv_sqrtP = (V / np.sqrt(w)) @ V.conj().T
+            Y = np.stack([inv_sqrtP @ (Aj / s) @ sqrtP for Aj in sub.A])
+            return np.conj(Y) / s
+        keep = V[:, w > threshold]
+        if keep.shape[1] == 0:
+            keep = V[:, [int(np.argmax(w))]]
+        if depth <= 0 or keep.shape[1] >= sub.n:
             raise BoundarySingularityError(
                 "boundary singularity recursion failed")
-        Ainner = np.stack([keep.conj().T @ Aj @ keep for Aj in Asub])
-        inner = build(Ainner, spr(Ainner), depth - 1)
+        inner = build(CPMap(np.stack([keep.conj().T @ Aj @ keep
+                                      for Aj in sub.A])), depth - 1)
         m = inner.shape[1]
-        Z = np.zeros((Asub.shape[0], Asub.shape[1], Asub.shape[1]),
-                     dtype=complex)
+        Z = np.zeros(sub.A.shape, dtype=complex)
         Z[:, :m, :m] = inner
         return Z
 
-    Z = build(A, rho, A.shape[1])
+    Z = build(cp, A.shape[1])
     point = MatrixTuple(Z)
     L = np.eye(A.shape[1] * point.n, dtype=complex)
     for j in range(A.shape[0]):

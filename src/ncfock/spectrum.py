@@ -32,7 +32,7 @@ from .realization import (
     from_polynomial,
     minimize,
 )
-from .spectral import SPR_BOUNDARY_TOL, _boundary_singularity, spr
+from .spectral import SPR_BOUNDARY_TOL, CPMap, boundary_singularity, row_norm
 from .words import NCPolynomial, words_up_to
 
 CLASS_RESOLVENT = "resolvent"
@@ -57,12 +57,14 @@ class SpectrumMembership:
         return self.verdict == "spectrum"
 
 
-def _require_bounded(r):
-    s = spr(r.A)
+def _minimal_bounded(r):
+    """The minimal realization of r, which must be a bounded multiplier."""
+    r_min = minimize(r)
+    s = CPMap(r_min.A).spr
     if s >= 1.0 - SPR_BOUNDARY_TOL:
         raise SpectralRadiusError(
             f"not a bounded multiplier: spr(A) = {s:.12g}")
-    return s
+    return r_min
 
 
 def _is_constant(r_min):
@@ -96,9 +98,7 @@ def contains_lambda(r, lam, want_witness=False):
     spectral radius < 1 - 1e-9, computed as in ``grid_scan``.  Values within
     1e-9 of 1 keep the spectrum verdict but set ``indeterminate``.
     """
-    r_min = minimize(r)
-    _require_bounded(r_min)
-    return _membership(_Resolvent(r_min), lam, want_witness)
+    return _membership(_Resolvent(_minimal_bounded(r)), lam, want_witness)
 
 
 def _membership(resolvent, lam, want_witness=False):
@@ -107,14 +107,14 @@ def _membership(resolvent, lam, want_witness=False):
         return SpectrumMembership(verdict="spectrum", zero_level=True,
                                   witness=MatrixTuple.zeros(resolvent.d, 1)
                                   if want_witness else None)
-    B = resolvent.at(lam)
-    s = spr(B)
+    cp = CPMap(resolvent.at(lam))
+    s = cp.spr
     if s < 1.0 - SPR_BOUNDARY_TOL:
         return SpectrumMembership(verdict="resolvent", spr_value=s)
     witness = None
     if want_witness:
         try:
-            witness = _boundary_singularity(B, s, 1e-6)[0]
+            witness = boundary_singularity(cp, 1e-6)
         except (NCFockError, ArithmeticError):
             witness = None
     return SpectrumMembership(verdict="spectrum", spr_value=s,
@@ -184,8 +184,7 @@ def grid_scan(r, rect, resolution, classify=True):
     member = np.zeros((rows, cols), dtype=bool)
     classes = np.full((rows, cols), CLASS_RESOLVENT, dtype=object)
 
-    r_min = minimize(r)
-    _require_bounded(r_min)
+    r_min = _minimal_bounded(r)
     if _is_constant(r_min):
         mu = r_min.value_at_zero()
         col = int(np.floor((mu.real - re_min) / resolution))
@@ -245,8 +244,7 @@ def random_row_contraction(rng, d, n, kind="gaussian"):
         X[j_star] = radius * _haar_unitary(rng, n)
         return MatrixTuple(X)
     X = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
-    norm = np.linalg.norm(np.hstack(list(X)), 2)
-    return MatrixTuple(X * (radius / norm))
+    return MatrixTuple(X * (radius / row_norm(X)))
 
 
 _SAMPLE_KINDS = ("co-isometry", "single", "unitary", "gaussian")
@@ -259,8 +257,7 @@ def finite_spectrum_sample(r, level_max=None, samples=1000, seed=0):
     Draws cycle through exact-boundary co-isometries, scaled Haar unitaries
     (single component and joint), and scaled Gaussian directions.
     """
-    r_min = minimize(r)
-    _require_bounded(r_min)
+    r_min = _minimal_bounded(r)
     if level_max is None:
         level_max = r_min.n + 2
     rng = np.random.default_rng(seed)
@@ -317,7 +314,7 @@ def certify_witness(f, Z, y, tol=1e-8):
 
 
 def _project_ball(X):
-    norm = np.linalg.norm(np.hstack(list(X)), 2)
+    norm = row_norm(X)
     return X if norm <= 1.0 else X / norm
 
 
@@ -455,8 +452,8 @@ def continuity_probe(r, rect, resolution, scales=(1e-1, 1e-2, 1e-3),
 
     Each perturbation adds independent uniform complex noise of modulus
     <= eps to every Taylor coefficient of word length <= degree, then
-    re-realizes and re-minimizes.  Distances are reported as a diagnostic
-    table; spectral continuity predicts decay but no rate.
+    re-realizes; ``grid_scan`` minimizes each copy.  Distances are reported
+    as a diagnostic table; spectral continuity predicts decay but no rate.
     """
     r_min = minimize(r)
     base = grid_scan(r_min, rect, resolution, classify=classify)
@@ -472,8 +469,7 @@ def continuity_probe(r, rect, resolution, scales=(1e-1, 1e-2, 1e-3),
             noise[w] = radius * np.exp(1j * phase)
         if eps == 0:
             noise = {w: 0.0 for w in words}
-        perturbed = minimize(add(r_min, from_polynomial(
-            NCPolynomial(r_min.d, noise))))
+        perturbed = add(r_min, from_polynomial(NCPolynomial(r_min.d, noise)))
         scan = grid_scan(perturbed, rect, resolution, classify=classify)
         distances.append(hausdorff_distance(base_points,
                                             scan.member_points()))

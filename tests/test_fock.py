@@ -234,18 +234,22 @@ def test_is_in_fock_large_n_against_iterate(n):
 
 
 def _count_spr_calls(monkeypatch):
-    """Route the module-level names of spectral.spr through a counter."""
-    from ncfock import fock, spectral
+    """Route spectral.spr, through which every spr of a verdict goes (a
+    CPMap computes its spr by calling it), through a counter."""
+    from ncfock import spectral
 
-    original = spectral.spr
+    return _count_calls(monkeypatch, spectral, "spr")
+
+
+def _count_calls(monkeypatch, module, name):
+    original = getattr(module, name)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module in (spectral, fock):
-        monkeypatch.setattr(module, "spr", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -264,3 +268,42 @@ def test_verdict_computes_spr_once(monkeypatch, fixture_realization):
     out = nf.is_in_fock(big)
     assert out.verdict == "not_in" and out.witness is not None
     assert len(calls) == 1
+
+
+def _scaled(n, target, seed):
+    """A random d = 2 realization of state size n whose spr is target."""
+    rng = np.random.default_rng(seed)
+    A0 = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return nf.Realization(target / nf.spr(A0) * A0, b, c)
+
+
+@pytest.mark.parametrize("n", [16, 21])
+def test_not_in_verdict_runs_arnoldi_once(monkeypatch, n):
+    # spr and the Perron eigenmatrix of the witness share one Arnoldi run
+    from ncfock import spectral
+
+    r = _scaled(n, 1.2, seed=n)
+    calls = _count_calls(monkeypatch, spectral, "_arnoldi_eigs")
+    out = nf.is_in_fock(r)
+    assert out.verdict == "not_in" and out.witness is not None
+    assert len(calls) == 1
+
+
+def test_verdicts_build_each_matrization_once(monkeypatch,
+                                              fixture_realization):
+    from ncfock import spectral
+
+    big = nf.Realization(1.5 * fixture_realization.A, fixture_realization.b,
+                         fixture_realization.c)
+    r = _scaled(8, 0.7, seed=8)
+    calls = _count_calls(monkeypatch, spectral, "matrize")
+    assert nf.is_in_fock(big).verdict == "not_in"
+    assert len(calls) == 1
+    del calls[:]
+    # spr and the H^2 Stein solve share one; the kernel's spr and its Stein
+    # solve on A/tau make two more
+    assert nf.is_in_fock(r).verdict == "in"
+    nf.kernel_from_realization(r)
+    assert len(calls) == 3

@@ -105,6 +105,26 @@ def test_spr_roundoff_nilpotent_takes_dense_route(monkeypatch):
     assert nf.spr(A) == value
 
 
+@pytest.mark.parametrize("n", [3, MATRIX_FREE_MIN_N + 1])
+def test_cpmap_gives_the_results_of_its_tuple(n):
+    # on both sides of the dense/Arnoldi switch, one CPMap shared by all
+    # four functions gives bitwise what each computes from the raw tuple
+    rng = np.random.default_rng(n)
+    A0 = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    A = 0.8 / nf.spr(A0) * A0
+    cp = nf.CPMap(A)
+    assert nf.spr(cp) == nf.spr(A) == cp.spr
+    Q0 = np.diag(np.arange(1.0, n + 1))
+    for side in ("right", "left"):
+        assert np.array_equal(nf.stein_solve(cp, Q0, side=side),
+                              nf.stein_solve(A, Q0, side=side))
+    S_cp, W_cp = nf.similarity_to_contraction(cp, 0.1)
+    S, W = nf.similarity_to_contraction(A, 0.1)
+    assert np.array_equal(S_cp, S) and np.array_equal(W_cp.X, W.X)
+    assert np.array_equal(nf.boundary_singularity(cp).X,
+                          nf.boundary_singularity(A).X)
+
+
 def test_stein_examples(fixture_tuple):
     P = nf.stein_solve(np.array([[[0.5]]]), np.array([[1.0]]))
     assert P[0, 0].real == pytest.approx(4.0 / 3.0, abs=1e-12)

@@ -328,6 +328,38 @@ def test_continuity_probe_smoke(fixture_realization):
     assert all(d < np.inf for d in probe.distances)
 
 
+def _count_minimize(monkeypatch):
+    from ncfock import realization, spectrum
+
+    original = realization.minimize
+    calls = []
+
+    def counted(r, *args, **kwargs):
+        calls.append(r.n)
+        return original(r, *args, **kwargs)
+
+    for module in (realization, spectrum):
+        monkeypatch.setattr(module, "minimize", counted)
+    return calls
+
+
+def test_spectrum_pipelines_minimize_once(monkeypatch, tmp_path, capsys,
+                                          fixture_realization):
+    # the probe minimizes r once for its copies, and grid_scan minimizes
+    # r and each perturbed copy once
+    calls = _count_minimize(monkeypatch)
+    nf.continuity_probe(fixture_realization, (1.2, 3.0, -0.9, 0.9), 0.6,
+                        scales=(1e-1, 1e-3), seed=0)
+    assert len(calls) == 4
+    del calls[:]
+    from ncfock.cli import main
+
+    assert main(["spectrum-scan", "-d", "1", "z1", "--rect=-1,1,-1,1",
+                 "--res", "0.5", "--out", str(tmp_path / "scan")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_scan_csv_and_pgm_formats(z1):
     scan = nf.grid_scan(z1, (-1.2, 1.2, -1.2, 1.2), 0.4)
     csv = nf.scan_to_csv(scan)
