@@ -2,10 +2,11 @@
 
 The outer factor q of a polynomial p is the polynomial with deg q <= deg p,
 q(0) > 0 maximal, whose multiplier autocorrelations match those of p
-(q(L)* q(L) = p(L)* p(L)).  The solver is a multistart Gauss-Newton on the
-autocorrelation equations; correctness is carried by the certificates, not
-by the solver: every returned q passes the rational outerness test and the
-quotient p q^{-1} passes the isometry (innerness) test.
+(q(L)* q(L) = p(L)* p(L)).  The solver is a multistart Levenberg-Marquardt
+on the autocorrelation equations with their exact Jacobian; correctness is
+carried by the certificates, not by the solver: every returned q passes the
+rational outerness test and the quotient p q^{-1} passes the isometry
+(innerness) test.
 
 Outerness of a rational r with minimal realization (A, b, c) is decided by
 the radius of convergence of the series of r^{-1} at 0: r is outer iff the
@@ -174,16 +175,67 @@ def _unpack(d, words, x):
     return NCPolynomial(d, table)
 
 
-def _autocorr_residual(q, target, gammas):
-    auto = autocorrelations(q)
-    out = []
-    for g in gammas:
-        diff = auto.get(g, 0.0) - target.get(g, 0.0)
-        if g == ():
-            out.append(diff.real)
-        else:
-            out.extend((diff.real, diff.imag))
-    return np.array(out)
+def _real_rows(z):
+    """Real rows of a complex array indexed by gamma along axis 0: the real
+    part at the empty word, then the real and imaginary parts of each
+    further gamma in turn."""
+    out = np.empty((2 * len(z) - 1,) + z.shape[1:])
+    out[0] = z[0].real
+    out[1::2] = z[1:].real
+    out[2::2] = z[1:].imag
+    return out
+
+
+class _AutocorrelationSystem:
+    """autocorrelations(q) - target over the words of length <= deg, and its
+    exact Jacobian, in the coordinates x of ``_pack``.
+
+    Words are indexed in ``words_up_to`` order, so q's coefficient vector
+    is c = (x[0], x[1] + i x[2], ...).  Each pair of words (w, w gamma)
+    with |w gamma| <= deg is stored once as an index triple (iw, iwg, ig);
+    the L^gamma autocorrelation is then sum over ig = gamma of
+    conj(c[iw]) c[iwg], and its derivatives in Re c_k and Im c_k come from
+    the triples with iw = k or iwg = k.
+    """
+
+    def __init__(self, d, deg, target):
+        words = list(words_up_to(d, deg))
+        index = {w: k for k, w in enumerate(words)}
+        triples = np.array([(index[w], index[w + g], index[g])
+                            for w in words
+                            for g in words_up_to(d, deg - len(w))]).T
+        self.iw, self.iwg, self.ig = triples
+        self.target = np.array([target.get(w, 0.0) for w in words],
+                               dtype=complex)
+        # Jacobian entries: (ig, iw) from conj(c_w), (ig, iwg) from c_wg
+        self._jac_at = (np.concatenate((self.ig, self.ig)),
+                        np.concatenate((self.iw, self.iwg)))
+
+    def coefficients(self, x):
+        c = np.empty(len(self.target), dtype=complex)
+        c[0] = x[0]
+        c[1:] = x[1::2] + 1j * x[2::2]
+        return c
+
+    def residual(self, x):
+        c = self.coefficients(x)
+        auto = np.zeros_like(self.target)
+        np.add.at(auto, self.ig, np.conj(c[self.iw]) * c[self.iwg])
+        return _real_rows(auto - self.target)
+
+    def jacobian(self, x):
+        c = self.coefficients(x)
+        n = len(c)
+        left, right = c[self.iwg], np.conj(c[self.iw])
+        d_re = np.zeros((n, n), dtype=complex)
+        np.add.at(d_re, self._jac_at, np.concatenate((left, right)))
+        d_im = np.zeros((n, n), dtype=complex)
+        np.add.at(d_im, self._jac_at, 1j * np.concatenate((-left, right)))
+        J = np.empty((n, len(x)), dtype=complex)
+        J[:, 0] = d_re[:, 0]              # q(0) = x[0] is real
+        J[:, 1::2] = d_re[:, 1:]
+        J[:, 2::2] = d_im[:, 1:]
+        return _real_rows(J)
 
 
 def autocorrelation_mismatch(p, q):
@@ -198,8 +250,11 @@ def outer_factor(p, n_starts=8, seed=0, tol=1e-8, inner_tol=1e-7):
     """Spectral factorization p = (inner) * q with q an NC outer polynomial.
 
     Solves autocorrelations(q) = autocorrelations(p) over the full support
-    of words of length <= deg p with q(0) real, by Levenberg-Marquardt from
-    the start q = p plus ``n_starts`` randomized starts; among residual-
+    of words of length <= deg p with q(0) real, by Levenberg-Marquardt with
+    the exact Jacobian of ``_AutocorrelationSystem``.  It starts from 4
+    deterministic points (q = p with q(0) = |p(0)|, and three with mass on
+    the empty word: q(0) = ||p||_2 and the other coefficients 0.05, 0.2 and
+    0.5 times p's) plus ``n_starts`` randomized ones.  Among residual-
     feasible solutions, candidates are taken in decreasing q(0) and the
     first one certified outer with an isometric quotient wins.
     """
@@ -207,12 +262,8 @@ def outer_factor(p, n_starts=8, seed=0, tol=1e-8, inner_tol=1e-7):
         raise ValueError("cannot factor the zero polynomial")
     d, deg = p.d, p.degree
     words = [w for w in words_up_to(d, deg) if w != ()]
-    gammas = list(words_up_to(d, deg))
-    target = autocorrelations(p)
     norm_p = p.l2_norm()
-
-    def residual(x):
-        return _autocorr_residual(_unpack(d, words, x), target, gammas)
+    system = _AutocorrelationSystem(d, deg, autocorrelations(p))
 
     rng = np.random.default_rng(seed)
     p0 = abs(p.coeff(()))
@@ -232,9 +283,10 @@ def outer_factor(p, n_starts=8, seed=0, tol=1e-8, inner_tol=1e-7):
 
     solutions = []
     for x0 in starts:
-        fit = least_squares(residual, x0, method="lm", xtol=1e-15,
-                            ftol=1e-15, gtol=1e-15, max_nfev=4000)
-        res = float(np.linalg.norm(residual(fit.x), np.inf))
+        fit = least_squares(system.residual, x0, jac=system.jacobian,
+                            method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15,
+                            max_nfev=4000)
+        res = float(np.linalg.norm(system.residual(fit.x), np.inf))
         if res > max(tol, 1e-10 * norm_p ** 2):
             continue
         q = _unpack(d, words, fit.x)

@@ -59,7 +59,11 @@ class SpectrumMembership:
 
 def _minimal_bounded(r):
     """The minimal realization of r, which must be a bounded multiplier."""
-    r_min = minimize(r)
+    return _bounded(minimize(r))
+
+
+def _bounded(r_min):
+    """r_min, which must be a bounded multiplier."""
     s = CPMap(r_min.A).spr
     if s >= 1.0 - SPR_BOUNDARY_TOL:
         raise SpectralRadiusError(
@@ -173,6 +177,11 @@ def grid_scan(r, rect, resolution, classify=True):
     indeterminate.  A constant multiplier (spectrum = one point) marks
     exactly the cell containing its value.
     """
+    return _grid_scan(minimize(r), rect, resolution, classify)
+
+
+def _grid_scan(r_min, rect, resolution, classify):
+    """``grid_scan`` of a minimal realization."""
     re_min, re_max, im_min, im_max = map(float, rect)
     if re_max <= re_min or im_max <= im_min or resolution <= 0:
         raise ScanGridError("empty scan rectangle: needs re_min < re_max, "
@@ -184,7 +193,7 @@ def grid_scan(r, rect, resolution, classify=True):
     member = np.zeros((rows, cols), dtype=bool)
     classes = np.full((rows, cols), CLASS_RESOLVENT, dtype=object)
 
-    r_min = _minimal_bounded(r)
+    _bounded(r_min)
     if _is_constant(r_min):
         mu = r_min.value_at_zero()
         col = int(np.floor((mu.real - re_min) / resolution))
@@ -452,11 +461,12 @@ def continuity_probe(r, rect, resolution, scales=(1e-1, 1e-2, 1e-3),
 
     Each perturbation adds independent uniform complex noise of modulus
     <= eps to every Taylor coefficient of word length <= degree, then
-    re-realizes; ``grid_scan`` minimizes each copy.  Distances are reported
-    as a diagnostic table; spectral continuity predicts decay but no rate.
+    re-realizes; ``grid_scan`` minimizes each copy.  r is minimized once,
+    for its own scan and for the copies.  Distances are reported as a
+    diagnostic table; spectral continuity predicts decay but no rate.
     """
     r_min = minimize(r)
-    base = grid_scan(r_min, rect, resolution, classify=classify)
+    base = _grid_scan(r_min, rect, resolution, classify)
     base_points = base.member_points()
     rng = np.random.default_rng(seed)
     words = list(words_up_to(r_min.d, degree))

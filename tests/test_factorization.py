@@ -3,16 +3,33 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncfock as nf
+from ncfock import factorization
 from ncfock.factorization import (
+    _AutocorrelationSystem,
     autocorrelation_mismatch,
     factor_identity_table,
-    _autocorr_residual,
     _pack,
     _unpack,
 )
 from ncfock.words import words_up_to
+
+
+def _autocorr_residual(q, target, gammas):
+    """Reference residual from the autocorrelation tables: the real part at
+    the empty word, then real and imaginary parts of each further gamma."""
+    auto = nf.autocorrelations(q)
+    out = []
+    for g in gammas:
+        diff = auto.get(g, 0.0) - target.get(g, 0.0)
+        if g == ():
+            out.append(diff.real)
+        else:
+            out.extend((diff.real, diff.imag))
+    return np.array(out)
 
 
 def test_autocorrelations_examples(poly_p5, poly_P6):
@@ -195,6 +212,76 @@ def test_maximality_probe(poly_p5):
         if np.linalg.norm(residual(x_pert), np.inf) <= 1e-6:
             bumped = max(bumped, x_pert[0] - x_star[0])
     assert bumped <= 1e-5
+
+
+@st.composite
+def _system_and_point(draw):
+    """A random polynomial p (d <= 3, deg <= 3), the reference residual of
+    the autocorrelation equations of p, its index-triple system and a
+    random point x."""
+    d = draw(st.integers(1, 3))
+    deg = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gammas = list(words_up_to(d, deg))
+    words = gammas[1:]
+    support = rng.random(len(gammas)) < 0.6
+    support[-1] = True
+    p = nf.NCPolynomial(d, {w: complex(*rng.standard_normal(2))
+                            for w, keep in zip(gammas, support) if keep})
+    target = nf.autocorrelations(p)
+    x = draw(st.floats(0.1, 3.0)) * rng.standard_normal(1 + 2 * len(words))
+
+    def reference(x):
+        return _autocorr_residual(_unpack(d, words, x), target, gammas)
+
+    return _AutocorrelationSystem(d, deg, target), reference, x
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=_system_and_point())
+def test_index_triple_residual_matches_reference(case):
+    system, reference, x = case
+    got, want = system.residual(x), reference(x)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * (1 + x @ x)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=_system_and_point())
+def test_analytic_jacobian_matches_central_differences(case):
+    system, reference, x = case
+    J = system.jacobian(x)
+    h = 1e-5 * max(1.0, float(np.max(np.abs(x))))
+    fd = np.column_stack([(reference(x + h * e) - reference(x - h * e))
+                          / (2 * h) for e in np.eye(x.size)])
+    assert J.shape == fd.shape
+    assert np.max(np.abs(J - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
+
+
+def _record_calls(monkeypatch, module, name):
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_outer_factor_uses_exact_jacobian(monkeypatch, poly_p5, poly_P6):
+    """Every least-squares solve gets the analytic Jacobian, and the only
+    autocorrelation table built is the target's."""
+    auto_calls = _record_calls(monkeypatch, factorization, "autocorrelations")
+    lsq_calls = _record_calls(monkeypatch, factorization, "least_squares")
+    for p in (poly_p5, poly_P6):
+        del auto_calls[:], lsq_calls[:]
+        res = nf.outer_factor(p, seed=0)
+        assert res.outer_certificate and res.inner_certificate
+        assert [args for args, _ in auto_calls] == [(p,)]
+        assert len(lsq_calls) == res.diagnostics["starts"]
+        assert all(callable(kwargs.get("jac")) for _, kwargs in lsq_calls)
 
 
 def test_certification_error_diagnostics():

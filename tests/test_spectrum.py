@@ -345,12 +345,12 @@ def _count_minimize(monkeypatch):
 
 def test_spectrum_pipelines_minimize_once(monkeypatch, tmp_path, capsys,
                                           fixture_realization):
-    # the probe minimizes r once for its copies, and grid_scan minimizes
-    # r and each perturbed copy once
+    # the probe minimizes r once, for its own scan and its copies, and
+    # grid_scan minimizes each perturbed copy once
     calls = _count_minimize(monkeypatch)
     nf.continuity_probe(fixture_realization, (1.2, 3.0, -0.9, 0.9), 0.6,
                         scales=(1e-1, 1e-3), seed=0)
-    assert len(calls) == 4
+    assert len(calls) == 3
     del calls[:]
     from ncfock.cli import main
 
