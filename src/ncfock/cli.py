@@ -222,16 +222,48 @@ def _cmd_boundary_sing(args):
     return 0
 
 
-def _parse_rect(text):
-    parts = [float(t) for t in text.split(",")]
+def _float_list(text):
+    """argparse type of a comma-separated list of floats."""
+    try:
+        return tuple(float(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _rect(text):
+    """argparse type of --rect: re_min,re_max,im_min,im_max."""
+    parts = _float_list(text)
     if len(parts) != 4:
-        raise NCFockError("--rect needs re_min,re_max,im_min,im_max")
-    return tuple(parts)
+        raise argparse.ArgumentTypeError(
+            "--rect needs re_min,re_max,im_min,im_max")
+    return parts
+
+
+def _scales(text):
+    """argparse type of --scales: finite noise scales."""
+    scales = _float_list(text)
+    if not all(np.isfinite(scales)):
+        raise argparse.ArgumentTypeError(
+            f"noise scales must be finite, got {text!r}")
+    return scales
+
+
+def _positive_int(text):
+    """argparse type of --levels and --level."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _cmd_spectrum_scan(args):
-    scan = sp.grid_scan(_load_realization(args), _parse_rect(args.rect),
-                        args.res, classify=not args.no_classify)
+    scan = sp.grid_scan(_load_realization(args), args.rect, args.res,
+                        classify=not args.no_classify)
     prefix = args.out or "spectrum"
     with open(prefix + ".csv", "w") as handle:
         handle.write(sp.scan_to_csv(scan))
@@ -282,10 +314,8 @@ def _cmd_variety_search(args):
 
 
 def _cmd_continuity_probe(args):
-    scales = tuple(float(s) for s in args.scales.split(","))
-    probe = sp.continuity_probe(_load_realization(args),
-                                _parse_rect(args.rect), args.res,
-                                scales=scales, seed=args.seed)
+    probe = sp.continuity_probe(_load_realization(args), args.rect,
+                                args.res, scales=args.scales, seed=args.seed)
     _emit({"scales": list(probe.scales), "distances": list(probe.distances),
            "rect": list(probe.rect), "resolution": probe.resolution},
           args.out)
@@ -377,7 +407,7 @@ def build_parser():
 
     s = subs.add_parser("spectrum-scan", help="grid scan to CSV + PGM")
     _add_source_args(s)
-    s.add_argument("--rect", required=True,
+    s.add_argument("--rect", type=_rect, required=True,
                    help="re_min,re_max,im_min,im_max")
     s.add_argument("--res", type=float, required=True)
     s.add_argument("--no-classify", action="store_true")
@@ -386,14 +416,14 @@ def build_parser():
     s = subs.add_parser("spectrum-sample",
                         help="finite-level eigenvalue sampling to CSV")
     _add_source_args(s)
-    s.add_argument("--levels", type=int, default=None)
+    s.add_argument("--levels", type=_positive_int, default=None)
     s.add_argument("--samples", type=int, default=1000)
     s.set_defaults(func=_cmd_spectrum_sample)
 
     s = subs.add_parser("variety-search",
                         help="search Sing_n(f) for a witness (Z, y)")
     _add_source_args(s)
-    s.add_argument("--level", type=int, required=True)
+    s.add_argument("--level", type=_positive_int, required=True)
     s.add_argument("--attempts", type=int, default=8)
     s.add_argument("--tol", type=float, default=1e-8)
     s.set_defaults(func=_cmd_variety_search)
@@ -401,9 +431,10 @@ def build_parser():
     s = subs.add_parser("continuity-probe",
                         help="Theorem-B perturbation diagnostic")
     _add_source_args(s)
-    s.add_argument("--rect", required=True)
+    s.add_argument("--rect", type=_rect, required=True,
+                   help="re_min,re_max,im_min,im_max")
     s.add_argument("--res", type=float, required=True)
-    s.add_argument("--scales", default="1e-1,1e-2,1e-3")
+    s.add_argument("--scales", type=_scales, default="1e-1,1e-2,1e-3")
     s.set_defaults(func=_cmd_continuity_probe)
 
     return parser

@@ -23,9 +23,15 @@ reference).  The state size n picks the route of ``matrized``:
 
 The dense eigensolve costs O(n^6) and overtakes the Arnoldi run near n = 8
 (about 7 ms each on 2 cores); at n = 16 it takes 170 ms against 20 ms.  The
-switch sits higher, at n = 12, so that the small tuples of spectrum-scan
-cells (n <= 9 for the test functions) and of factorizations (n <= 4) keep
-the dense route and give the same numbers as before.  One ``CPMap`` holds
+switch sits higher, at n = 12, so that membership verdicts of n <= 11 and
+factorizations (n <= 4) keep the dense route and give the same numbers as
+before; the two routes differ by up to about 4e-15 at n = 9..11.  Spectrum
+scan cells below the switch do not call spr at all: ``ncfock.spectrum``
+decides each by a Stein certificate, one or two dense solves on the same
+n^2 x n^2 matrization, and calls spr only on the knife edge, where the
+certificate cannot tell.  From the switch up the certificate would cost an
+O(n^6) solve against an O(d n^3) product per Arnoldi step, so cells there
+keep the Arnoldi spr.  One ``CPMap`` holds
 a tuple's spr, Perron eigenmatrix (same switch) and matrization, each
 computed once; ``spr``, ``stein_solve``, ``similarity_to_contraction`` and
 ``boundary_singularity`` take it in place of the tuple, so

@@ -5,10 +5,12 @@ lambda lies in the spectrum of r(L) iff the minimal realization of
 (r - lambda)^{-1} has joint spectral radius >= 1 (with r(0) = lambda an
 immediate zero-level singularity).  For minimal r = (A, b, c) that spr is
 the spr of B(lambda)_j = A_j - c b* A_j / (b* c - lambda) compressed to
-O = span{A*^w b : |w| >= 1} (see ``grid_scan``), which decides every cell;
-random finite-level eigenvalue sampling provides the complementary lower
-bound, and sigma_0 / sigma_pm classification of spectrum cells follows the
-outerness of r - lambda.
+O = span{A*^w b : |w| >= 1} (see ``grid_scan``).  A scan cell needs only
+the side of 1 +- 1e-9 on which it lies, which a Stein certificate on the
+matrization of B(lambda) gives without eigenvalues; spr itself runs only on
+the knife edge.  Random finite-level eigenvalue sampling provides the
+complementary lower bound, and sigma_0 / sigma_pm classification of
+spectrum cells follows the outerness of r - lambda.
 
 For rational multipliers the spectrum coincides with the essential
 spectrum and is connected, so no separate essential-spectrum computation
@@ -19,6 +21,7 @@ surface as ``indeterminate`` cells.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +35,16 @@ from .realization import (
     from_polynomial,
     minimize,
 )
-from .spectral import SPR_BOUNDARY_TOL, CPMap, boundary_singularity, row_norm
+from .spectral import (
+    MATRIX_FREE_MIN_N,
+    SPR_BOUNDARY_TOL,
+    CPMap,
+    boundary_singularity,
+    matrize,
+    row_norm,
+    unvec,
+    vec,
+)
 from .words import NCPolynomial, words_up_to
 
 CLASS_RESOLVENT = "resolvent"
@@ -63,8 +75,13 @@ def _minimal_bounded(r):
 
 
 def _bounded(r_min):
-    """r_min, which must be a bounded multiplier."""
-    s = CPMap(r_min.A).spr
+    """r_min, which must be a bounded multiplier: spr(A) < 1 - 1e-9, shown
+    by the Stein certificate below MATRIX_FREE_MIN_N and else by spr."""
+    cp = CPMap(r_min.A)
+    if cp.n < MATRIX_FREE_MIN_N and _stein_below(
+            cp.matrization, cp.n, 1.0 - SPR_BOUNDARY_TOL):
+        return r_min
+    s = cp.spr
     if s >= 1.0 - SPR_BOUNDARY_TOL:
         raise SpectralRadiusError(
             f"not a bounded multiplier: spr(A) = {s:.12g}")
@@ -73,6 +90,42 @@ def _bounded(r_min):
 
 def _is_constant(r_min):
     return r_min.n == 1 and float(np.max(np.abs(r_min.A))) <= 1e-12
+
+
+# The Stein certificate (Popescu, J. reine angew. Math. 561, 2003): for
+# t > 0 the solution P of P - Ad_{B/t}(P) = I is >= I when spr(B) < t, and
+# is not positive definite when spr(B) > t, since a positive definite P
+# gives Ad_{B/t}(P) = P - I <= (1 - 1/||P||) P.  The computed P carries a
+# roundoff of about n ||P|| 1e-16, so lambda_min(P) >= 1 - _STEIN_DELTA
+# certifies spr < t and lambda_min(P) < -_STEIN_DELTA ||P|| certifies
+# spr >= t.  ||P|| grows like 1/|1 - spr^2/t^2| near the knife edge; above
+# _STEIN_CAP the answer is left to spr (|spr - t| below 5e-8 on 1 x 1
+# tuples, below up to about 1e-6 on some random 6 x 6 ones).
+_STEIN_DELTA = 1e-6
+_STEIN_CAP = 1e7
+
+
+def _stein_below(M, n, t):
+    """True when the Stein certificate shows spr(B) < t, False when it shows
+    spr(B) >= t, None when it cannot tell; M is the n^2 x n^2 matrization
+    of Ad_B."""
+    try:
+        P = unvec(np.linalg.solve(np.eye(n * n) - M / (t * t),
+                                  vec(np.eye(n))), n)
+        w = np.linalg.eigvalsh((P + P.conj().T) / 2.0)
+    except np.linalg.LinAlgError:
+        return None
+    norm = max(-w[0], w[-1])
+    if not norm <= _STEIN_CAP:
+        return None
+    if w[0] >= 1.0 - _STEIN_DELTA:
+        return True
+    if w[0] < -_STEIN_DELTA * norm:
+        return False
+    return None
+
+
+_BELOW, _EDGE, _ABOVE = "below", "edge", "above"
 
 
 class _Resolvent:
@@ -90,8 +143,50 @@ class _Resolvent:
         self.cb = (U.conj().T @ r.c)[:, None] \
             * (np.conj(r.b) @ r.A @ U)[:, None, :]
 
+    @property
+    def n(self):
+        return self.A.shape[1]
+
     def at(self, lam):
         return self.A - self.cb / (self.gamma - lam)
+
+    def is_zero_level(self, lam):
+        return abs(self.gamma - lam) <= 1e-12 * max(1.0, abs(lam))
+
+    @cached_property
+    def _matrization_terms(self):
+        """M0, X1, X2, X3 as rows: with C = cb and alpha = 1/(gamma -
+        lambda), the matrization of B(lambda) is M0 - alpha X1 - conj(alpha)
+        X2 + |alpha|^2 X3, where M0, X1, X2, X3 are the sums over j of
+        conj(A_j) kron A_j, conj(A_j) kron C_j, conj(C_j) kron A_j and
+        conj(C_j) kron C_j."""
+        A, C = self.A, self.cb
+        A_star = np.conj(np.swapaxes(A, 1, 2))
+        C_star = np.conj(np.swapaxes(C, 1, 2))
+        terms = [matrize(zip(A, A_star)), matrize(zip(C, A_star)),
+                 matrize(zip(A, C_star)), matrize(zip(C, C_star))]
+        return np.stack(terms).reshape(4, -1)
+
+    def band(self, lam):
+        """_BELOW, _EDGE or _ABOVE: where spr(B(lambda)) lies against the band
+        1 +- 1e-9, by the Stein certificate at t = 1 -+ 1e-9; None when the
+        certificate cannot tell, at a zero-level lambda, and from
+        MATRIX_FREE_MIN_N up."""
+        n = self.n
+        if n >= MATRIX_FREE_MIN_N or self.is_zero_level(lam):
+            return None
+        alpha = 1.0 / (self.gamma - lam)
+        coeffs = np.array([1.0, -alpha, -np.conj(alpha), abs(alpha) ** 2])
+        M = (coeffs @ self._matrization_terms).reshape(n * n, n * n)
+        below = _stein_below(M, n, 1.0 - SPR_BOUNDARY_TOL)
+        if below is None:
+            return None
+        if below:
+            return _BELOW
+        below = _stein_below(M, n, 1.0 + SPR_BOUNDARY_TOL)
+        if below is None:
+            return None
+        return _EDGE if below else _ABOVE
 
 
 def contains_lambda(r, lam, want_witness=False):
@@ -107,7 +202,7 @@ def contains_lambda(r, lam, want_witness=False):
 
 def _membership(resolvent, lam, want_witness=False):
     lam = complex(lam)
-    if abs(resolvent.gamma - lam) <= 1e-12 * max(1.0, abs(lam)):
+    if resolvent.is_zero_level(lam):
         return SpectrumMembership(verdict="spectrum", zero_level=True,
                                   witness=MatrixTuple.zeros(resolvent.d, 1)
                                   if want_witness else None)
@@ -152,14 +247,23 @@ class SpectrumScan:
         return complex(self.centers_re[col], self.centers_im[row])
 
 
+# the largest scan grid: one of more cells would run for an hour or more,
+# so it is refused before anything is allocated
+_MAX_CELLS = 10 ** 7
+
+
 def _cell_decision(resolvent, lam, classify):
-    try:
-        membership = _membership(resolvent, lam)
-    except NCFockError:
-        return False, CLASS_INDET
-    if not membership:
+    band = resolvent.band(lam)
+    if band is None:
+        try:
+            membership = _membership(resolvent, lam)
+        except NCFockError:
+            return False, CLASS_INDET
+        band = (_BELOW if not membership
+                else _EDGE if membership.indeterminate else _ABOVE)
+    if band == _BELOW:
         return False, CLASS_RESOLVENT
-    if membership.indeterminate:
+    if band == _EDGE:
         return True, CLASS_INDET
     return True, (CLASS_SIGMAPM if classify else CLASS_SPECTRUM)
 
@@ -167,15 +271,24 @@ def _cell_decision(resolvent, lam, classify):
 def grid_scan(r, rect, resolution, classify=True):
     """Scan a rectangle of the complex plane for spectrum membership.
 
-    Each cell center gets one spr, of B(lambda) compressed to O: it equals
-    that of the minimal inverse, as invert(r - lambda) is block triangular
-    with blocks B(lambda) and 0, every B(lambda)_j* maps O into itself and
-    minimality makes A_j vanish off O.  Spectrum cells are tagged sigma_pm
+    Each cell center is decided by the spr of B(lambda) compressed to O: it
+    equals that of the minimal inverse, as invert(r - lambda) is block
+    triangular with blocks B(lambda) and 0, every B(lambda)_j* maps O into
+    itself and minimality makes A_j vanish off O.  The cell asks only where
+    that spr lies against 1 +- 1e-9.  Below MATRIX_FREE_MIN_N the Stein
+    certificate answers with a linear solve at t = 1 - 1e-9 and, off the
+    resolvent side, a second at t = 1 + 1e-9, on M(lambda) = M0 - alpha X1
+    - conj(alpha) X2 + |alpha|^2 X3 (alpha = 1/(r(0) - lambda)), whose four
+    terms are built once per scan.  Only where it cannot tell (spr within
+    5e-8 to about 1e-6 of t, or a singular solve) does the cell compute spr, as
+    ``contains_lambda`` does, and from the switch up every cell does, by
+    Arnoldi.  Spectrum cells are tagged sigma_pm
     (spectrum if unclassified): r - lambda is outer iff that spr is <= 1,
     which a decisive cell (spr > 1 + 1e-9) or a zero-level one (r(0) =
     lambda) never meets.  Cell errors and knife-edge values are tagged
     indeterminate.  A constant multiplier (spectrum = one point) marks
-    exactly the cell containing its value.
+    exactly the cell containing its value.  A non-finite, empty or
+    over-large grid (more than 1e7 cells) raises ScanGridError.
     """
     return _grid_scan(minimize(r), rect, resolution, classify)
 
@@ -183,11 +296,18 @@ def grid_scan(r, rect, resolution, classify=True):
 def _grid_scan(r_min, rect, resolution, classify):
     """``grid_scan`` of a minimal realization."""
     re_min, re_max, im_min, im_max = map(float, rect)
+    if not np.all(np.isfinite([re_min, re_max, im_min, im_max,
+                               resolution])):
+        raise ScanGridError("scan rectangle and resolution must be finite")
     if re_max <= re_min or im_max <= im_min or resolution <= 0:
         raise ScanGridError("empty scan rectangle: needs re_min < re_max, "
                             "im_min < im_max and resolution > 0")
-    cols = int(round((re_max - re_min) / resolution))
-    rows = int(round((im_max - im_min) / resolution))
+    cols = (re_max - re_min) / resolution
+    rows = (im_max - im_min) / resolution
+    if not max(cols, rows, cols * rows) <= _MAX_CELLS:
+        raise ScanGridError(f"a scan grid of {cols:.3g} x {rows:.3g} cells "
+                            f"exceeds the limit of {_MAX_CELLS} cells")
+    cols, rows = int(round(cols)), int(round(rows))
     centers_re = re_min + (np.arange(cols) + 0.5) * resolution
     centers_im = im_max - (np.arange(rows) + 0.5) * resolution
     member = np.zeros((rows, cols), dtype=bool)

@@ -1,8 +1,10 @@
 """Shared fixtures: paper-derived matrices, random generators, and the
 acceptance-criteria report printed at the end of the run."""
 
+import os
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,3 +176,32 @@ def padded(A, n, seed=None):
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     S = np.eye(n) + 0.5 * G / np.linalg.norm(G, 2)
     return np.linalg.solve(S, out) @ S
+
+
+# ---------------------------------------------------------------------------
+# Call counters
+# ---------------------------------------------------------------------------
+
+def count_calls(monkeypatch, module, name):
+    """Route module.name through a counter; returns the list of the
+    positional arguments of each call."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# Child processes
+# ---------------------------------------------------------------------------
+
+def src_env():
+    """Environment of a child python that imports ncfock from src/, also
+    under a bare ``pytest``, which puts src/ on its own path only."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return dict(os.environ, PYTHONPATH=str(src))

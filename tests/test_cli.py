@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncfock as nf
+from conftest import src_env
 from ncfock.cli import main
 
 
@@ -171,7 +176,7 @@ def test_missing_source_is_module_error(capsys):
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "ncfock", "spr", "-d", "1", "inv(1 - 0.5*z1)"],
-        capture_output=True, text=True)
+        env=src_env(), capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["spr"] == pytest.approx(0.5)
 
@@ -210,3 +215,115 @@ def test_boundary_sing_failed_certificate(capsys):
     assert _error_code(capsys, "boundary-sing", "-d", "2",
                        "inv(1 - 0.5*z1*z2 - 0.5*z2*z1)",
                        "--tol", "0") == "boundary-certificate-failed"
+
+
+@pytest.mark.parametrize("rect, res", [
+    ("-1,1,-1,1", "nan"), ("-1,1,-1,1", "inf"), ("-1,1,nan,1", "0.5"),
+    ("-1e308,1e308,-1,1", "0.5"), ("-1,1,-1,1", "1e-300")])
+def test_scan_non_finite_or_huge_grid_is_module_error(rect, res, tmp_path,
+                                                      capsys):
+    assert _error_code(capsys, "spectrum-scan", "-d", "2", "z1",
+                       f"--rect={rect}", "--res", res,
+                       "--out", str(tmp_path / "s")) == "invalid-scan-grid"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum-scan", "-d", "2", "z1", "--rect=a,b,c,d", "--res", "0.5"],
+    ["spectrum-scan", "-d", "2", "z1", "--rect=-1,1,-1", "--res", "0.5"],
+    ["continuity-probe", "-d", "2", "z1", "--rect=-1,1,-1,1", "--res", "0.5",
+     "--scales", "x"],
+    ["continuity-probe", "-d", "2", "z1", "--rect=-1,1,-1,1", "--res", "0.5",
+     "--scales="],
+    ["continuity-probe", "-d", "2", "z1", "--rect=-1,1,-1,1", "--res", "0.5",
+     "--scales", "0.1,nan"],
+    ["spectrum-sample", "-d", "2", "z1", "--levels", "0"],
+    ["variety-search", "-d", "2", "1-z1*z2", "--level", "0"],
+], ids=["rect-letters", "rect-three-numbers", "scales-letter", "scales-empty",
+        "scales-nan", "levels-zero", "level-zero"])
+def test_bad_numeric_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+
+
+_FUZZ_GOOD = {
+    "expression": ["z1", "0.5*z1*z2", "inv(1 - 0.5*z1)", "1 + z1*z2", "0.3"],
+    "coord": ["-1.5", "-1", "0", "0.7", "1.5"],
+    "res": ["0.5", "0.75", "1"],
+    "scale": ["0", "1e-2", "0.1"],
+    "count": ["1", "2"],
+}
+_FUZZ_BAD = {
+    "expression": ["inv(1 - z1)", "inv(z1)", "", "z3", "z1 +", "inv(",
+                   "1e400*z1", "nan*z1"],
+    "coord": ["nan", "inf", "-inf", "1e308", "-1e308", "a", ""],
+    "res": ["0", "-0.5", "nan", "inf", "-inf", "1e-300", "1e-9", "1e308",
+            "x", ""],
+    "scale": ["-0.1", "nan", "inf", "1e300", "x", ""],
+    "count": ["0", "-1", "1.5", "x", "", "nan"],
+}
+
+
+def _fuzz_value(kind):
+    """Half the draws valid; the rest from valid, non-finite and malformed
+    values alike."""
+    good = st.sampled_from(_FUZZ_GOOD[kind])
+    return st.one_of(good, st.sampled_from(_FUZZ_BAD[kind]), good)
+
+
+def _fuzz_list(kind, sizes):
+    return st.integers(*sizes).flatmap(
+        lambda k: st.lists(_fuzz_value(kind), min_size=k, max_size=k)
+    ).map(",".join)
+
+
+@st.composite
+def _fuzz_rect(draw):
+    if draw(st.booleans()):
+        return draw(_fuzz_list("coord", (3, 5)))
+    coords = _FUZZ_GOOD["coord"]
+    picks = draw(st.lists(st.sampled_from(coords), min_size=4, max_size=4))
+    re_min, re_max = sorted(picks[:2], key=float)
+    im_min, im_max = sorted(picks[2:], key=float)
+    return ",".join([re_min, re_max, im_min, im_max])
+
+
+@st.composite
+def _fuzz_argv(draw, out):
+    command = draw(st.sampled_from(["spectrum-scan", "continuity-probe",
+                                    "spectrum-sample", "variety-search"]))
+    argv = [command, "-d", "2", draw(_fuzz_value("expression"))]
+    if command in ("spectrum-scan", "continuity-probe"):
+        argv += [f"--rect={draw(_fuzz_rect())}",
+                 f"--res={draw(_fuzz_value('res'))}"]
+    if command == "spectrum-scan":
+        argv += ["--out", out]
+    elif command == "continuity-probe":
+        argv += [f"--scales={draw(_fuzz_list('scale', (1, 2)))}"]
+    elif command == "spectrum-sample":
+        argv += [f"--levels={draw(_fuzz_value('count'))}",
+                 f"--samples={draw(_fuzz_value('count'))}"]
+    else:
+        argv += [f"--level={draw(_fuzz_value('count'))}", "--attempts", "1"]
+    return argv
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_error_contract_fuzz(data, tmp_path_factory):
+    """Any numeric flag value or expression text gives a result, a coded JSON
+    error with exit 1, or a usage error with exit 2; never a traceback."""
+    out = str(tmp_path_factory.mktemp("fuzz") / "scan")
+    argv = data.draw(_fuzz_argv(out))
+    stdout = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    except SystemExit as exit_:
+        assert exit_.code == 2, argv
+        return
+    assert code in (0, 1), argv
+    if code == 1:
+        error = json.loads(stdout.getvalue())["error"]
+        assert set(error) == {"code", "message"}, argv

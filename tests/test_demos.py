@@ -1,12 +1,12 @@
 """Smoke test: every script under demos/ runs to completion."""
 
-import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import src_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -18,9 +18,8 @@ def test_demo_runs(demo, tmp_path):
     # stay out of the checkout
     script = tmp_path / demo.name
     shutil.copy(demo, script)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
-                          env=env, capture_output=True, text=True,
+                          env=src_env(), capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncfock as nf
+from conftest import src_env
 from ncfock import factorization
 from ncfock.factorization import (
     _AutocorrelationSystem,
@@ -293,5 +294,5 @@ def test_import_leaves_scipy_optimize_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, ncfock; print('scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True, check=True)
+        env=src_env(), capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"

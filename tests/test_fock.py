@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ncfock as nf
-from conftest import padded, random_kernel, random_polynomial
+from conftest import count_calls, padded, random_kernel, random_polynomial
 
 
 def geometric_half():
@@ -238,19 +238,7 @@ def _count_spr_calls(monkeypatch):
     CPMap computes its spr by calling it), through a counter."""
     from ncfock import spectral
 
-    return _count_calls(monkeypatch, spectral, "spr")
-
-
-def _count_calls(monkeypatch, module, name):
-    original = getattr(module, name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
+    return count_calls(monkeypatch, spectral, "spr")
 
 
 def test_verdict_computes_spr_once(monkeypatch, fixture_realization):
@@ -285,7 +273,7 @@ def test_not_in_verdict_runs_arnoldi_once(monkeypatch, n):
     from ncfock import spectral
 
     r = _scaled(n, 1.2, seed=n)
-    calls = _count_calls(monkeypatch, spectral, "_arnoldi_eigs")
+    calls = count_calls(monkeypatch, spectral, "_arnoldi_eigs")
     out = nf.is_in_fock(r)
     assert out.verdict == "not_in" and out.witness is not None
     assert len(calls) == 1
@@ -298,7 +286,7 @@ def test_verdicts_build_each_matrization_once(monkeypatch,
     big = nf.Realization(1.5 * fixture_realization.A, fixture_realization.b,
                          fixture_realization.c)
     r = _scaled(8, 0.7, seed=8)
-    calls = _count_calls(monkeypatch, spectral, "matrize")
+    calls = count_calls(monkeypatch, spectral, "matrize")
     assert nf.is_in_fock(big).verdict == "not_in"
     assert len(calls) == 1
     del calls[:]

@@ -4,12 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncfock as nf
+from conftest import count_calls
 from ncfock.spectral import SPR_BOUNDARY_TOL
 from ncfock.spectrum import (
+    _ABOVE,
+    _BELOW,
+    _EDGE,
     CLASS_INDET,
     CLASS_RESOLVENT,
     CLASS_SIGMAPM,
     CLASS_SPECTRUM,
+    _cell_decision,
+    _membership,
     _Resolvent,
 )
 
@@ -141,6 +147,10 @@ def _differential_cases(fixture_realization):
         ("perturbed", _perturbed_fixture(fixture_realization),
          (0.3, 3.9, -1.8, 1.8), 0.45),
         ("d3", d3, (-0.4, 2.6, -1.5, 1.5), 0.3),
+        # complex coefficients: no mirror symmetry about the real axis
+        ("complex", nf.minimize(nf.from_expression(
+            "(0.5+0.5i)*z1 + 0.3i*z2*z1 + 0.2*z2 + 0.25*z1*z1", 2)),
+         (-1.2, 1.2, -1.2, 1.2), 0.2),
     ]
 
 
@@ -184,6 +194,144 @@ def test_resolvent_tuple_spr_matches_minimized_inverse(n, d, seed):
     got = nf.spr(_Resolvent(r).at(lam))
     want = nf.spr(_reference_inverse(r, lam).A)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+# ---------------------------------------------------------------------------
+# The Stein certificate of a cell against the band of its spr
+# ---------------------------------------------------------------------------
+
+def _spr_band(membership):
+    """Where the spr of a cell tuple lies against 1 +- 1e-9 (a zero-level
+    cell counts as above)."""
+    if not membership:
+        return _BELOW
+    return _EDGE if membership.indeterminate else _ABOVE
+
+
+def _spr_cell(band, classify):
+    """A scan cell decided by the spr band of its tuple alone."""
+    if band == _BELOW:
+        return False, CLASS_RESOLVENT
+    if band == _EDGE:
+        return True, CLASS_INDET
+    return True, (CLASS_SIGMAPM if classify else CLASS_SPECTRUM)
+
+
+def _check_certificate(resolvent, lam):
+    """The certificate agrees with the spr band or defers, and defers only
+    at a zero-level cell or where spr is within 1e-6 of 1.  Returns the spr
+    band."""
+    membership = _membership(resolvent, lam)
+    want = _spr_band(membership)
+    band = resolvent.band(lam)
+    if band is not None:
+        assert band == want, lam
+    elif not membership.zero_level:
+        assert abs(membership.spr_value - 1.0) <= 1e-6, lam
+    return want
+
+
+def test_stein_certificate_agrees_with_spr_band(fixture_realization):
+    for _, r, rect, res in _differential_cases(fixture_realization):
+        resolvent = _Resolvent(r)
+        scan = nf.grid_scan(r, rect, res, classify=False)
+        for i in range(scan.member.shape[0]):
+            for j in range(scan.member.shape[1]):
+                _check_certificate(resolvent, scan.center(i, j))
+
+
+def test_criterion5_grid_matches_spr_cells():
+    z1 = nf.minimize(nf.from_expression("z1", 2))
+    resolvent = _Resolvent(z1)
+    rect = (-1.5, 1.5, -1.5, 1.5)
+    scans = {classify: nf.grid_scan(z1, rect, 0.05, classify=classify)
+             for classify in (True, False)}
+    assert scans[True].member.shape == (60, 60)
+    for i in range(60):
+        for j in range(60):
+            lam = scans[True].center(i, j)
+            band = _check_certificate(resolvent, lam)
+            for classify, scan in scans.items():
+                assert (bool(scan.member[i, j]), scan.classes[i, j]) == \
+                    _spr_cell(band, classify), (lam, classify)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(1, 9), d=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stein_certificate_at_the_knife_edge(n, d, seed):
+    """lambda on a ray from r(0), placed so that spr(B(lambda)) is 1 +- 1e-6,
+    1 +- 1e-8 and 1 +- 1e-10: the certificate agrees with the spr band or
+    defers."""
+    from scipy.optimize import brentq
+
+    rng = np.random.default_rng(seed)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    A = gaussian(d, n, n)
+    A *= rng.uniform(0.2, 0.9) / np.linalg.norm(np.hstack(list(A)), 2)
+    r = nf.minimize(nf.Realization(A, gaussian(n), gaussian(n)))
+    resolvent = _Resolvent(r)
+    direction = np.exp(2j * np.pi * rng.random())
+
+    def spr_at(rho):
+        # plain eigenvalues of the matrization, cheaper than the guarded
+        # spr, place lambda; the band is then read from spr itself
+        lam = resolvent.gamma + rho * direction
+        M = nf.CPMap(resolvent.at(lam)).matrization
+        return float(np.sqrt(np.max(np.abs(np.linalg.eigvals(M)))))
+
+    lo = hi = 1.0
+    for _ in range(60):
+        if spr_at(lo) > 1.5:
+            break
+        lo /= 2.0
+    for _ in range(60):
+        if spr_at(hi) < 0.95:
+            break
+        hi *= 2.0
+    assert spr_at(lo) > 1.5 and spr_at(hi) < 0.95
+    for offset, band in ((1e-6, _ABOVE), (1e-8, _ABOVE), (1e-10, _EDGE),
+                         (-1e-10, _EDGE), (-1e-8, _BELOW), (-1e-6, _BELOW)):
+        rho = brentq(lambda x: spr_at(x) - (1.0 + offset), lo, hi,
+                     xtol=1e-300, rtol=1e-15, maxiter=500)
+        lam = resolvent.gamma + rho * direction
+        assert _spr_band(_membership(resolvent, lam)) == band, offset
+        assert resolvent.band(lam) in (None, band), offset
+
+
+def test_scan_of_perturbed_copy_calls_no_spr(monkeypatch,
+                                             fixture_realization):
+    from ncfock import spectral
+
+    r = _perturbed_fixture(fixture_realization)
+    calls = count_calls(monkeypatch, spectral, "spr")
+    scan = nf.grid_scan(r, (0.3, 3.9, -1.8, 1.8), 0.45)
+    assert scan.member.any() and not scan.member.all()
+    assert calls == []
+
+
+def test_knife_edge_cells_defer_to_one_spr(monkeypatch, z1):
+    from ncfock import spectral
+
+    resolvent = _Resolvent(z1)
+    calls = count_calls(monkeypatch, spectral, "spr")
+    for lam in (1.0, 1j, 1.0 + 1e-10, 1.0 - 1e-10):
+        del calls[:]
+        assert resolvent.band(lam) is None, lam
+        assert _cell_decision(resolvent, lam, True) == (True, CLASS_INDET)
+        assert len(calls) == 1, lam
+
+
+def test_cell_decision_runs_once_per_cell(monkeypatch, z1):
+    from ncfock import spectrum
+
+    calls = count_calls(monkeypatch, spectrum, "_cell_decision")
+    scan = nf.grid_scan(z1, (-1.3, 1.3, -1.3, 1.3), 0.2)
+    assert len(calls) == scan.member.size == 169
+    assert len({complex(call[1]) for call in calls}) == 169
 
 
 def test_contains_lambda_witness_kills_minimized_inverse(
