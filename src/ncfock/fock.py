@@ -133,7 +133,10 @@ class FockMembership:
     "not_in", or "boundary" for the knife edge |spr - 1| <= 1e-9, which is
     surfaced rather than forced into a class.  ``in_h2`` is True only for
     the certified positive verdict.  On the non-positive side ``witness``
-    is a pencil-singular point at norm 1/spr <= 1 (+/- the band width).
+    is a pencil-singular point at norm 1/spr <= 1 (+/- the band width), and
+    ``witness_sigma_min`` an upper bound on the smallest singular value of
+    the pencil there: exact below spectral.MATRIX_FREE_MIN_N, the residual
+    of its known null vector from it up.
     """
 
     verdict: str

@@ -238,13 +238,20 @@ def conjugate_realization(r):
 # Evaluation
 # ---------------------------------------------------------------------------
 
+def _kron(A, B):
+    """np.kron of two matrices by one broadcast product, without its
+    per-call set-up: the same products, so the same floats."""
+    (p, q), (s, t) = A.shape, B.shape
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(p * s, q * t)
+
+
 def pencil(r, X):
     """L_A(X) = I_{nN} - sum_j A_j kron X_j."""
     Z = as_matrix_tuple(X, r.d)
     n = Z.n
     L = np.eye(r.n * n, dtype=complex)
     for j in range(r.d):
-        L -= np.kron(r.A[j], Z[j])
+        L -= _kron(r.A[j], Z[j])
     return L
 
 
@@ -257,10 +264,9 @@ def evaluate(r, X):
     # the pencil is monic, so its natural scale is at least 1
     if sing[-1] / max(sing[0], 1.0) < PENCIL_RCOND:
         raise DomainError("X not in domain: realization pencil is singular")
-    rhs = np.kron(r.c[:, None], np.eye(n, dtype=complex))
-    sol = np.linalg.solve(L, rhs)
-    left = np.kron(np.conj(r.b)[None, :], np.eye(n, dtype=complex))
-    return left @ sol
+    eye = np.eye(n, dtype=complex)
+    sol = np.linalg.solve(L, _kron(r.c[:, None], eye))
+    return _kron(np.conj(r.b)[None, :], eye) @ sol
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +559,28 @@ def _pairs(array):
     return np.stack([array.real, array.imag], axis=-1).tolist()
 
 
-def _from_pairs(obj):
-    arr = np.asarray(obj, dtype=float)
+def _from_pairs(obj, what):
+    """The complex array of a JSON array of finite [re, im] pairs."""
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError):
+        raise MalformedJSONError(
+            f"{what} JSON needs arrays of [re, im] number pairs") from None
+    if arr.ndim == 0 or arr.shape[-1] != 2:
+        raise MalformedJSONError(
+            f"{what} JSON needs arrays of [re, im] number pairs")
+    if not np.all(np.isfinite(arr)):
+        raise MalformedJSONError(f"{what} JSON has non-finite entries")
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _json_size(obj, key, what):
+    """obj[key], which must be a positive JSON integer."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise MalformedJSONError(
+            f"{what} JSON needs a positive integer {key!r}, got {value!r}")
+    return value
 
 
 def realization_to_json(r):
@@ -578,12 +603,13 @@ def _require_keys(obj, keys, what):
 
 def realization_from_json(obj):
     _require_keys(obj, ("d", "n", "A", "b", "c"), "realization")
-    d, n = int(obj["d"]), int(obj["n"])
-    A = np.stack([_from_pairs(m) for m in obj["A"]]) if d else np.zeros((0, n, n))
+    d = _json_size(obj, "d", "realization")
+    n = _json_size(obj, "n", "realization")
+    A = _from_pairs(obj["A"], "realization")
     if A.shape != (d, n, n):
         raise DimensionMismatchError("realization JSON has inconsistent shapes")
-    b = _from_pairs(obj["b"])
-    c = _from_pairs(obj["c"])
+    b = _from_pairs(obj["b"], "realization")
+    c = _from_pairs(obj["c"], "realization")
     if b.shape != (n,) or c.shape != (n,):
         raise DimensionMismatchError("realization JSON has inconsistent shapes")
     return Realization(A, b, c)
@@ -596,8 +622,9 @@ def matrix_tuple_to_json(Z):
 
 def matrix_tuple_from_json(obj):
     _require_keys(obj, ("d", "n", "X"), "matrix tuple")
-    X = np.stack([_from_pairs(m) for m in obj["X"]])
-    Z = MatrixTuple(X)
-    if Z.d != int(obj["d"]) or Z.n != int(obj["n"]):
+    d = _json_size(obj, "d", "matrix tuple")
+    n = _json_size(obj, "n", "matrix tuple")
+    Z = MatrixTuple(_from_pairs(obj["X"], "matrix tuple"))
+    if Z.d != d or Z.n != n:
         raise DimensionMismatchError("matrix tuple JSON has inconsistent shapes")
     return Z

@@ -6,36 +6,63 @@ under column-stacking vec, and the joint (outer) spectral radius is
 
     spr(A) = lim_k || Ad^(k)(I) ||^(1/2k) = sqrt(rho(M)).
 
-Two methods are implemented: ``matrized`` (the spectral radius of Ad) and
-``iterate`` (scaling-normalized repeated squaring of M, which evaluates the
-defining norm limit at K = 2^48 applications and serves as the independent
-reference).  The state size n picks the route of ``matrized``:
+Ad maps Hermitian matrices to Hermitian matrices, so it is a real-linear map
+of the n^2-dimensional real space of Hermitian P.  In the coordinates
+Q = Re P + Im P (``hermitian_coords``; the inverse is P = (Q + Q^T)/2 +
+i (Q - Q^T)/2), which are an isometry for the Frobenius norm, Ad has the
+real matrix R = Re M + (Im M) Pi (``real_form``), Pi the permutation with
+vec(Q^T) = Pi vec(Q).  M is the complexification of R, so R has the
+spectrum of M with multiplicities and its 2-norm, and R^T is the matrix of
+the adjoint map P -> sum_j A_j* P A_j.  Every dense kernel works on R, in
+real arithmetic, at a half to a third of the cost of the complex one:
 
-- below MATRIX_FREE_MIN_N, dense eigenvalues of the n^2 x n^2 matrization M,
-  guarded against spuriously large eigenvalues of near-nilpotent M by a
-  repeated-squaring probe;
-- from MATRIX_FREE_MIN_N up, implicitly restarted Arnoldi (ARPACK, through
-  scipy.sparse.linalg.eigs) on Ad itself, at O(d n^3) per product, so M is
-  never formed.  The guard there is matrix-free too: a jointly nilpotent
-  n-tuple has Ad^n(I) = 0, which n products detect, and spr is then exactly
-  0; for any other tuple ||Ad^n(I)||^(1/n) bounds rho(Ad) from above, since
-  a positive map attains its norm at I.
+- ``spr`` below MATRIX_FREE_MIN_N takes the eigenvalues of R, guarded
+  against spuriously large eigenvalues of near-nilpotent R by a
+  repeated-squaring probe.  A ``CPMap`` runs one eigensolve (with vectors)
+  per tuple, which ``spr`` and the Perron eigenmatrix of ``CPMap.perron``
+  share: a not-in verdict does not solve the same matrix twice.
+- ``stein_solve`` solves (I - R) x = q, or (I - R^T) x = q on the left,
+  with q the coordinates of the Hermitian part of Q0 and, if Q0 is not
+  Hermitian, those of its anti-Hermitian part divided by i as a second
+  right-hand side of the same LU.  It refines only when the normwise
+  backward error ||q - K x|| / (||K|| ||x|| + ||q||) exceeds 16 eps
+  (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12), so a
+  well-conditioned solve factors once.  ``similarity_to_contraction``
+  solves with R / tau^2 of the same ``CPMap``.
 
-The dense eigensolve costs O(n^6) and overtakes the Arnoldi run near n = 8
-(about 7 ms each on 2 cores); at n = 16 it takes 170 ms against 20 ms.  The
-switch sits higher, at n = 12, so that membership verdicts of n <= 11 and
-factorizations (n <= 4) keep the dense route and give the same numbers as
-before; the two routes differ by up to about 4e-15 at n = 9..11.  Spectrum
-scan cells below the switch do not call spr at all: ``ncfock.spectrum``
-decides each by a Stein certificate, one or two dense solves on the same
-n^2 x n^2 matrization, and calls spr only on the knife edge, where the
-certificate cannot tell.  From the switch up the certificate would cost an
-O(n^6) solve against an O(d n^3) product per Arnoldi step, so cells there
-keep the Arnoldi spr.  One ``CPMap`` holds
-a tuple's spr, Perron eigenmatrix (same switch) and matrization, each
-computed once; ``spr``, ``stein_solve``, ``similarity_to_contraction`` and
-``boundary_singularity`` take it in place of the tuple, so
-``boundary_singularity`` reuses the Arnoldi run of ``spr``.
+``spr`` has two methods: ``matrized`` (the spectral radius of Ad) and
+``iterate`` (scaling-normalized repeated squaring of the complex M, which
+evaluates the defining norm limit at K = 2^48 applications and serves as
+the independent reference).  The state size n picks the route of
+``matrized``: below MATRIX_FREE_MIN_N the dense route above, from it up
+implicitly restarted Arnoldi (ARPACK, through scipy.sparse.linalg.eigs) on
+Ad itself, at O(d n^3) per product, so no n^2 x n^2 matrix is formed for
+spr.  The guard there is matrix-free too: a jointly nilpotent n-tuple has
+Ad^n(I) = 0, which n products detect, and spr is then exactly 0; for any
+other tuple ||Ad^n(I)||^(1/n) bounds rho(Ad) from above, since a positive
+map attains its norm at I.
+
+With the real eigensolve the dense route and the Arnoldi run cost about
+the same near n = 10 (random d = 2 tuples, one BLAS thread, best of 15
+calls: 3.4 against 4.2 ms at n = 8, 4.6 against 5.1 ms at n = 9, 14
+against 5.6 ms at n = 11, 78 against 12 ms at n = 16).  The switch stays
+at n = 12, so that membership verdicts of n <= 11 and
+factorizations (n <= 4) keep the dense route; the two routes differ by up
+to about 4e-15 at n = 9..11.  Spectrum scan cells below the switch do not
+call spr at all: ``ncfock.spectrum`` decides each by a Stein certificate,
+one or two dense real solves, and calls spr only on the knife edge, where
+the certificate cannot tell.  From the switch up the certificate would
+cost an O(n^6) solve against an O(d n^3) product per Arnoldi step, so
+cells there keep the Arnoldi spr.
+
+One ``CPMap`` holds a tuple's spr, Perron eigenmatrix (same switch), real
+form and dense eigensolve, each computed once; ``spr``, ``stein_solve``,
+``similarity_to_contraction`` and ``boundary_singularity`` take it in place
+of the tuple, so ``boundary_singularity`` reuses the eigensolve or Arnoldi
+run of ``spr``.  ``boundary_singularity`` certifies its point by an upper
+bound on sigma_min of the n^2 x n^2 pencil: below the switch the smallest
+singular value itself, from the switch up the relative residual of the
+pencil's known null vector P^(1/2), at O(d n^3) instead of an O(n^6) SVD.
 """
 
 from functools import cached_property
@@ -53,7 +80,8 @@ from .realization import MatrixTuple, Realization
 SPR_BOUNDARY_TOL = 1e-9
 
 # state size from which spr and the Perron eigenmatrix use Arnoldi on the CP
-# map instead of a dense eigensolve of its n^2 x n^2 matrization
+# map instead of a dense eigensolve of the n^2 x n^2 real form of its
+# matrization, and boundary_singularity bounds sigma_min by a null vector
 MATRIX_FREE_MIN_N = 12
 
 
@@ -84,6 +112,33 @@ def matrize(pairs):
     return out
 
 
+def hermitian_coords(P):
+    """Real coordinates vec(Re P + Im P) of a Hermitian n x n matrix P."""
+    P = np.asarray(P)
+    return (P.real + P.imag).reshape(-1, order="F")
+
+
+def from_hermitian_coords(x, n):
+    """The Hermitian P with hermitian_coords(P) = x: with Q the n x n
+    matrix of x, P = (Q + Q^T)/2 + i (Q - Q^T)/2."""
+    Q = np.asarray(x, dtype=float).reshape((n, n), order="F")
+    P = np.empty((n, n), dtype=complex)
+    P.real = (Q + Q.T) / 2.0
+    P.imag = (Q - Q.T) / 2.0
+    return P
+
+
+def real_form(M):
+    """R = Re M + (Im M) Pi of the matrization M of a Hermitian-preserving
+    map, Pi the permutation with vec(Q^T) = Pi vec(Q): the map's matrix in
+    the coordinates hermitian_coords."""
+    n = int(round(np.sqrt(M.shape[0])))
+    # column c = a + n b of R takes column b + n a of Im M
+    R = M.imag[:, np.arange(n * n).reshape(n, n).ravel(order="F")]
+    R += M.real
+    return R
+
+
 def _as_tuple_array(A):
     if isinstance(A, (Realization, CPMap)):
         A = A.A
@@ -98,7 +153,10 @@ def _as_tuple_array(A):
 
 
 class CPMap:
-    """The CP map Ad_{A,A*}; caches A's spr, Perron pair and matrization."""
+    """The CP map Ad_{A,A*} of a tuple A, with the analysis of A: its spr,
+    its Perron pair, the real form R of its matrization and, below
+    MATRIX_FREE_MIN_N, the one eigensolve of R that spr and the Perron pair
+    share.  Each is computed at most once, when first needed."""
 
     def __init__(self, A):
         self.A = _as_tuple_array(A)
@@ -117,13 +175,23 @@ class CPMap:
         P = np.asarray(P, dtype=complex)
         return ((self.A_star @ P) @ self.A).sum(axis=0)
 
-    @cached_property
+    @property
     def matrization(self):
+        """The complex matrization sum_j conj(A_j) kron A_j, built anew on
+        each access: only real_matrization and spr(method="iterate") use
+        it."""
         return matrize([(Aj, np.conj(Aj).T) for Aj in self.A])
 
     @cached_property
-    def adjoint_matrization(self):
-        return matrize([(np.conj(Aj).T, Aj) for Aj in self.A])
+    def real_matrization(self):
+        """R, the matrix of Ad in the coordinates hermitian_coords; R^T is
+        that of the adjoint map.  The complex matrization it is built from
+        is not kept."""
+        return real_form(self.matrization)
+
+    @cached_property
+    def _dense_eig(self):
+        return np.linalg.eig(self.real_matrization)
 
     @cached_property
     def spr(self):
@@ -133,7 +201,7 @@ class CPMap:
     def perron(self):
         """(rho(Ad), Hermitian Perron eigenmatrix): one Arnoldi run from
         MATRIX_FREE_MIN_N up, None there if ARPACK does not converge; below
-        it a dense eig of the matrization."""
+        it the eigensolve of R that spr uses."""
         if self.n < MATRIX_FREE_MIN_N:
             return _dense_perron(self)
         from scipy.sparse.linalg import ArpackNoConvergence
@@ -159,7 +227,8 @@ def _squared_power_estimate(M, squarings):
     Per-step scaling uses the Frobenius norm (any submultiplicative norm
     washes out in the K-th root); the final norm of Ad^(K)(I) is the
     spectral norm of the unvectorized image, faithful to the definition.
-    Exactly nilpotent powers return 0.
+    M is the complex matrization or, when real, its real form.  Exactly
+    nilpotent powers return 0.
     """
     norm = float(np.linalg.norm(M))
     if norm == 0:
@@ -177,7 +246,10 @@ def _squared_power_estimate(M, squarings):
         log_acc = 2.0 * log_acc + float(np.log(s))
     K = float(2 ** squarings)
     n = int(round(np.sqrt(M.shape[0])))
-    image = unvec(B @ vec(np.eye(n)), n)
+    if np.iscomplexobj(M):
+        image = unvec(B @ vec(np.eye(n)), n)
+    else:
+        image = from_hermitian_coords(B @ hermitian_coords(np.eye(n)), n)
     wnorm = float(np.linalg.norm(image, 2))
     if wnorm == 0:
         return 0.0
@@ -242,8 +314,14 @@ def _arnoldi_perron(cp):
 
 
 def _dense_perron(cp):
-    w, V = np.linalg.eig(cp.matrization)
-    return float(np.max(np.abs(w))), _hermitian_eigenmatrix(w, V, cp.n)
+    """rho(Ad) and the Hermitian Perron eigenmatrix from the eigensolve of
+    R: the real and imaginary parts of an eigenvector of the real
+    eigenvalue rho are eigenvectors themselves; the larger is taken."""
+    w, V = cp._dense_eig
+    x = V[:, _perron_index(w)]
+    P = _perron_matrix((from_hermitian_coords(x.real, cp.n),
+                        from_hermitian_coords(x.imag, cp.n)))
+    return float(np.max(np.abs(w))), P
 
 
 def spr(A, method="matrized"):
@@ -252,11 +330,19 @@ def spr(A, method="matrized"):
     method "matrized": sqrt of the classical spectral radius of
     sum_j conj(A_j) kron A_j, dense below MATRIX_FREE_MIN_N and by Arnoldi
     on the CP map from it up.  method "iterate": sqrt of the norm-limit
-    estimate from repeated squaring.  Jointly nilpotent tuples return 0.
-    A may be a CPMap, whose cached Perron pair and matrization are used.
+    estimate from repeated squaring of the complex matrization.  Jointly
+    nilpotent tuples return 0.  A may be a CPMap, whose cached Perron pair,
+    real form and eigensolve are used.
     """
     cp = _cp_map(A)
-    if method == "matrized" and cp.n >= MATRIX_FREE_MIN_N:
+    if method == "iterate":
+        M = cp.matrization
+        if np.linalg.norm(M, 2) == 0:
+            return 0.0
+        return float(np.sqrt(_squared_power_estimate(M, 48)))
+    if method != "matrized":
+        raise ValueError(f"unknown spr method {method!r}")
+    if cp.n >= MATRIX_FREE_MIN_N:
         bound = _power_bound(cp)
         if bound == 0:
             return 0.0
@@ -264,21 +350,17 @@ def spr(A, method="matrized"):
         # dense route below still gives an answer
         if cp.perron is not None:
             return float(np.sqrt(min(cp.perron[0], bound)))
-    M = cp.matrization
-    norm = np.linalg.norm(M, 2)
+    R = cp.real_matrization
+    norm = np.linalg.norm(R, 2)
     if norm == 0:
         return 0.0
-    if method == "iterate":
-        return float(np.sqrt(_squared_power_estimate(M, 48)))
-    if method != "matrized":
-        raise ValueError(f"unknown spr method {method!r}")
     # probe for (near-)nilpotency first: dense eigenvalues of a nilpotent
     # matrix come back at roundoff^(1/n^2) scale, far above the truth
-    probe_squarings = max(int(np.ceil(np.log2(max(M.shape[0], 4)))) + 3, 8)
-    rho_probe = _squared_power_estimate(M, probe_squarings)
+    probe_squarings = max(int(np.ceil(np.log2(max(R.shape[0], 4)))) + 3, 8)
+    rho_probe = _squared_power_estimate(R, probe_squarings)
     if rho_probe < 1e-8 * norm:
         return float(np.sqrt(max(rho_probe, 0.0)))
-    rho = float(np.max(np.abs(np.linalg.eigvals(M))))
+    rho = float(np.max(np.abs(cp._dense_eig[0])))
     return float(np.sqrt(min(rho, rho_probe) if rho < 0.05 * norm else rho))
 
 
@@ -292,32 +374,55 @@ def stein_solve(A, Q0, side="right", check_spr=True):
     side "right": P with P - sum_j A_j P A_j* = Q0  (P = sum_m Ad^(m)(Q0))
     side "left":  Q with Q - sum_j A_j* Q A_j = Q0
 
-    Solved through the matrized linear system with iterative refinement;
-    requires spr(A) < 1 - 1e-9.
+    Solved in the real coordinates of the Hermitian matrices: with R the
+    real form of Ad (R^T on the left), (I - R) x = hermitian_coords(H) for
+    the Hermitian part H of Q0 and, unless it is 0, for its anti-Hermitian
+    part Q0 - H = i H2 as a second right-hand side of the same LU.
+    Refinement steps follow only while the normwise backward error is
+    above 16 eps, at most two.  A Hermitian Q0 gives an exactly Hermitian
+    solution.  Requires spr(A) < 1 - 1e-9.
     """
     cp = _cp_map(A)
     Q0 = np.asarray(Q0, dtype=complex)
     if Q0.shape != (cp.n, cp.n):
         raise DimensionMismatchError("Q0 must be n x n")
+    if side not in ("right", "left"):
+        raise ValueError(f"unknown side {side!r}")
     if check_spr:
         s = cp.spr
         if s >= 1.0 - SPR_BOUNDARY_TOL:
             raise SpectralRadiusError(
                 f"Stein equation needs spr(A) < 1 (got spr = {s:.12g})")
-    M = cp.matrization if side == "right" else cp.adjoint_matrization
-    if side not in ("right", "left"):
-        raise ValueError(f"unknown side {side!r}")
-    K = np.eye(M.shape[0], dtype=complex) - M
-    q = vec(Q0)
+    return _stein_real(cp.real_matrization, Q0, side)
+
+
+# refinement runs while the normwise backward error of a Stein solve is
+# above this; one LU solve of a well-conditioned Stein system reaches 0.3
+# to 4.5 eps at n = 2..21
+_REFINE_ABOVE = 16 * np.finfo(float).eps
+
+
+def _stein_real(R, Q0, side="right"):
+    """P with P - Ad(P) = Q0 (side "right", or the adjoint on the left),
+    where R is the real form of Ad."""
+    n = Q0.shape[0]
+    K = -(R.T if side == "left" else R)
+    K.flat[::n * n + 1] += 1.0
+    H = (Q0 + Q0.conj().T) / 2.0
+    H2 = (Q0 - Q0.conj().T) / 2.0j
+    parts = [H, H2] if np.any(H2) else [H]
+    q = np.stack([hermitian_coords(part) for part in parts], axis=1)
     x = np.linalg.solve(K, q)
+    K_norm = np.abs(K).sum(axis=1).max()
     for _ in range(2):
         resid = q - K @ x
-        if np.linalg.norm(resid) <= 1e-16 * np.linalg.norm(q):
+        scale = K_norm * np.abs(x).max(axis=0) + np.abs(q).max(axis=0)
+        if np.all(np.abs(resid).max(axis=0) <= _REFINE_ABOVE * scale):
             break
-        x = x + np.linalg.solve(K, resid)
-    P = unvec(x, cp.n)
-    if np.linalg.norm(Q0 - Q0.conj().T) <= 1e-12 * max(np.linalg.norm(Q0), 1e-300):
-        P = (P + P.conj().T) / 2.0
+        x += np.linalg.solve(K, resid)
+    P = from_hermitian_coords(x[:, 0], n)
+    if len(parts) == 2:
+        P += 1j * from_hermitian_coords(x[:, 1], n)
     return P
 
 
@@ -346,8 +451,8 @@ def similarity_to_contraction(A, margin):
     if not (0.0 < margin < 1.0 - s):
         raise ValueError("margin must lie in (0, 1 - spr(A))")
     tau = s + margin
-    G = stein_solve(cp.A / tau, np.eye(cp.n, dtype=complex),
-                    side="right", check_spr=False)
+    G = _stein_real(cp.real_matrization / (tau * tau),
+                    np.eye(cp.n, dtype=complex))
     w, V = np.linalg.eigh(G)
     w = np.maximum(w, 1e-300)
     S = (V * np.sqrt(w)) @ V.conj().T
@@ -360,20 +465,29 @@ def similarity_to_contraction(A, margin):
 # Boundary singular points
 # ---------------------------------------------------------------------------
 
-def _hermitian_eigenmatrix(w, V, n):
-    """Hermitian Perron eigenmatrix, sign-normalized, from eigenpairs (w, V)
-    of the CP map that include its top ones."""
+def _perron_index(w):
+    """Index of the Perron eigenvalue among eigenvalues w of the CP map that
+    include its top ones."""
     rho = np.max(np.abs(w))
     candidates = np.where(np.abs(w) >= (1.0 - 1e-6) * rho)[0]
-    idx = candidates[np.argmax(w[candidates].real)]
-    P = unvec(V[:, idx], n)
-    herm = (P + P.conj().T) / 2.0
-    anti = (P - P.conj().T) / 2.0j
-    P = herm if np.linalg.norm(herm) >= np.linalg.norm(anti) else anti
+    return candidates[np.argmax(w[candidates].real)]
+
+
+def _perron_matrix(parts):
+    """The larger of two Hermitian eigenmatrix candidates, sign-normalized
+    and scaled to unit Frobenius norm."""
+    P = max(parts, key=np.linalg.norm)
     evals = np.linalg.eigvalsh(P)
     if evals[np.argmax(np.abs(evals))] < 0:
         P = -P
     return P / np.linalg.norm(P)
+
+
+def _hermitian_eigenmatrix(w, V, n):
+    """Hermitian Perron eigenmatrix from eigenpairs (w, V) of the CP map on
+    vec, that include its top ones."""
+    P = unvec(V[:, _perron_index(w)], n)
+    return _perron_matrix(((P + P.conj().T) / 2.0, (P - P.conj().T) / 2.0j))
 
 
 def boundary_singularity(r, tol=1e-8):
@@ -384,14 +498,25 @@ def boundary_singularity(r, tol=1e-8):
     P is positive definite, Y = P^{-1/2} (A/spr) P^{1/2} is a row
     co-isometry and Z = conj(Y)/spr kills the pencil.  A singular P is an
     invariant subspace: compress and recurse, padding the recursive point
-    with zeros.  Jointly nilpotent tuples (polynomials) are rejected.
+    with zeros.  The point is certified by |row norm - 1/spr| <= tol and an
+    upper bound <= tol on the smallest singular value of the pencil at it
+    (see ``_boundary_singularity``).  Jointly nilpotent tuples
+    (polynomials) are rejected.
     """
     return _boundary_singularity(_cp_map(r), tol)[0]
 
 
 def _boundary_singularity(cp, tol):
-    """boundary_singularity of the CPMap cp; returns the point and
-    sigma_min of the pencil at it."""
+    """boundary_singularity of the CPMap cp; returns the point and an upper
+    bound on sigma_min of the pencil L = I - sum_j A_j kron Z_j at it.
+
+    Below MATRIX_FREE_MIN_N the bound is sigma_min itself, from an SVD of
+    the n^2 x n^2 pencil.  From the switch up it is ||L(V)|| / ||V|| for
+    the known null vector: on row-major vec L is V -> V - sum_j A_j V Z_j^T,
+    which sends V = P^(1/2) to 0, as Ad(P) = spr^2 P; in the recursive case
+    V is keep V_inner, padded as Z is, since range(P) is invariant under
+    every A_j.  That costs O(d n^3) in place of O(n^6).
+    """
     A, rho = cp.A, cp.spr
     scale = max(row_norm(A), 1.0)
     if rho <= 1e-12 * scale:
@@ -400,6 +525,8 @@ def _boundary_singularity(cp, tol):
             "whose pencil is everywhere invertible")
 
     def build(sub, depth):
+        """The point of the tuple of sub and the null vector of its
+        pencil."""
         s = sub.spr
         P = (sub.perron or _dense_perron(sub))[1]
         w, V = np.linalg.eigh(P)
@@ -408,26 +535,33 @@ def _boundary_singularity(cp, tol):
             sqrtP = (V * np.sqrt(w)) @ V.conj().T
             inv_sqrtP = (V / np.sqrt(w)) @ V.conj().T
             Y = np.stack([inv_sqrtP @ (Aj / s) @ sqrtP for Aj in sub.A])
-            return np.conj(Y) / s
+            return np.conj(Y) / s, sqrtP
         keep = V[:, w > threshold]
         if keep.shape[1] == 0:
             keep = V[:, [int(np.argmax(w))]]
         if depth <= 0 or keep.shape[1] >= sub.n:
             raise BoundarySingularityError(
                 "boundary singularity recursion failed")
-        inner = build(CPMap(np.stack([keep.conj().T @ Aj @ keep
-                                      for Aj in sub.A])), depth - 1)
+        inner, inner_null = build(
+            CPMap(np.stack([keep.conj().T @ Aj @ keep for Aj in sub.A])),
+            depth - 1)
         m = inner.shape[1]
         Z = np.zeros(sub.A.shape, dtype=complex)
         Z[:, :m, :m] = inner
-        return Z
+        null = np.zeros((sub.n, sub.n), dtype=complex)
+        null[:, :m] = keep @ inner_null
+        return Z, null
 
-    Z = build(cp, A.shape[1])
+    Z, null = build(cp, A.shape[1])
     point = MatrixTuple(Z)
-    L = np.eye(A.shape[1] * point.n, dtype=complex)
-    for j in range(A.shape[0]):
-        L -= np.kron(A[j], point[j])
-    sigma_min = float(np.linalg.svd(L, compute_uv=False)[-1])
+    if cp.n < MATRIX_FREE_MIN_N:
+        L = np.eye(A.shape[1] * point.n, dtype=complex)
+        for j in range(A.shape[0]):
+            L -= np.kron(A[j], point[j])
+        sigma_min = float(np.linalg.svd(L, compute_uv=False)[-1])
+    else:
+        image = null - (A @ null @ np.swapaxes(Z, 1, 2)).sum(axis=0)
+        sigma_min = float(np.linalg.norm(image) / np.linalg.norm(null))
     if abs(point.row_norm() - 1.0 / rho) > tol or sigma_min > tol:
         raise BoundarySingularityError(
             f"boundary singularity certificate failed at tol {tol:g}: "

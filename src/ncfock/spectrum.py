@@ -7,10 +7,10 @@ immediate zero-level singularity).  For minimal r = (A, b, c) that spr is
 the spr of B(lambda)_j = A_j - c b* A_j / (b* c - lambda) compressed to
 O = span{A*^w b : |w| >= 1} (see ``grid_scan``).  A scan cell needs only
 the side of 1 +- 1e-9 on which it lies, which a Stein certificate on the
-matrization of B(lambda) gives without eigenvalues; spr itself runs only on
-the knife edge.  Random finite-level eigenvalue sampling provides the
-complementary lower bound, and sigma_0 / sigma_pm classification of
-spectrum cells follows the outerness of r - lambda.
+real form of the matrization of B(lambda) gives without eigenvalues; spr
+itself runs only on the knife edge.  Random finite-level eigenvalue
+sampling provides the complementary lower bound, and sigma_0 / sigma_pm
+classification of spectrum cells follows the outerness of r - lambda.
 
 For rational multipliers the spectrum coincides with the essential
 spectrum and is connected, so no separate essential-spectrum computation
@@ -40,10 +40,10 @@ from .spectral import (
     SPR_BOUNDARY_TOL,
     CPMap,
     boundary_singularity,
+    from_hermitian_coords,
     matrize,
+    real_form,
     row_norm,
-    unvec,
-    vec,
 )
 from .words import NCPolynomial, words_up_to
 
@@ -79,7 +79,7 @@ def _bounded(r_min):
     by the Stein certificate below MATRIX_FREE_MIN_N and else by spr."""
     cp = CPMap(r_min.A)
     if cp.n < MATRIX_FREE_MIN_N and _stein_below(
-            cp.matrization, cp.n, 1.0 - SPR_BOUNDARY_TOL):
+            cp.real_matrization, cp.n, 1.0 - SPR_BOUNDARY_TOL):
         return r_min
     s = cp.spr
     if s >= 1.0 - SPR_BOUNDARY_TOL:
@@ -105,14 +105,15 @@ _STEIN_DELTA = 1e-6
 _STEIN_CAP = 1e7
 
 
-def _stein_below(M, n, t):
+def _stein_below(R, n, t):
     """True when the Stein certificate shows spr(B) < t, False when it shows
-    spr(B) >= t, None when it cannot tell; M is the n^2 x n^2 matrization
-    of Ad_B."""
+    spr(B) >= t, None when it cannot tell; R is the real n^2 x n^2 form of
+    Ad_B (``spectral.real_form``)."""
     try:
-        P = unvec(np.linalg.solve(np.eye(n * n) - M / (t * t),
-                                  vec(np.eye(n))), n)
-        w = np.linalg.eigvalsh((P + P.conj().T) / 2.0)
+        # np.eye(n).ravel() is hermitian_coords(I)
+        P = from_hermitian_coords(np.linalg.solve(
+            np.eye(n * n) - R / (t * t), np.eye(n).ravel()), n)
+        w = np.linalg.eigvalsh(P)
     except np.linalg.LinAlgError:
         return None
     norm = max(-w[0], w[-1])
@@ -154,18 +155,21 @@ class _Resolvent:
         return abs(self.gamma - lam) <= 1e-12 * max(1.0, abs(lam))
 
     @cached_property
-    def _matrization_terms(self):
-        """M0, X1, X2, X3 as rows: with C = cb and alpha = 1/(gamma -
-        lambda), the matrization of B(lambda) is M0 - alpha X1 - conj(alpha)
-        X2 + |alpha|^2 X3, where M0, X1, X2, X3 are the sums over j of
-        conj(A_j) kron A_j, conj(A_j) kron C_j, conj(C_j) kron A_j and
-        conj(C_j) kron C_j."""
+    def _real_terms(self):
+        """R0, Y1, Y2, R3 as rows: with C = cb and alpha = 1/(gamma -
+        lambda) = a + ib, the matrization of B(lambda) is M0 - alpha X1 -
+        conj(alpha) X2 + |alpha|^2 X3, where M0, X1, X2, X3 are the sums
+        over j of conj(A_j) kron A_j, conj(A_j) kron C_j, conj(C_j) kron A_j
+        and conj(C_j) kron C_j.  Its real form is R0 - a Y1 - b Y2 +
+        |alpha|^2 R3, with R0, Y1, Y2, R3 the real forms of M0, X1 + X2,
+        i (X1 - X2) and X3, each Hermitian-preserving."""
         A, C = self.A, self.cb
         A_star = np.conj(np.swapaxes(A, 1, 2))
         C_star = np.conj(np.swapaxes(C, 1, 2))
-        terms = [matrize(zip(A, A_star)), matrize(zip(C, A_star)),
-                 matrize(zip(A, C_star)), matrize(zip(C, C_star))]
-        return np.stack(terms).reshape(4, -1)
+        X1, X2 = matrize(zip(C, A_star)), matrize(zip(A, C_star))
+        terms = [matrize(zip(A, A_star)), X1 + X2, 1j * (X1 - X2),
+                 matrize(zip(C, C_star))]
+        return np.stack([real_form(T) for T in terms]).reshape(4, -1)
 
     def band(self, lam):
         """_BELOW, _EDGE or _ABOVE: where spr(B(lambda)) lies against the band
@@ -176,14 +180,14 @@ class _Resolvent:
         if n >= MATRIX_FREE_MIN_N or self.is_zero_level(lam):
             return None
         alpha = 1.0 / (self.gamma - lam)
-        coeffs = np.array([1.0, -alpha, -np.conj(alpha), abs(alpha) ** 2])
-        M = (coeffs @ self._matrization_terms).reshape(n * n, n * n)
-        below = _stein_below(M, n, 1.0 - SPR_BOUNDARY_TOL)
+        coeffs = np.array([1.0, -alpha.real, -alpha.imag, abs(alpha) ** 2])
+        R = (coeffs @ self._real_terms).reshape(n * n, n * n)
+        below = _stein_below(R, n, 1.0 - SPR_BOUNDARY_TOL)
         if below is None:
             return None
         if below:
             return _BELOW
-        below = _stein_below(M, n, 1.0 + SPR_BOUNDARY_TOL)
+        below = _stein_below(R, n, 1.0 + SPR_BOUNDARY_TOL)
         if below is None:
             return None
         return _EDGE if below else _ABOVE
@@ -277,15 +281,15 @@ def grid_scan(r, rect, resolution, classify=True):
     itself and minimality makes A_j vanish off O.  The cell asks only where
     that spr lies against 1 +- 1e-9.  Below MATRIX_FREE_MIN_N the Stein
     certificate answers with a linear solve at t = 1 - 1e-9 and, off the
-    resolvent side, a second at t = 1 + 1e-9, on M(lambda) = M0 - alpha X1
-    - conj(alpha) X2 + |alpha|^2 X3 (alpha = 1/(r(0) - lambda)), whose four
-    terms are built once per scan.  Only where it cannot tell (spr within
-    5e-8 to about 1e-6 of t, or a singular solve) does the cell compute spr, as
-    ``contains_lambda`` does, and from the switch up every cell does, by
-    Arnoldi.  Spectrum cells are tagged sigma_pm
-    (spectrum if unclassified): r - lambda is outer iff that spr is <= 1,
-    which a decisive cell (spr > 1 + 1e-9) or a zero-level one (r(0) =
-    lambda) never meets.  Cell errors and knife-edge values are tagged
+    resolvent side, a second at t = 1 + 1e-9, on the real form of M(lambda)
+    = M0 - alpha X1 - conj(alpha) X2 + |alpha|^2 X3 (alpha = 1/(r(0) -
+    lambda)), whose four real terms are built once per scan.  Only where it
+    cannot tell (spr within 5e-8 to about 1e-6 of t, or a singular solve)
+    does the cell compute spr, as ``contains_lambda`` does, and from the
+    switch up every cell does, by Arnoldi.  Spectrum cells are tagged
+    sigma_pm (spectrum if unclassified): r - lambda is outer iff that spr
+    is <= 1, which a decisive cell (spr > 1 + 1e-9) or a zero-level one
+    (r(0) = lambda) never meets.  Cell errors and knife-edge values are tagged
     indeterminate.  A constant multiplier (spectrum = one point) marks
     exactly the cell containing its value.  A non-finite, empty or
     over-large grid (more than 1e7 cells) raises ScanGridError.
@@ -553,16 +557,36 @@ def _polish_witness(f, Z, tol, steps=60):
 # Continuity probe (Theorem-B diagnostic)
 # ---------------------------------------------------------------------------
 
+# side of the square blocks of the distance matrix in hausdorff_distance:
+# 1 MB of complex differences at a time, which also ran fastest of the
+# sides 256 to 2048 on criterion 5's 1,264 x 25,000 call
+_HAUSDORFF_BLOCK = 256
+
+
 def hausdorff_distance(points_a, points_b):
-    """Hausdorff distance between two finite sets of complex points."""
+    """Hausdorff distance between two finite sets of complex points.
+
+    The |a| x |b| distance matrix is walked in fixed-size blocks, keeping
+    the running row and column minima, so memory does not grow with the
+    product of the sizes; min and max are exact, so the value is that of
+    the full matrix."""
     a = np.asarray(points_a, dtype=complex).ravel()
     b = np.asarray(points_b, dtype=complex).ravel()
     if a.size == 0 and b.size == 0:
         return 0.0
     if a.size == 0 or b.size == 0:
         return float("inf")
-    dist = np.abs(a[:, None] - b[None, :])
-    return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
+    row_min = np.full(a.size, np.inf)
+    col_min = np.full(b.size, np.inf)
+    step = _HAUSDORFF_BLOCK
+    for i in range(0, a.size, step):
+        for j in range(0, b.size, step):
+            dist = np.abs(a[i:i + step, None] - b[None, j:j + step])
+            np.minimum(row_min[i:i + step], dist.min(axis=1),
+                       out=row_min[i:i + step])
+            np.minimum(col_min[j:j + step], dist.min(axis=0),
+                       out=col_min[j:j + step])
+    return float(max(row_min.max(), col_min.max()))
 
 
 @dataclass

@@ -255,7 +255,7 @@ _FUZZ_GOOD = {
 }
 _FUZZ_BAD = {
     "expression": ["inv(1 - z1)", "inv(z1)", "", "z3", "z1 +", "inv(",
-                   "1e400*z1", "nan*z1"],
+                   "1e400*z1", "nan*z1", "inv(1 - 1e200*z1)"],
     "coord": ["nan", "inf", "-inf", "1e308", "-1e308", "a", ""],
     "res": ["0", "-0.5", "nan", "inf", "-inf", "1e-300", "1e-9", "1e308",
             "x", ""],
@@ -315,6 +315,117 @@ def test_cli_error_contract_fuzz(data, tmp_path_factory):
     error with exit 1, or a usage error with exit 2; never a traceback."""
     out = str(tmp_path_factory.mktemp("fuzz") / "scan")
     argv = data.draw(_fuzz_argv(out))
+    stdout = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    except SystemExit as exit_:
+        assert exit_.code == 2, argv
+        return
+    assert code in (0, 1), argv
+    if code == 1:
+        error = json.loads(stdout.getvalue())["error"]
+        assert set(error) == {"code", "message"}, argv
+
+
+_GOOD_REALIZATION = json.dumps(nf.realization_to_json(
+    nf.minimize(nf.from_expression("inv(1 - 0.5*z1*z2 - 0.5*z2*z1)", 2))))
+_GOOD_POINT = json.dumps({"d": 2, "n": 1, "X": [[[[0.2, 0.1]]], [[[0.3, 0.0]]]]})
+_FUZZ_FILES = {
+    "realization": [
+        _GOOD_REALIZATION,
+        '{"d": 1, "n": 1, "A": [[[[0.5, 0.0]]]], "b": [[1, 0]], "c": [[1, 0]]}',
+        '{"d": 1, "n": 1, "A": [[[[NaN, 0.0]]]], "b": [[1, 0]], "c": [[1, 0]]}',
+        '{"d": 1, "n": 1, "A": [[[[0.5, 0.0]]]], "b": [[Infinity, 0]], '
+        '"c": [[1, 0]]}',
+        '{"d": 1, "n": 1, "A": [[[[1e308, 1e308]]]], "b": [[1e308, 0]], '
+        '"c": [[1e308, 0]]}',
+        '{"d": 1, "n": 1, "A": [[[[1e200, 0.0]]]], "b": [[1, 0]], '
+        '"c": [[1, 0]]}',
+        '{"d": 1, "n": 2, "A": [[[[0.5, 0.0]]]], "b": [[1, 0]], "c": [[1, 0]]}',
+        '{"d": 1, "n": 1, "A": [[[[0.5, 0.0]]]], "b": [], "c": [[1, 0]]}',
+        '{"d": 1, "n": 1, "A": [], "b": [[1, 0]], "c": [[1, 0]]}',
+        '{"d": 0, "n": 1, "A": [], "b": [[1, 0]], "c": [[1, 0]]}',
+        '{"d": 1, "n": 0, "A": [[]], "b": [], "c": []}',
+        '{"d": -1, "n": -1, "A": [], "b": [], "c": []}',
+        '{"d": "x", "n": 1, "A": [], "b": [[1, 0]], "c": [[1, 0]]}',
+        '{"d": 1.5, "n": null, "A": [], "b": [[1, 0]], "c": [[1, 0]]}',
+        '{"d": 1, "n": 1, "A": [[[0.5]]], "b": [[1]], "c": [[1]]}',
+        '{"d": 1, "n": 1, "A": [[[[0.5, 0.0, 1.0]]]], "b": [[1, 0]], '
+        '"c": [[1, 0]]}',
+        '{"d": 1, "n": 1, "A": [[["a", "b"]]], "b": [[1, 0]], "c": [[1, 0]]}',
+        '{"d": 1, "n": 1, "A": [[[[0.5, 0.0]], [[0.5]]]], "b": [[1, 0]], '
+        '"c": [[1, 0]]}',
+        '{"d": 1, "n": 1, "A": 0.5, "b": 1, "c": 1}',
+        '[1, 2, 3]', '"text"', 'null', '', '{"d": 1,', '{"d": 1} trailing',
+    ],
+    "point": [
+        _GOOD_POINT,
+        '{"d": 2, "n": 1, "X": [[[[NaN, 0.0]]], [[[0.3, 0.0]]]]}',
+        '{"d": 2, "n": 1, "X": [[[[-Infinity, 0.0]]], [[[0.3, 0.0]]]]}',
+        '{"d": 2, "n": 1, "X": []}',
+        '{"d": 2, "n": 1, "X": [[[[0.2, 0.1]]]]}',
+        '{"d": 1, "n": 1, "X": [[[[0.2, 0.1]]]]}',
+        '{"d": 2, "n": 2, "X": [[[[0.2, 0.1]], [[0.2, 0.1]]], '
+        '[[[0.3, 0.0]], [[0.3, 0.0]]]]}',
+        '{"d": 2, "n": 1, "X": [[[0.2]], [[0.3]]]}',
+        '{"d": 2, "n": 1, "X": [[[[0.2, 0.1]]], [[[0.3, 0.0]], [[0.1, 0]]]]}',
+        '{"d": 2, "n": 1, "X": [[[[2.0, 0.0]]], [[[2.0, 0.0]]]]}',
+        '{"d": "two", "n": 1, "X": [[[[0.2, 0.1]]], [[[0.3, 0.0]]]]}',
+        '{"X": 1}', '[]', '', '{"d": 2, "n": 1, "X": [[[[0.2, 0.1',
+    ],
+}
+_FLAG_VALUES = {
+    "tol": ["1e-8", "1e-10", "0.5", "0", "-1", "nan", "inf", "-inf", "1e308",
+            "1e-320", "x", ""],
+    "count": ["1", "2", "0", "-1", "1.5", "nan", "x", ""],
+}
+
+
+@st.composite
+def _file_flag_argv(draw, tmp):
+    """A command with its --tol, --starts, --attempts, --point and
+    --realization flags drawn from valid, non-finite and malformed values."""
+    def flag(kind):
+        return draw(st.sampled_from(_FLAG_VALUES[kind]))
+
+    def write(kind):
+        text = draw(st.sampled_from(_FUZZ_FILES[kind]))
+        path = tmp / f"{kind}.json"
+        path.write_text(text)
+        return str(path)
+
+    command = draw(st.sampled_from([
+        "realize", "eval", "spr", "norm", "member", "kernel", "outer-test",
+        "inner-test", "boundary-sing", "variety-search", "factor"]))
+    if command == "factor":
+        expression = draw(st.sampled_from(["1 + z1 + z1*z2", "1 + 0.5*z1"]))
+        return [command, "-d", "2", expression,
+                f"--starts={flag('count')}"]
+    argv = [command, "--realization", write("realization")]
+    if command == "realize":
+        argv += ["--minimize", f"--tol={flag('tol')}"]
+    elif command == "eval":
+        argv += ["--point", write("point")]
+    elif command in ("inner-test", "boundary-sing"):
+        argv += [f"--tol={flag('tol')}"]
+    elif command == "variety-search":
+        argv += ["--level", "1", f"--attempts={flag('count')}",
+                 f"--tol={flag('tol')}"]
+    return argv
+
+
+# entries near the overflow threshold make numpy warn of overflow and of
+# invalid values; the outcome is what the test checks
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_file_and_flag_fuzz(data, tmp_path_factory):
+    """--tol, --starts, --attempts, --point and --realization with valid,
+    non-finite, malformed or wrongly shaped values: exit 0, a coded JSON
+    error with exit 1, or a usage error with exit 2; never a traceback."""
+    argv = data.draw(_file_flag_argv(tmp_path_factory.mktemp("files")))
     stdout = io.StringIO()
     try:
         with contextlib.redirect_stdout(stdout), \

@@ -3,6 +3,7 @@ import pytest
 
 import ncfock as nf
 from conftest import count_calls, padded, random_kernel, random_polynomial
+from ncfock.spectral import MATRIX_FREE_MIN_N
 
 
 def geometric_half():
@@ -290,8 +291,83 @@ def test_verdicts_build_each_matrization_once(monkeypatch,
     assert nf.is_in_fock(big).verdict == "not_in"
     assert len(calls) == 1
     del calls[:]
-    # spr and the H^2 Stein solve share one; the kernel's spr and its Stein
-    # solve on A/tau make two more
+    # spr and the H^2 Stein solve share one; the kernel's spr makes one
+    # more, and its Stein solve on A/tau scales that one's real form
     assert nf.is_in_fock(r).verdict == "in"
     nf.kernel_from_realization(r)
-    assert len(calls) == 3
+    assert len(calls) == 2
+
+
+def test_dense_not_in_verdict_runs_one_eigensolve(monkeypatch):
+    # spr and the Perron eigenmatrix of the witness share one eig of R
+    r = _scaled(8, 1.2, seed=8)
+    eig = count_calls(monkeypatch, np.linalg, "eig")
+    eigvals = count_calls(monkeypatch, np.linalg, "eigvals")
+    out = nf.is_in_fock(r)
+    assert out.verdict == "not_in" and out.witness is not None
+    assert len(eig) == 1 and len(eigvals) == 0
+
+
+@pytest.mark.parametrize("n", [3, 8, 16])
+def test_well_conditioned_stein_solve_factors_once(monkeypatch, n):
+    cp = nf.CPMap(_scaled(n, 0.7, seed=n).A)
+    calls = count_calls(monkeypatch, np.linalg, "solve")
+    nf.stein_solve(cp, np.eye(n), check_spr=False)
+    assert len(calls) == 1
+
+
+def test_stein_solve_refines_a_poor_solve(monkeypatch):
+    # a first solve with a backward error far above 16 eps is refined
+    cp = nf.CPMap(_scaled(8, 0.7, seed=8).A)
+    exact = nf.stein_solve(cp, np.eye(8))
+    original = np.linalg.solve
+    calls = []
+
+    def poor_first(K, q):
+        x = original(K, q)
+        if not calls:
+            x = x * (1.0 + 1e-9)
+        calls.append(K)
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", poor_first)
+    refined = nf.stein_solve(cp, np.eye(8))
+    assert len(calls) == 2
+    assert np.linalg.norm(refined - exact) <= 1e-14 * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("n", [MATRIX_FREE_MIN_N, 16])
+def test_large_not_in_verdict_takes_no_matrization_svd(monkeypatch, n):
+    r = _scaled(n, 1.2, seed=n)
+    calls = count_calls(monkeypatch, np.linalg, "svd")
+    out = nf.is_in_fock(r)
+    assert out.verdict == "not_in"
+    assert out.witness_sigma_min <= 1e-8
+    assert all(max(np.shape(args[0])) < n * n for args in calls)
+
+
+_LAPACK = ("eig", "eigvals", "eigh", "eigvalsh", "solve", "svd", "qr", "inv",
+           "lstsq")
+
+
+@pytest.mark.parametrize("n, target", [(8, 0.7), (8, 1.2), (16, 0.7),
+                                       (16, 1.2)])
+def test_repeated_verdicts_cost_the_same(monkeypatch, n, target):
+    # nothing computed for r outlives the call: minimize hands a minimal r
+    # back as the same object, and a second verdict on it redoes every solve
+    r = _scaled(n, target, seed=n)
+    counters = {name: count_calls(monkeypatch, np.linalg, name)
+                for name in _LAPACK}
+
+    def verdict():
+        for calls in counters.values():
+            del calls[:]
+        m = nf.minimize(r)
+        assert m is r
+        if nf.is_in_fock(m).in_h2:
+            nf.kernel_from_realization(m)
+        return {name: len(calls) for name, calls in counters.items()}
+
+    first = verdict()
+    assert sum(first.values()) > 0
+    assert verdict() == first

@@ -205,3 +205,30 @@ def test_matrix_tuple_row_norm_and_json():
     assert not Z.is_strict_row_contraction()
     back = nf.matrix_tuple_from_json(nf.matrix_tuple_to_json(Z))
     assert np.array_equal(back.X, Z.X)
+
+
+def kron_pencil(r, Z):
+    """The np.kron pencil and evaluation that the broadcast products
+    replace."""
+    n = Z.shape[1]
+    L = np.eye(r.n * n, dtype=complex)
+    for j in range(r.d):
+        L -= np.kron(r.A[j], Z[j])
+    rhs = np.kron(r.c[:, None], np.eye(n, dtype=complex))
+    left = np.kron(np.conj(r.b)[None, :], np.eye(n, dtype=complex))
+    return L, left @ np.linalg.solve(L, rhs)
+
+
+def test_pencil_and_evaluate_match_np_kron_bitwise():
+    rng = np.random.default_rng(61)
+    for _ in range(30):
+        d, m, n = (int(rng.integers(1, 4)), int(rng.integers(1, 5)),
+                   int(rng.integers(1, 4)))
+        r = nf.Realization(
+            rng.standard_normal((d, m, m)) + 1j * rng.standard_normal((d, m, m)),
+            rng.standard_normal(m) + 1j * rng.standard_normal(m),
+            rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        Z = random_point(rng, d, n, scale=0.3).X
+        L, value = kron_pencil(r, Z)
+        assert np.array_equal(rz.pencil(r, Z), L)
+        assert np.array_equal(rz.evaluate(r, Z), value)

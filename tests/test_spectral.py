@@ -1,9 +1,20 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import ncfock as nf
-from conftest import padded
-from ncfock.spectral import MATRIX_FREE_MIN_N, row_norm
+from conftest import count_calls, padded
+from ncfock import spectral
+from ncfock.spectral import (
+    MATRIX_FREE_MIN_N,
+    from_hermitian_coords,
+    hermitian_coords,
+    real_form,
+    row_norm,
+)
 
 
 def test_vec_column_stacking():
@@ -27,8 +38,10 @@ def test_cpmap_matrization_consistency():
     cp = nf.CPMap(A)
     P = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     assert np.allclose(cp.matrization @ nf.vec(P), nf.vec(cp(P)), atol=1e-12)
-    assert np.allclose(cp.adjoint_matrization @ nf.vec(P),
-                       nf.vec(cp.adjoint(P)), atol=1e-12)
+    # R^T, the transpose of the real form, is the adjoint map on Hermitian P
+    H = P + P.conj().T
+    assert np.allclose(cp.real_matrization.T @ hermitian_coords(H),
+                       hermitian_coords(cp.adjoint(H)), atol=1e-12)
     # complete positivity on a PSD input
     G = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     psd = G @ G.conj().T
@@ -246,3 +259,155 @@ def test_boundary_singularity_reducible_tuple():
 def test_boundary_singularity_rejects_nilpotent():
     with pytest.raises(nf.JointlyNilpotentError):
         nf.boundary_singularity(np.array([[[0.0, 1.0], [0.0, 0.0]]]))
+
+
+# ---------------------------------------------------------------------------
+# Real Hermitian coordinates
+# ---------------------------------------------------------------------------
+
+def complex_stein_reference(A, Q0, side):
+    """The complex route: (I - M) vec(P) = vec(Q0), with M the matrization
+    of Ad (side "right") or of its adjoint (side "left")."""
+    if side == "right":
+        M = nf.matrize([(Aj, Aj.conj().T) for Aj in A])
+    else:
+        M = nf.matrize([(Aj.conj().T, Aj) for Aj in A])
+    n = A.shape[1]
+    return nf.unvec(np.linalg.solve(np.eye(n * n) - M, nf.vec(Q0)), n)
+
+
+@st.composite
+def random_tuples(draw, max_d=3, max_n=9):
+    """A random complex d x n x n tuple, d <= max_d and n <= max_n, and the
+    generator that made it."""
+    d = draw(st.integers(1, max_d))
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return rng.standard_normal((d, n, n)) \
+        + 1j * rng.standard_normal((d, n, n)), rng
+
+
+def _hermitian(rng, n):
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    P = G + G.conj().T
+    return P / np.linalg.norm(P)
+
+
+def test_hermitian_coords_round_trip_and_isometry():
+    rng = np.random.default_rng(5)
+    P = _hermitian(rng, 4)
+    x = hermitian_coords(P)
+    assert x.dtype == float and x.shape == (16,)
+    assert np.allclose(from_hermitian_coords(x, 4), P, atol=1e-15)
+    assert np.linalg.norm(x) == pytest.approx(np.linalg.norm(P), rel=1e-15)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(random_tuples())
+def test_real_form_is_ad_in_hermitian_coordinates(case):
+    A, rng = case
+    cp = nf.CPMap(A)
+    R = cp.real_matrization
+    scale = sum(np.linalg.norm(Aj, 2) ** 2 for Aj in A)
+    P = _hermitian(rng, cp.n)
+    assert np.linalg.norm(R @ hermitian_coords(P)
+                          - hermitian_coords(cp(P))) <= 1e-13 * scale
+    # R^T is the real form of the adjoint map
+    adjoint = real_form(nf.matrize([(Aj.conj().T, Aj) for Aj in A]))
+    assert np.max(np.abs(R.T - adjoint)) <= 1e-13 * scale
+    # R and the complex matrization have one spectrum, with multiplicities
+    M = cp.matrization
+    w_real, w_complex = np.linalg.eigvals(R), np.linalg.eigvals(M)
+    gaps = np.abs(w_real[:, None] - w_complex[None, :])
+    rows, cols = linear_sum_assignment(gaps)
+    assert np.max(gaps[rows, cols]) <= 1e-9 * np.linalg.norm(M, 2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(random_tuples())
+def test_stein_solve_matches_the_complex_route(case):
+    A, rng = case
+    A = A * rng.uniform(0.1, 0.9) / nf.spr(A)
+    n = A.shape[1]
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for Q0 in (_hermitian(rng, n), G):
+        for side in ("right", "left"):
+            P = nf.stein_solve(A, Q0, side=side)
+            ref = complex_stein_reference(A, Q0, side)
+            assert np.linalg.norm(P - ref) <= 1e-12 * np.linalg.norm(ref)
+            if Q0 is not G:
+                assert np.array_equal(P, P.conj().T)
+
+
+def _mp_spr(A):
+    """spr(A) from a 50-digit eigensolve of the complex matrization."""
+    M = nf.matrize([(Aj, Aj.conj().T) for Aj in A])
+    with mpmath.workdps(50):
+        w = mpmath.eig(mpmath.matrix(M.tolist()), left=False, right=False)
+        return mpmath.sqrt(max(abs(x) for x in w))
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 2), (4, 2)])
+@pytest.mark.parametrize("offset", [-1e-8, 1e-8])
+def test_dense_spr_against_mpmath_at_the_knife_edge(n, d, offset):
+    rng = np.random.default_rng(100 * n + d)
+    A0 = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
+    A = (1.0 + offset) / nf.spr(A0) * A0
+    reference = _mp_spr(A)
+    value = nf.spr(A)
+    assert abs(value - reference) <= 1e-13 * reference
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    verdict = nf.is_in_fock(nf.Realization(A, b, c)).verdict
+    tol = spectral.SPR_BOUNDARY_TOL
+    assert verdict == ("in" if reference < 1 - tol
+                       else "not_in" if reference > 1 + tol else "boundary")
+
+
+def _pencil_sigma_min(A, Z):
+    L = np.eye(A.shape[1] * Z.shape[1], dtype=complex)
+    for Aj, Zj in zip(A, Z):
+        L -= np.kron(Aj, Zj)
+    sigma = np.linalg.svd(L, compute_uv=False)
+    return sigma[-1], sigma[0]
+
+
+def _reducible(n, seed):
+    """A unitarily hidden block-triangular tuple [[B, C], [0, D]] with
+    spr(B) = 1.2 > spr(D) = 0.5: its Perron matrix is singular."""
+    rng = np.random.default_rng(seed)
+    k = n // 2
+    B = rng.standard_normal((2, k, k)) + 1j * rng.standard_normal((2, k, k))
+    D = rng.standard_normal((2, n - k, n - k)) \
+        + 1j * rng.standard_normal((2, n - k, n - k))
+    A = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    A[:, :k, :k] = 1.2 / nf.spr(B) * B
+    A[:, k:, k:] = 0.5 / nf.spr(D) * D
+    A[:, k:, :k] = 0.0
+    U, _ = np.linalg.qr(rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)))
+    return U.conj().T @ A @ U
+
+
+@pytest.mark.parametrize("n", [MATRIX_FREE_MIN_N, 16])
+@pytest.mark.parametrize("kind", ["definite", "recursive"])
+def test_null_vector_bound_certifies_sigma_min(n, kind):
+    # from the switch up sigma_min is the relative residual of the pencil's
+    # null vector P^(1/2), an upper bound on the SVD value; the SVD value
+    # itself is exact only to about eps ||L||
+    if kind == "definite":
+        rng = np.random.default_rng(n)
+        A0 = rng.standard_normal((2, n, n)) \
+            + 1j * rng.standard_normal((2, n, n))
+        A = 1.2 / nf.spr(A0) * A0
+    else:
+        A = _reducible(n, seed=n)
+    cp = nf.CPMap(A)
+    if kind == "recursive":
+        evals = np.linalg.eigvalsh(cp.perron[1])
+        assert evals[0] <= 1e-9 * evals[-1]
+    Z, bound = spectral._boundary_singularity(cp, 1e-8)
+    assert Z.row_norm() == pytest.approx(1.0 / 1.2, rel=1e-9)
+    svd_min, svd_max = _pencil_sigma_min(A, Z.X)
+    assert svd_min <= bound + 4 * np.finfo(float).eps * svd_max
+    assert bound <= 1e-8

@@ -1,10 +1,14 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncfock as nf
-from conftest import count_calls
+from conftest import count_calls, src_env
+from ncfock import spectrum
 from ncfock.spectral import SPR_BOUNDARY_TOL
 from ncfock.spectrum import (
     _ABOVE,
@@ -461,6 +465,44 @@ def test_hausdorff_distance_basics():
     assert nf.hausdorff_distance(a, b) == pytest.approx(0.5)
     assert nf.hausdorff_distance([], []) == 0.0
     assert nf.hausdorff_distance(a, []) == np.inf
+
+
+def full_matrix_hausdorff(a, b):
+    """The reference: min and max over the whole |a| x |b| distance
+    matrix."""
+    dist = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
+    return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
+
+
+@pytest.mark.parametrize("block", [7, 256])
+def test_hausdorff_distance_equals_the_full_matrix(monkeypatch, block):
+    # blocks that do not divide either size, and a single block
+    monkeypatch.setattr(spectrum, "_HAUSDORFF_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for size_a, size_b in ((1, 1), (50, 130), (131, 3)):
+        a = rng.standard_normal(size_a) + 1j * rng.standard_normal(size_a)
+        b = rng.standard_normal(size_b) + 1j * rng.standard_normal(size_b)
+        assert nf.hausdorff_distance(a, b) == full_matrix_hausdorff(a, b)
+
+
+def test_hausdorff_distance_memory_stays_bounded():
+    # the full 2,000 x 50,000 distance matrix would take 1.6 GB of complex
+    # differences; the blocked walk raises the peak RSS by under 16 MB
+    code = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from ncfock.spectrum import hausdorff_distance\n"
+        "rng = np.random.default_rng(0)\n"
+        "a = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)\n"
+        "b = rng.standard_normal(50000) + 1j * rng.standard_normal(50000)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "hausdorff_distance(a, b)\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print((after - before) / 1024)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 16.0
 
 
 def test_continuity_probe_zero_scale(z1):
