@@ -16,6 +16,7 @@ from .errors import (
     NCFockError,
     NotPolynomialError,
     NotRegularAtZeroError,
+    NumericalFailureError,
     ParseError,
     ScanGridError,
     SpectralRadiusError,

@@ -70,6 +70,12 @@ class BoundarySingularityError(NCFockError, ArithmeticError):
     code = "boundary-certificate-failed"
 
 
+class NumericalFailureError(NCFockError, ArithmeticError):
+    """A computation that lost finiteness or failed its self-check."""
+
+    code = "numerical-failure"
+
+
 class ScanGridError(NCFockError, ValueError):
     """A grid scan rectangle or resolution that gives no cells."""
 

@@ -15,7 +15,11 @@ from math import inf
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SpectralRadiusError
+from .errors import (
+    DimensionMismatchError,
+    NumericalFailureError,
+    SpectralRadiusError,
+)
 from .realization import (
     MatrixTuple,
     Realization,
@@ -115,6 +119,8 @@ def _h2_norm(r, cp):
             f"not in Fock space: spr(A) = {s:.12g} is not < 1")
     P = stein_solve(cp, np.outer(r.c, np.conj(r.c)), side="right")
     value = float(np.real(np.conj(r.b) @ P @ r.b))
+    if not np.isfinite(value):
+        raise NumericalFailureError("the squared Fock norm overflows")
     return float(np.sqrt(max(value, 0.0)))
 
 
@@ -135,8 +141,7 @@ class FockMembership:
     the certified positive verdict.  On the non-positive side ``witness``
     is a pencil-singular point at norm 1/spr <= 1 (+/- the band width), and
     ``witness_sigma_min`` an upper bound on the smallest singular value of
-    the pencil there: exact below spectral.MATRIX_FREE_MIN_N, the residual
-    of its known null vector from it up.
+    the pencil there, the residual of its known null vector.
     """
 
     verdict: str

@@ -20,6 +20,7 @@ from .errors import (
     DomainError,
     MalformedJSONError,
     NotRegularAtZeroError,
+    NumericalFailureError,
     ZeroAtZeroError,
 )
 from .words import NCPolynomial
@@ -224,7 +225,7 @@ def invert(r, check=True):
         table = taylor_table(mul(r, out), 4)
         scale_t = 1.0 + max((abs(v) for v in table.coeffs.values()), default=0.0)
         if not table.allclose(NCPolynomial.one(d), tol=1e-6 * scale_t):
-            raise ArithmeticError(
+            raise NumericalFailureError(
                 "inverse construction failed its self-check (r * r^-1 != 1)")
     return out
 
@@ -310,16 +311,20 @@ def _krylov_basis(A, seed, tol):
 
     Each generation applies every A_j to the previous one, projects out the
     accumulated basis, and orthonormalizes the remainder with a singular
-    value cutoff relative to the largest scale seen so far.  Expanding
+    value cutoff relative to the largest scale seen so far: 1 for the
+    normalized seed, the largest singular value of each image after it, so
+    that the cutoff does not depend on the scale of the seed.  Expanding
     generation by generation (instead of re-factoring the whole stack)
     keeps the graded zero structure of polynomial realizations exact, so
     jointly nilpotent functions compress to exactly nilpotent tuples.
     """
     n = A.shape[1]
     norm_seed = np.linalg.norm(seed)
+    if not np.isfinite(norm_seed):
+        raise NumericalFailureError("the norm of b or c overflows")
     if norm_seed == 0:
         return np.zeros((n, 0), dtype=complex)
-    scale = norm_seed
+    scale = 1.0
     generation = seed[:, None] / norm_seed
     basis = [generation]
     total = 1
@@ -336,8 +341,10 @@ def _krylov_basis(A, seed, tol):
         # second projection pass guards against loss of orthogonality
         for block in basis:
             generation = generation - block @ (block.conj().T @ generation)
+        # the columns were orthonormal before this pass, so s2 is near 1
+        # for every column that the first pass kept for good reason
         generation, s2, _ = np.linalg.svd(generation, full_matrices=False)
-        rank = int(np.sum(s2 > tol * scale))
+        rank = int(np.sum(s2 > tol))
         if rank == 0:
             break
         generation = generation[:, :rank]
@@ -401,9 +408,9 @@ def _nilpotent_cleanup(r, coeff_tol=1e-12):
     """
     n, d = r.n, r.d
     s1 = float(np.linalg.norm(np.hstack(list(r.A)), 2))
-    fn_scale = float(np.linalg.norm(r.b) * np.linalg.norm(r.c))
-    if s1 <= 1e-13 * max(fn_scale, 1e-300):
-        # the tuple is pure roundoff relative to the function: constant
+    if s1 <= 1e-13:
+        # the tuple is pure roundoff: over the unit row ball the function
+        # moves by a relative 1e-13 at most, so it is the constant b*c
         return Realization(np.zeros_like(r.A), r.b, r.c)
     if s1 == 0 or d ** (n + 1) > 200_000:
         return r
@@ -422,16 +429,20 @@ def _nilpotent_cleanup(r, coeff_tol=1e-12):
     # full confirmation: the whole Taylor tail at lengths n, n+1 vanishes
     head = taylor_table(r, max(n - 1, 0))
     head_max = max((abs(v) for v in head.coeffs.values()), default=0.0)
-    tail_max = 0.0
+    tails = [0.0]
     level = {(): r.c}
     for length in range(n + 2):
         if length >= n:
-            for vec in level.values():
-                tail_max = max(tail_max, abs(complex(np.conj(r.b) @ vec)))
+            tails += [abs(complex(np.conj(r.b) @ vec))
+                      for vec in level.values()]
         if length == n + 1:
             break
         level = {(j + 1,) + w: r.A[j] @ v
                  for w, v in level.items() for j in range(d)}
+    tail_max = max(tails)
+    if not np.isfinite([head_max] + tails).all():
+        raise NumericalFailureError(
+            "Taylor coefficients of the realization overflow")
     if tail_max > coeff_tol * max(head_max, 1e-300):
         return r
     # joint image chain; each step strictly shrinks or the tuple is not

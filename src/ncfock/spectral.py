@@ -60,8 +60,7 @@ form and dense eigensolve, each computed once; ``spr``, ``stein_solve``,
 ``similarity_to_contraction`` and ``boundary_singularity`` take it in place
 of the tuple, so ``boundary_singularity`` reuses the eigensolve or Arnoldi
 run of ``spr``.  ``boundary_singularity`` certifies its point by an upper
-bound on sigma_min of the n^2 x n^2 pencil: below the switch the smallest
-singular value itself, from the switch up the relative residual of the
+bound on sigma_min of the n^2 x n^2 pencil, the relative residual of the
 pencil's known null vector P^(1/2), at O(d n^3) instead of an O(n^6) SVD.
 """
 
@@ -73,6 +72,7 @@ from .errors import (
     BoundarySingularityError,
     DimensionMismatchError,
     JointlyNilpotentError,
+    NumericalFailureError,
     SpectralRadiusError,
 )
 from .realization import MatrixTuple, Realization
@@ -81,7 +81,7 @@ SPR_BOUNDARY_TOL = 1e-9
 
 # state size from which spr and the Perron eigenmatrix use Arnoldi on the CP
 # map instead of a dense eigensolve of the n^2 x n^2 real form of its
-# matrization, and boundary_singularity bounds sigma_min by a null vector
+# matrization
 MATRIX_FREE_MIN_N = 12
 
 
@@ -187,7 +187,12 @@ class CPMap:
         """R, the matrix of Ad in the coordinates hermitian_coords; R^T is
         that of the adjoint map.  The complex matrization it is built from
         is not kept."""
-        return real_form(self.matrization)
+        R = real_form(self.matrization)
+        # the dense kernels start from ||R||_F, which squares the entries
+        # of R, themselves products of two entries of A
+        if not np.isfinite(np.linalg.norm(R)):
+            raise NumericalFailureError("the matrization of A overflows")
+        return R
 
     @cached_property
     def _dense_eig(self):
@@ -220,15 +225,15 @@ def _cp_map(A):
 # Joint spectral radius
 # ---------------------------------------------------------------------------
 
-def _squared_power_estimate(M, squarings):
+def _squared_power_estimate(M, squarings, start, to_matrix):
     """rho(M) estimate from || M^K || at K = 2^squarings, with per-step
     normalization and an accumulated log so nothing over- or underflows.
 
     Per-step scaling uses the Frobenius norm (any submultiplicative norm
     washes out in the K-th root); the final norm of Ad^(K)(I) is the
-    spectral norm of the unvectorized image, faithful to the definition.
-    M is the complex matrization or, when real, its real form.  Exactly
-    nilpotent powers return 0.
+    spectral norm of to_matrix(M^K start), faithful to the definition when
+    start holds the coordinates of I and to_matrix maps coordinates back
+    to a matrix.  Exactly nilpotent powers return 0.
     """
     norm = float(np.linalg.norm(M))
     if norm == 0:
@@ -241,16 +246,11 @@ def _squared_power_estimate(M, squarings):
         if s == 0:
             return 0.0
         if not np.isfinite(s):
-            raise ArithmeticError("power estimate lost finiteness")
+            raise NumericalFailureError("power estimate lost finiteness")
         B /= s
         log_acc = 2.0 * log_acc + float(np.log(s))
     K = float(2 ** squarings)
-    n = int(round(np.sqrt(M.shape[0])))
-    if np.iscomplexobj(M):
-        image = unvec(B @ vec(np.eye(n)), n)
-    else:
-        image = from_hermitian_coords(B @ hermitian_coords(np.eye(n)), n)
-    wnorm = float(np.linalg.norm(image, 2))
+    wnorm = float(np.linalg.norm(to_matrix(B @ start), 2))
     if wnorm == 0:
         return 0.0
     return float(np.exp((log_acc + np.log(wnorm)) / K))
@@ -267,6 +267,8 @@ def _power_bound(cp):
         s = float(np.linalg.norm(P))
         if s == 0:
             return 0.0
+        if not np.isfinite(s):
+            raise NumericalFailureError("Ad^k(I) overflows")
         P /= s
         log_acc += float(np.log(s))
     return float(np.exp((log_acc + np.log(np.linalg.norm(P, 2))) / cp.n))
@@ -339,7 +341,9 @@ def spr(A, method="matrized"):
         M = cp.matrization
         if np.linalg.norm(M, 2) == 0:
             return 0.0
-        return float(np.sqrt(_squared_power_estimate(M, 48)))
+        n = cp.n
+        return float(np.sqrt(_squared_power_estimate(
+            M, 48, vec(np.eye(n)), lambda x: unvec(x, n))))
     if method != "matrized":
         raise ValueError(f"unknown spr method {method!r}")
     if cp.n >= MATRIX_FREE_MIN_N:
@@ -357,7 +361,9 @@ def spr(A, method="matrized"):
     # probe for (near-)nilpotency first: dense eigenvalues of a nilpotent
     # matrix come back at roundoff^(1/n^2) scale, far above the truth
     probe_squarings = max(int(np.ceil(np.log2(max(R.shape[0], 4)))) + 3, 8)
-    rho_probe = _squared_power_estimate(R, probe_squarings)
+    rho_probe = _squared_power_estimate(
+        R, probe_squarings, hermitian_coords(np.eye(cp.n)),
+        lambda x: from_hermitian_coords(x, cp.n))
     if rho_probe < 1e-8 * norm:
         return float(np.sqrt(max(rho_probe, 0.0)))
     rho = float(np.max(np.abs(cp._dense_eig[0])))
@@ -510,12 +516,11 @@ def _boundary_singularity(cp, tol):
     """boundary_singularity of the CPMap cp; returns the point and an upper
     bound on sigma_min of the pencil L = I - sum_j A_j kron Z_j at it.
 
-    Below MATRIX_FREE_MIN_N the bound is sigma_min itself, from an SVD of
-    the n^2 x n^2 pencil.  From the switch up it is ||L(V)|| / ||V|| for
-    the known null vector: on row-major vec L is V -> V - sum_j A_j V Z_j^T,
-    which sends V = P^(1/2) to 0, as Ad(P) = spr^2 P; in the recursive case
-    V is keep V_inner, padded as Z is, since range(P) is invariant under
-    every A_j.  That costs O(d n^3) in place of O(n^6).
+    The bound is ||L(V)|| / ||V|| for the known null vector: on row-major
+    vec L is V -> V - sum_j A_j V Z_j^T, which sends V = P^(1/2) to 0, as
+    Ad(P) = spr^2 P; in the recursive case V is keep V_inner, padded as Z
+    is, since range(P) is invariant under every A_j.  That costs O(d n^3)
+    in place of the O(n^6) SVD of the n^2 x n^2 pencil.
     """
     A, rho = cp.A, cp.spr
     scale = max(row_norm(A), 1.0)
@@ -554,14 +559,8 @@ def _boundary_singularity(cp, tol):
 
     Z, null = build(cp, A.shape[1])
     point = MatrixTuple(Z)
-    if cp.n < MATRIX_FREE_MIN_N:
-        L = np.eye(A.shape[1] * point.n, dtype=complex)
-        for j in range(A.shape[0]):
-            L -= np.kron(A[j], point[j])
-        sigma_min = float(np.linalg.svd(L, compute_uv=False)[-1])
-    else:
-        image = null - (A @ null @ np.swapaxes(Z, 1, 2)).sum(axis=0)
-        sigma_min = float(np.linalg.norm(image) / np.linalg.norm(null))
+    image = null - (A @ null @ np.swapaxes(Z, 1, 2)).sum(axis=0)
+    sigma_min = float(np.linalg.norm(image) / np.linalg.norm(null))
     if abs(point.row_norm() - 1.0 / rho) > tol or sigma_min > tol:
         raise BoundarySingularityError(
             f"boundary singularity certificate failed at tol {tol:g}: "

@@ -25,7 +25,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NCFockError, ScanGridError, SpectralRadiusError
+from .errors import (
+    NCFockError,
+    NumericalFailureError,
+    ScanGridError,
+    SpectralRadiusError,
+)
 from .realization import (
     DEFAULT_RANK_TOL,
     MatrixTuple,
@@ -447,6 +452,10 @@ def certify_witness(f, Z, y, tol=1e-8):
 
 
 def _project_ball(X):
+    if not np.isfinite(X).all():
+        # the least-squares polish of a function with huge values can step
+        # to a non-finite point
+        raise NumericalFailureError("the witness search lost finiteness")
     norm = row_norm(X)
     return X if norm <= 1.0 else X / norm
 

@@ -331,6 +331,9 @@ def test_cli_error_contract_fuzz(data, tmp_path_factory):
 
 _GOOD_REALIZATION = json.dumps(nf.realization_to_json(
     nf.minimize(nf.from_expression("inv(1 - 0.5*z1*z2 - 0.5*z2*z1)", 2))))
+# finite entries whose Taylor coefficients and CP-map matrization overflow
+_OVERFLOW_REALIZATION = ('{"d": 1, "n": 1, "A": [[[[1e308, 1e308]]]], '
+                         '"b": [[1e308, 0]], "c": [[1e308, 0]]}')
 _GOOD_POINT = json.dumps({"d": 2, "n": 1, "X": [[[[0.2, 0.1]]], [[[0.3, 0.0]]]]})
 _FUZZ_FILES = {
     "realization": [
@@ -339,8 +342,7 @@ _FUZZ_FILES = {
         '{"d": 1, "n": 1, "A": [[[[NaN, 0.0]]]], "b": [[1, 0]], "c": [[1, 0]]}',
         '{"d": 1, "n": 1, "A": [[[[0.5, 0.0]]]], "b": [[Infinity, 0]], '
         '"c": [[1, 0]]}',
-        '{"d": 1, "n": 1, "A": [[[[1e308, 1e308]]]], "b": [[1e308, 0]], '
-        '"c": [[1e308, 0]]}',
+        _OVERFLOW_REALIZATION,
         '{"d": 1, "n": 1, "A": [[[[1e200, 0.0]]]], "b": [[1, 0]], '
         '"c": [[1, 0]]}',
         '{"d": 1, "n": 2, "A": [[[[0.5, 0.0]]]], "b": [[1, 0]], "c": [[1, 0]]}',
@@ -424,8 +426,11 @@ def _file_flag_argv(draw, tmp):
 def test_cli_file_and_flag_fuzz(data, tmp_path_factory):
     """--tol, --starts, --attempts, --point and --realization with valid,
     non-finite, malformed or wrongly shaped values: exit 0, a coded JSON
-    error with exit 1, or a usage error with exit 2; never a traceback."""
-    argv = data.draw(_file_flag_argv(tmp_path_factory.mktemp("files")))
+    error with exit 1, or a usage error with exit 2; never a traceback.
+    A realization that overflows gives numerical-failure wherever it is
+    minimized or analysed; eval may print the overflowed value."""
+    tmp = tmp_path_factory.mktemp("files")
+    argv = data.draw(_file_flag_argv(tmp))
     stdout = io.StringIO()
     try:
         with contextlib.redirect_stdout(stdout), \
@@ -438,3 +443,44 @@ def test_cli_file_and_flag_fuzz(data, tmp_path_factory):
     if code == 1:
         error = json.loads(stdout.getvalue())["error"]
         assert set(error) == {"code", "message"}, argv
+    realization = tmp / "realization.json"
+    if argv[0] != "eval" and "--realization" in argv \
+            and realization.read_text() == _OVERFLOW_REALIZATION:
+        assert code == 1, argv
+        assert error["code"] == "numerical-failure", argv
+
+
+@pytest.mark.parametrize("command", [
+    ["realize", "--minimize"], ["spr"], ["norm"], ["member"], ["kernel"],
+    ["outer-test"], ["inner-test"], ["boundary-sing"],
+    ["variety-search", "--level", "1", "--attempts", "1"]])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_realization_is_a_numerical_failure(capsys, tmp_path,
+                                                        command):
+    path = tmp_path / "realization.json"
+    path.write_text(_OVERFLOW_REALIZATION)
+    code, out = run_cli(capsys, command[0], "--realization", str(path),
+                        *command[1:])
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "numerical-failure"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_inverse_self_check_is_a_numerical_failure(capsys):
+    code, out = run_cli(capsys, "member", "-d", "1", "inv(1 - 1e200*z1)")
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "numerical-failure"
+
+
+def test_uncoded_exceptions_are_not_swallowed(monkeypatch):
+    # only NCFockError and OSError become JSON errors: a ZeroDivisionError
+    # or LinAlgError from a command is a bug and must surface as one
+    from ncfock import cli
+
+    for exc in (ZeroDivisionError, np.linalg.LinAlgError):
+        def command(args, exc=exc):
+            raise exc("bug")
+
+        monkeypatch.setattr(cli, "_cmd_spr", command)
+        with pytest.raises(exc):
+            main(["spr", "-d", "1", "z1"])

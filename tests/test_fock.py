@@ -336,8 +336,8 @@ def test_stein_solve_refines_a_poor_solve(monkeypatch):
     assert np.linalg.norm(refined - exact) <= 1e-14 * np.linalg.norm(exact)
 
 
-@pytest.mark.parametrize("n", [MATRIX_FREE_MIN_N, 16])
-def test_large_not_in_verdict_takes_no_matrization_svd(monkeypatch, n):
+@pytest.mark.parametrize("n", [5, 8, MATRIX_FREE_MIN_N, 16])
+def test_not_in_verdict_takes_no_matrization_svd(monkeypatch, n):
     r = _scaled(n, 1.2, seed=n)
     calls = count_calls(monkeypatch, np.linalg, "svd")
     out = nf.is_in_fock(r)

@@ -232,3 +232,52 @@ def test_pencil_and_evaluate_match_np_kron_bitwise():
         L, value = kron_pencil(r, Z)
         assert np.array_equal(rz.pencil(r, Z), L)
         assert np.array_equal(rz.evaluate(r, Z), value)
+
+
+def test_minimize_keeps_a_small_tuple_against_large_b_and_c():
+    # r = 1e14 / (1 - a z) with |a| = 0.14 is no constant, however large
+    # b* c is against the tuple
+    a = 0.1 + 0.1j
+    r = nf.Realization(np.array([[[a]]]), np.array([1e7 + 0j]),
+                       np.array([1e7 + 0j]))
+    m = nf.minimize(r)
+    assert m.n == 1 and m.A[0, 0, 0] == a
+    assert nf.h2_norm(m) == pytest.approx(1e14 / np.sqrt(1 - abs(a) ** 2),
+                                          rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("A, bc", [(1e308 * (1 + 1j), 1e308),
+                                   (1e200 * (1 + 1j), 1e200),
+                                   (0.5, 1e300)])
+def test_minimize_reports_overflow(A, bc):
+    # each of these used to come back as the zero function or as A = 0
+    r = nf.Realization(np.array([[[A]]]), np.array([bc + 0j]),
+                       np.array([bc + 0j]))
+    with pytest.raises(nf.NumericalFailureError) as info:
+        nf.minimize(r)
+    assert info.value.code == "numerical-failure"
+    assert isinstance(info.value, ArithmeticError)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_inverse_self_check_is_coded():
+    with pytest.raises(nf.NumericalFailureError):
+        nf.from_expression("inv(1 - 1e200*z1)", 1)
+
+
+@pytest.mark.parametrize("scale_A, scale_c", [(1e10, 1.0), (1e20, 1.0),
+                                              (1e-4, 1e7)])
+def test_minimize_rank_cutoffs_do_not_depend_on_scale(scale_A, scale_c):
+    # a generic d = 2, n = 3 realization is minimal at any scale of A and c
+    rng = np.random.default_rng(3)
+    A = scale_A * (rng.standard_normal((2, 3, 3))
+                   + 1j * rng.standard_normal((2, 3, 3)))
+    b = rng.standard_normal(3) + 0j
+    c = scale_c * rng.standard_normal(3) + 0j
+    r = nf.Realization(A, b, c)
+    m = nf.minimize(r)
+    assert m.n == 3
+    for word in [(), (1,), (2, 1), (1, 2, 2)]:
+        assert nf.taylor_coeff(m, word) == pytest.approx(
+            nf.taylor_coeff(r, word), rel=1e-10)

@@ -54,6 +54,18 @@ def test_spr_nilpotent_and_scalar():
     assert nf.spr(np.array([[[0.5]]])) == pytest.approx(0.5)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 3, MATRIX_FREE_MIN_N])
+def test_spr_of_an_overflowing_matrization_is_a_numerical_failure(n):
+    # ||R||_F of entries 1e77 overflows; the power estimate once turned that
+    # into spr = 0, and an in-verdict
+    A = 1e77 * (1 + 1j) * np.ones((1, n, n))
+    with pytest.raises(nf.NumericalFailureError):
+        nf.spr(A)
+    with pytest.raises(nf.NumericalFailureError):
+        nf.is_in_fock(nf.Realization(A, np.ones(n), np.ones(n)))
+
+
 def test_spr_fixture(fixture_tuple):
     assert nf.spr(fixture_tuple) == pytest.approx(2 ** -0.25, abs=1e-12)
     assert nf.spr(fixture_tuple, method="iterate") == pytest.approx(
@@ -389,12 +401,12 @@ def _reducible(n, seed):
     return U.conj().T @ A @ U
 
 
-@pytest.mark.parametrize("n", [MATRIX_FREE_MIN_N, 16])
+@pytest.mark.parametrize("n", [4, 9, MATRIX_FREE_MIN_N, 16])
 @pytest.mark.parametrize("kind", ["definite", "recursive"])
 def test_null_vector_bound_certifies_sigma_min(n, kind):
-    # from the switch up sigma_min is the relative residual of the pencil's
-    # null vector P^(1/2), an upper bound on the SVD value; the SVD value
-    # itself is exact only to about eps ||L||
+    # on both sides of the switch sigma_min is the relative residual of the
+    # pencil's null vector P^(1/2), an upper bound on the SVD value; the SVD
+    # value itself is exact only to about eps ||L||
     if kind == "definite":
         rng = np.random.default_rng(n)
         A0 = rng.standard_normal((2, n, n)) \
