@@ -193,8 +193,7 @@ def _cmd_factor(args):
 
 
 def _cmd_outer_test(args):
-    r = rz.minimize(_load_realization(args))
-    cert = fz.is_outer_rational(r)
+    cert = fz.is_outer_rational(_load_realization(args))
     _emit({"outer": cert.outer, "spr_inverse": cert.spr_inverse,
            "indeterminate": cert.indeterminate, "reason": cert.reason},
           args.out)
@@ -211,7 +210,7 @@ def _cmd_inner_test(args):
 
 
 def _cmd_boundary_sing(args):
-    cp = spectral.CPMap(rz.minimize(_load_realization(args)).A)
+    cp = rz.minimize(_load_realization(args)).cpmap
     Z, sigma_min = spectral._boundary_singularity(cp, args.tol)
     _emit({
         "Z": rz.matrix_tuple_to_json(Z),

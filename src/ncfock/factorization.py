@@ -8,27 +8,29 @@ carried by the certificates, not by the solver: every returned q passes the
 rational outerness test and the quotient p q^{-1} passes the isometry
 (innerness) test.
 
-Outerness of a rational r with minimal realization (A, b, c) is decided by
-the radius of convergence of the series of r^{-1} at 0: r is outer iff the
-minimal realization of r^{-1} has joint spectral radius <= 1.  Innerness is
-an exact Gram condition computed through one left Stein solve.
+Outerness of a rational r is decided by the radius of convergence of the
+series of r^{-1} at 0: r is outer iff the minimal realization of r^{-1},
+the lambda = 0 cell of r's spectrum scan, has joint spectral radius <= 1.
+Innerness is an exact Gram condition computed through one left Stein solve.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CertificationError, SpectralRadiusError
+from .errors import CertificationError
 from .realization import (
     Realization,
     _krylov_basis,
+    _nilpotent_cleanup,
     from_polynomial,
     invert,
     minimize,
     mul,
     taylor_table,
 )
-from .spectral import SPR_BOUNDARY_TOL, CPMap, spr, stein_solve
+from .spectral import _ABOVE, _EDGE, band, spr, spr_below, stein_solve
+from .spectrum import _Resolvent
 from .words import NCPolynomial, suffixes, words_up_to
 
 
@@ -69,10 +71,10 @@ def hereditary_tree(p):
 class OuterResult:
     """Outcome of the rational outerness test.
 
-    outer is True iff the minimal realization of r^{-1} has
-    spr <= 1 + 1e-9; values within 1e-9 of 1 set ``indeterminate``.
-    A vanishing value at zero short-circuits to False (the pair (0, y)
-    then sits in the singularity locus).
+    outer is True iff the minimal realization of r^{-1} has spr <= 1 + 1e-9
+    (the spr of the lambda = 0 cell of r's resolvent tuple); ``indeterminate``
+    is set on the knife edge.  A vanishing value at zero short-circuits to
+    False (the pair (0, y) then sits in the singularity locus).
     """
 
     outer: bool
@@ -85,18 +87,20 @@ class OuterResult:
         return self.outer
 
 
-def is_outer_rational(r, tol=SPR_BOUNDARY_TOL):
-    gamma = r.value_at_zero()
-    scale = max(np.linalg.norm(r.b) * np.linalg.norm(r.c), 1.0)
+def is_outer_rational(r):
+    """Outerness of the function of r, which need not be minimal."""
+    r_min = minimize(r)
+    gamma = r_min.value_at_zero()
+    scale = max(np.linalg.norm(r_min.b) * np.linalg.norm(r_min.c), 1.0)
     if abs(gamma) <= 1e-12 * scale:
         return OuterResult(outer=False, spr_inverse=float("inf"),
                            value_at_zero=gamma,
                            reason="value at zero is zero")
-    r_inv = minimize(invert(r))
-    s = spr(r_inv.A)
-    return OuterResult(outer=bool(s <= 1.0 + tol), spr_inverse=s,
-                       indeterminate=bool(abs(s - 1.0) <= tol),
-                       value_at_zero=gamma,
+    # as in minimize, a polynomial 1/r comes out structurally nilpotent
+    s = spr(_nilpotent_cleanup(_Resolvent(r_min).inverse(0.0)).A)
+    where = band(s)
+    return OuterResult(outer=where != _ABOVE, spr_inverse=s,
+                       indeterminate=where == _EDGE, value_at_zero=gamma,
                        reason=f"spr of inverse realization = {s:.12g}")
 
 
@@ -119,12 +123,8 @@ class InnerResult:
 
 
 def is_inner(r, tol=1e-7):
-    cp = CPMap(r.A)
-    s = cp.spr
-    if s >= 1.0 - SPR_BOUNDARY_TOL:
-        raise SpectralRadiusError(
-            f"not a bounded multiplier: spr(A) = {s:.12g}")
-    Q = stein_solve(cp, np.outer(r.b, np.conj(r.b)), side="left")
+    spr_below(r.cpmap, "not a bounded multiplier: spr(A) = {s:.12g}")
+    Q = stein_solve(r.cpmap, np.outer(r.b, np.conj(r.b)), side="left")
     Qc = Q @ r.c
     unit = complex(np.conj(r.c) @ Qc)
     unit_defect = abs(unit - 1.0)
@@ -307,11 +307,11 @@ def outer_factor(p, n_starts=8, seed=0, tol=1e-8, inner_tol=1e-7):
     for q0, res, q in unique:
         if q0 <= 0:
             continue
-        q_real = minimize(from_polynomial(q))
+        q_real = from_polynomial(q)
         outer_cert = is_outer_rational(q_real)
         if not outer_cert:
             continue
-        theta = minimize(mul(p_real, invert(from_polynomial(q))))
+        theta = minimize(mul(p_real, invert(q_real)))
         inner_cert = is_inner(theta, tol=inner_tol)
         if not inner_cert:
             continue

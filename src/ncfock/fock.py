@@ -15,11 +15,7 @@ from math import inf
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NumericalFailureError,
-    SpectralRadiusError,
-)
+from .errors import DimensionMismatchError, NumericalFailureError
 from .realization import (
     MatrixTuple,
     Realization,
@@ -28,10 +24,12 @@ from .realization import (
     taylor_table,
 )
 from .spectral import (
-    SPR_BOUNDARY_TOL,
-    CPMap,
+    _BELOW,
+    _EDGE,
     _boundary_singularity,
+    band,
     similarity_to_contraction,
+    spr_below,
     stein_solve,
 )
 from .words import monomial_count, words_up_to
@@ -89,14 +87,10 @@ def kernel_from_realization(r, margin=None):
     returns {conj(W), conj(S* b), conj(S^{-1} c)}; the coefficient table of
     the result reproduces the Taylor coefficients b* A^w c.
     """
-    cp = CPMap(r.A)
-    s = cp.spr
-    if s >= 1.0 - SPR_BOUNDARY_TOL:
-        raise SpectralRadiusError(
-            f"not in Fock space: spr(A) = {s:.12g} is not < 1")
+    s = spr_below(r.cpmap, "not in Fock space: spr(A) = {s:.12g} is not < 1")
     if margin is None:
         margin = min(0.5 * (1.0 - s), 0.1)
-    S, W = similarity_to_contraction(cp, margin)
+    S, W = similarity_to_contraction(r.cpmap, margin)
     x = S.conj().T @ r.b
     u = np.linalg.solve(S, r.c)
     return KernelVector(W.conjugate(), np.conj(x), np.conj(u))
@@ -108,16 +102,8 @@ def kernel_from_realization(r, margin=None):
 
 def h2_norm(r):
     """Fock-space norm sqrt(b* P b) with P - sum A_j P A_j* = c c*."""
-    return _h2_norm(r, CPMap(r.A))
-
-
-def _h2_norm(r, cp):
-    """h2_norm of r with cp = CPMap(r.A), whose spr it reads."""
-    s = cp.spr
-    if s >= 1.0 - SPR_BOUNDARY_TOL:
-        raise SpectralRadiusError(
-            f"not in Fock space: spr(A) = {s:.12g} is not < 1")
-    P = stein_solve(cp, np.outer(r.c, np.conj(r.c)), side="right")
+    spr_below(r.cpmap, "not in Fock space: spr(A) = {s:.12g} is not < 1")
+    P = stein_solve(r.cpmap, np.outer(r.c, np.conj(r.c)), side="right")
     value = float(np.real(np.conj(r.b) @ P @ r.b))
     if not np.isfinite(value):
         raise NumericalFailureError("the squared Fock norm overflows")
@@ -136,7 +122,7 @@ class FockMembership:
     """Outcome of the membership test with its certificate.
 
     verdict is "in" (member of H^2, H^infty, and the NC disk algebra),
-    "not_in", or "boundary" for the knife edge |spr - 1| <= 1e-9, which is
+    "not_in", or "boundary" for the knife edge (``spectral.band``), which is
     surfaced rather than forced into a class.  ``in_h2`` is True only for
     the certified positive verdict.  On the non-positive side ``witness``
     is a pencil-singular point at norm 1/spr <= 1 (+/- the band width), and
@@ -156,22 +142,21 @@ class FockMembership:
 
 def is_in_fock(r, witness_tol=1e-8):
     """Theorem-A membership trichotomy for a minimal realization."""
-    cp = CPMap(r.A)
-    s = cp.spr
+    s = r.cpmap.spr
     radius = inf if s < 1e-12 else 1.0 / s
-    if s < 1.0 - SPR_BOUNDARY_TOL:
+    where = band(s)
+    if where == _BELOW:
         return FockMembership(verdict="in", in_h2=True, spr=s, radius=radius,
-                              h2_norm=_h2_norm(r, cp))
-    verdict = "boundary" if abs(s - 1.0) <= SPR_BOUNDARY_TOL else "not_in"
+                              h2_norm=h2_norm(r))
+    verdict = "boundary" if where == _EDGE else "not_in"
     try:
-        witness, sigma_min = _boundary_singularity(cp, witness_tol)
+        witness, sigma_min = _boundary_singularity(r.cpmap, witness_tol)
     except ArithmeticError:
-        return FockMembership(verdict=verdict, in_h2=False, spr=s,
-                              radius=radius)
-    return FockMembership(verdict=verdict, in_h2=False, spr=s, radius=radius,
-                          witness=witness,
-                          witness_row_norm=witness.row_norm(),
-                          witness_sigma_min=sigma_min)
+        witness = sigma_min = None
+    return FockMembership(
+        verdict=verdict, in_h2=False, spr=s, radius=radius, witness=witness,
+        witness_row_norm=None if witness is None else witness.row_norm(),
+        witness_sigma_min=sigma_min)
 
 
 # ---------------------------------------------------------------------------

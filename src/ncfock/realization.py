@@ -6,11 +6,12 @@ compile step from expression ASTs, the realization algebra (sum, scalar
 multiple, product, inverse), two-sided Krylov minimization, pencil
 evaluation, Taylor coefficients b* A^w c, and the JSON wire format.
 
-Only the spectrum functions minimize their input; the Fock and factorization
-certificates take a realization as given, since several pin state dimensions.
+Only the spectrum functions and the outerness test minimize their input; the
+Fock and innerness certificates take a realization as given.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -136,6 +137,12 @@ class Realization:
 
     def value_at_zero(self):
         return complex(np.vdot(self.b, self.c))
+
+    @cached_property
+    def cpmap(self):
+        """The ``spectral.CPMap`` of A, shared by every verdict on r."""
+        from .spectral import CPMap  # spectral imports this module
+        return CPMap(self.A)
 
     def __repr__(self):
         return f"Realization(d={self.d}, n={self.n})"

@@ -48,20 +48,22 @@ calls: 3.4 against 4.2 ms at n = 8, 4.6 against 5.1 ms at n = 9, 14
 against 5.6 ms at n = 11, 78 against 12 ms at n = 16).  The switch stays
 at n = 12, so that membership verdicts of n <= 11 and
 factorizations (n <= 4) keep the dense route; the two routes differ by up
-to about 4e-15 at n = 9..11.  Spectrum scan cells below the switch do not
-call spr at all: ``ncfock.spectrum`` decides each by a Stein certificate,
-one or two dense real solves, and calls spr only on the knife edge, where
-the certificate cannot tell.  From the switch up the certificate would
-cost an O(n^6) solve against an O(d n^3) product per Arnoldi step, so
-cells there keep the Arnoldi spr.
+to about 4e-15 at n = 9..11.
 
-One ``CPMap`` holds a tuple's spr, Perron eigenmatrix (same switch), real
-form and dense eigensolve, each computed once; ``spr``, ``stein_solve``,
-``similarity_to_contraction`` and ``boundary_singularity`` take it in place
-of the tuple, so ``boundary_singularity`` reuses the eigensolve or Arnoldi
-run of ``spr``.  ``boundary_singularity`` certifies its point by an upper
-bound on sigma_min of the n^2 x n^2 pencil, the relative residual of the
-pencil's known null vector P^(1/2), at O(d n^3) instead of an O(n^6) SVD.
+Every verdict reads ``band(spr)``: "below", "edge" or "above" 1 +- 1e-9.
+``_stein_band`` answers from one or two dense real Stein solves, or None
+on the knife edge, so scan cells below the switch call spr only there;
+from the switch up a solve would cost O(n^6) against O(d n^3) per Arnoldi
+step, so cells there keep the Arnoldi spr.
+
+One ``CPMap`` (a realization's is ``Realization.cpmap``) holds a tuple's
+spr, Perron eigenmatrix (same switch), real form and dense eigensolve,
+each computed once; ``spr``, ``stein_solve``, ``similarity_to_contraction``
+and ``boundary_singularity`` take it in place of the tuple, so the last
+reuses the eigensolve or Arnoldi run of ``spr``.  It certifies its point
+by an upper bound on sigma_min of the n^2 x n^2 pencil, the relative
+residual of the pencil's known null vector P^(1/2), at O(d n^3) instead of
+an O(n^6) SVD.
 """
 
 from functools import cached_property
@@ -83,6 +85,25 @@ SPR_BOUNDARY_TOL = 1e-9
 # map instead of a dense eigensolve of the n^2 x n^2 real form of its
 # matrization
 MATRIX_FREE_MIN_N = 12
+
+_BELOW, _EDGE, _ABOVE = "below", "edge", "above"
+
+
+def band(s):
+    """Where the spr s lies against the knife-edge band: "below" if
+    s < 1 - 1e-9, "above" if s > 1 + 1e-9, "edge" otherwise."""
+    if s < 1.0 - SPR_BOUNDARY_TOL:
+        return _BELOW
+    if s > 1.0 + SPR_BOUNDARY_TOL:
+        return _ABOVE
+    return _EDGE
+
+
+def spr_below(cp, message):
+    """cp.spr if its ``band`` is "below"; else SpectralRadiusError(message)."""
+    if band(cp.spr) != _BELOW:
+        raise SpectralRadiusError(message.format(s=cp.spr))
+    return cp.spr
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +416,7 @@ def stein_solve(A, Q0, side="right", check_spr=True):
     if side not in ("right", "left"):
         raise ValueError(f"unknown side {side!r}")
     if check_spr:
-        s = cp.spr
-        if s >= 1.0 - SPR_BOUNDARY_TOL:
-            raise SpectralRadiusError(
-                f"Stein equation needs spr(A) < 1 (got spr = {s:.12g})")
+        spr_below(cp, "Stein equation needs spr(A) < 1 (got spr = {s:.12g})")
     return _stein_real(cp.real_matrization, Q0, side)
 
 
@@ -430,6 +448,41 @@ def _stein_real(R, Q0, side="right"):
     if len(parts) == 2:
         P += 1j * from_hermitian_coords(x[:, 1], n)
     return P
+
+
+# The Stein certificate (Popescu, J. reine angew. Math. 561, 2003): for
+# t > 0 the solution P of P - Ad_{B/t}(P) = I is >= I when spr(B) < t, and
+# is not positive definite when spr(B) > t, since a positive definite P
+# gives Ad_{B/t}(P) = P - I <= (1 - 1/||P||) P.  The computed P carries a
+# roundoff of about n ||P|| 1e-16, so lambda_min(P) >= 1 - _STEIN_DELTA
+# certifies spr < t and lambda_min(P) < -_STEIN_DELTA ||P|| certifies
+# spr >= t.  ||P|| grows like 1/|1 - spr^2/t^2| near the knife edge; above
+# _STEIN_CAP the answer is left to spr (|spr - t| below 5e-8 on 1 x 1
+# tuples, below up to about 1e-6 on some random 6 x 6 ones).
+_STEIN_DELTA = 1e-6
+_STEIN_CAP = 1e7
+
+
+def _stein_band(R, n):
+    """``band`` of spr(B) from R, the real form of Ad_B: the certificate at
+    t = 1 - 1e-9, then at t = 1 + 1e-9; None when one cannot tell."""
+    for t, below_t in ((1.0 - SPR_BOUNDARY_TOL, _BELOW),
+                       (1.0 + SPR_BOUNDARY_TOL, _EDGE)):
+        try:
+            # np.eye(n).ravel() is hermitian_coords(I)
+            P = from_hermitian_coords(np.linalg.solve(
+                np.eye(n * n) - R / (t * t), np.eye(n).ravel()), n)
+            w = np.linalg.eigvalsh(P)
+        except np.linalg.LinAlgError:
+            return None
+        norm = max(-w[0], w[-1])
+        if not norm <= _STEIN_CAP:
+            return None
+        if w[0] >= 1.0 - _STEIN_DELTA:
+            return below_t
+        if not w[0] < -_STEIN_DELTA * norm:
+            return None
+    return _ABOVE
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ lambda lies in the spectrum of r(L) iff the minimal realization of
 immediate zero-level singularity).  For minimal r = (A, b, c) that spr is
 the spr of B(lambda)_j = A_j - c b* A_j / (b* c - lambda) compressed to
 O = span{A*^w b : |w| >= 1} (see ``grid_scan``).  A scan cell needs only
-the side of 1 +- 1e-9 on which it lies, which a Stein certificate on the
-real form of the matrization of B(lambda) gives without eigenvalues; spr
-itself runs only on the knife edge.  Random finite-level eigenvalue
+the ``spectral.band`` of that spr, which a Stein certificate on the real
+form of the matrization of B(lambda) gives without eigenvalues; spr itself
+runs only on the knife edge.  The lambda = 0 cell decides the outerness of
+r (``factorization.is_outer_rational``).  Random finite-level eigenvalue
 sampling provides the complementary lower bound, and sigma_0 / sigma_pm
 classification of spectrum cells follows the outerness of r - lambda.
 
@@ -29,11 +30,11 @@ from .errors import (
     NCFockError,
     NumericalFailureError,
     ScanGridError,
-    SpectralRadiusError,
 )
 from .realization import (
     DEFAULT_RANK_TOL,
     MatrixTuple,
+    Realization,
     add,
     as_matrix_tuple,
     evaluate,
@@ -41,14 +42,18 @@ from .realization import (
     minimize,
 )
 from .spectral import (
+    _ABOVE,
+    _BELOW,
+    _EDGE,
     MATRIX_FREE_MIN_N,
-    SPR_BOUNDARY_TOL,
     CPMap,
+    _stein_band,
+    band,
     boundary_singularity,
-    from_hermitian_coords,
     matrize,
     real_form,
     row_norm,
+    spr_below,
 )
 from .words import NCPolynomial, words_up_to
 
@@ -74,64 +79,18 @@ class SpectrumMembership:
         return self.verdict == "spectrum"
 
 
-def _minimal_bounded(r):
-    """The minimal realization of r, which must be a bounded multiplier."""
-    return _bounded(minimize(r))
-
-
 def _bounded(r_min):
     """r_min, which must be a bounded multiplier: spr(A) < 1 - 1e-9, shown
     by the Stein certificate below MATRIX_FREE_MIN_N and else by spr."""
-    cp = CPMap(r_min.A)
-    if cp.n < MATRIX_FREE_MIN_N and _stein_below(
-            cp.real_matrization, cp.n, 1.0 - SPR_BOUNDARY_TOL):
-        return r_min
-    s = cp.spr
-    if s >= 1.0 - SPR_BOUNDARY_TOL:
-        raise SpectralRadiusError(
-            f"not a bounded multiplier: spr(A) = {s:.12g}")
+    cp = r_min.cpmap
+    if not (cp.n < MATRIX_FREE_MIN_N and _stein_band(
+            cp.real_matrization, cp.n) == _BELOW):
+        spr_below(cp, "not a bounded multiplier: spr(A) = {s:.12g}")
     return r_min
 
 
 def _is_constant(r_min):
     return r_min.n == 1 and float(np.max(np.abs(r_min.A))) <= 1e-12
-
-
-# The Stein certificate (Popescu, J. reine angew. Math. 561, 2003): for
-# t > 0 the solution P of P - Ad_{B/t}(P) = I is >= I when spr(B) < t, and
-# is not positive definite when spr(B) > t, since a positive definite P
-# gives Ad_{B/t}(P) = P - I <= (1 - 1/||P||) P.  The computed P carries a
-# roundoff of about n ||P|| 1e-16, so lambda_min(P) >= 1 - _STEIN_DELTA
-# certifies spr < t and lambda_min(P) < -_STEIN_DELTA ||P|| certifies
-# spr >= t.  ||P|| grows like 1/|1 - spr^2/t^2| near the knife edge; above
-# _STEIN_CAP the answer is left to spr (|spr - t| below 5e-8 on 1 x 1
-# tuples, below up to about 1e-6 on some random 6 x 6 ones).
-_STEIN_DELTA = 1e-6
-_STEIN_CAP = 1e7
-
-
-def _stein_below(R, n, t):
-    """True when the Stein certificate shows spr(B) < t, False when it shows
-    spr(B) >= t, None when it cannot tell; R is the real n^2 x n^2 form of
-    Ad_B (``spectral.real_form``)."""
-    try:
-        # np.eye(n).ravel() is hermitian_coords(I)
-        P = from_hermitian_coords(np.linalg.solve(
-            np.eye(n * n) - R / (t * t), np.eye(n).ravel()), n)
-        w = np.linalg.eigvalsh(P)
-    except np.linalg.LinAlgError:
-        return None
-    norm = max(-w[0], w[-1])
-    if not norm <= _STEIN_CAP:
-        return None
-    if w[0] >= 1.0 - _STEIN_DELTA:
-        return True
-    if w[0] < -_STEIN_DELTA * norm:
-        return False
-    return None
-
-
-_BELOW, _EDGE, _ABOVE = "below", "edge", "above"
 
 
 class _Resolvent:
@@ -146,8 +105,9 @@ class _Resolvent:
         self.d = r.d
         self.gamma = r.value_at_zero()
         self.A = U.conj().T @ r.A @ U
-        self.cb = (U.conj().T @ r.c)[:, None] \
-            * (np.conj(r.b) @ r.A @ U)[:, None, :]
+        self.c = U.conj().T @ r.c
+        self.b_A = np.conj(r.b) @ r.A @ U         # row j: b* A_j U
+        self.cb = self.c[:, None] * self.b_A[:, None, :]
 
     @property
     def n(self):
@@ -155,6 +115,14 @@ class _Resolvent:
 
     def at(self, lam):
         return self.A - self.cb / (self.gamma - lam)
+
+    def inverse(self, lam):
+        """A realization of 1/(r - lambda): B(lambda) bordered by the rows
+        b* A_j U: r - lambda = gamma - lambda + b* L_A^-1 (sum z_j A_j) c."""
+        n, g = self.n, 1.0 / (self.gamma - lam)
+        A = np.zeros((self.d, n + 1, n + 1), dtype=complex)
+        A[:, 0, 1:], A[:, 1:, 1:] = self.b_A, self.at(lam)
+        return Realization(A, np.eye(n + 1)[0], np.append(g, -g * g * self.c))
 
     def is_zero_level(self, lam):
         return abs(self.gamma - lam) <= 1e-12 * max(1.0, abs(lam))
@@ -177,25 +145,16 @@ class _Resolvent:
         return np.stack([real_form(T) for T in terms]).reshape(4, -1)
 
     def band(self, lam):
-        """_BELOW, _EDGE or _ABOVE: where spr(B(lambda)) lies against the band
-        1 +- 1e-9, by the Stein certificate at t = 1 -+ 1e-9; None when the
-        certificate cannot tell, at a zero-level lambda, and from
-        MATRIX_FREE_MIN_N up."""
+        """``spectral.band`` of spr(B(lambda)) by the Stein certificate
+        (``spectral._stein_band``); None when the certificate cannot tell,
+        at a zero-level lambda, and from MATRIX_FREE_MIN_N up."""
         n = self.n
         if n >= MATRIX_FREE_MIN_N or self.is_zero_level(lam):
             return None
         alpha = 1.0 / (self.gamma - lam)
         coeffs = np.array([1.0, -alpha.real, -alpha.imag, abs(alpha) ** 2])
-        R = (coeffs @ self._real_terms).reshape(n * n, n * n)
-        below = _stein_below(R, n, 1.0 - SPR_BOUNDARY_TOL)
-        if below is None:
-            return None
-        if below:
-            return _BELOW
-        below = _stein_below(R, n, 1.0 + SPR_BOUNDARY_TOL)
-        if below is None:
-            return None
-        return _EDGE if below else _ABOVE
+        return _stein_band((coeffs @ self._real_terms).reshape(n * n, n * n),
+                           n)
 
 
 def contains_lambda(r, lam, want_witness=False):
@@ -206,7 +165,7 @@ def contains_lambda(r, lam, want_witness=False):
     spectral radius < 1 - 1e-9, computed as in ``grid_scan``.  Values within
     1e-9 of 1 keep the spectrum verdict but set ``indeterminate``.
     """
-    return _membership(_Resolvent(_minimal_bounded(r)), lam, want_witness)
+    return _membership(_Resolvent(_bounded(minimize(r))), lam, want_witness)
 
 
 def _membership(resolvent, lam, want_witness=False):
@@ -217,7 +176,8 @@ def _membership(resolvent, lam, want_witness=False):
                                   if want_witness else None)
     cp = CPMap(resolvent.at(lam))
     s = cp.spr
-    if s < 1.0 - SPR_BOUNDARY_TOL:
+    where = band(s)
+    if where == _BELOW:
         return SpectrumMembership(verdict="resolvent", spr_value=s)
     witness = None
     if want_witness:
@@ -226,9 +186,7 @@ def _membership(resolvent, lam, want_witness=False):
         except (NCFockError, ArithmeticError):
             witness = None
     return SpectrumMembership(verdict="spectrum", spr_value=s,
-                              indeterminate=bool(abs(s - 1.0)
-                                                 <= SPR_BOUNDARY_TOL),
-                              witness=witness)
+                              indeterminate=where == _EDGE, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +220,17 @@ _MAX_CELLS = 10 ** 7
 
 
 def _cell_decision(resolvent, lam, classify):
-    band = resolvent.band(lam)
-    if band is None:
+    where = resolvent.band(lam)
+    if where is None:
         try:
             membership = _membership(resolvent, lam)
         except NCFockError:
             return False, CLASS_INDET
-        band = (_BELOW if not membership
-                else _EDGE if membership.indeterminate else _ABOVE)
-    if band == _BELOW:
+        where = (_BELOW if not membership
+                 else _EDGE if membership.indeterminate else _ABOVE)
+    if where == _BELOW:
         return False, CLASS_RESOLVENT
-    if band == _EDGE:
+    if where == _EDGE:
         return True, CLASS_INDET
     return True, (CLASS_SIGMAPM if classify else CLASS_SPECTRUM)
 
@@ -283,15 +241,12 @@ def grid_scan(r, rect, resolution, classify=True):
     Each cell center is decided by the spr of B(lambda) compressed to O: it
     equals that of the minimal inverse, as invert(r - lambda) is block
     triangular with blocks B(lambda) and 0, every B(lambda)_j* maps O into
-    itself and minimality makes A_j vanish off O.  The cell asks only where
-    that spr lies against 1 +- 1e-9.  Below MATRIX_FREE_MIN_N the Stein
-    certificate answers with a linear solve at t = 1 - 1e-9 and, off the
-    resolvent side, a second at t = 1 + 1e-9, on the real form of M(lambda)
-    = M0 - alpha X1 - conj(alpha) X2 + |alpha|^2 X3 (alpha = 1/(r(0) -
-    lambda)), whose four real terms are built once per scan.  Only where it
-    cannot tell (spr within 5e-8 to about 1e-6 of t, or a singular solve)
-    does the cell compute spr, as ``contains_lambda`` does, and from the
-    switch up every cell does, by Arnoldi.  Spectrum cells are tagged
+    itself and minimality makes A_j vanish off O.  The cell asks only for
+    the ``spectral.band`` of that spr.  Below MATRIX_FREE_MIN_N the Stein
+    certificate answers (``_Resolvent.band``, whose four real terms are
+    built once per scan); only where it cannot tell does the cell compute
+    spr, as ``contains_lambda`` does, and from the switch up every cell
+    does, by Arnoldi.  Spectrum cells are tagged
     sigma_pm (spectrum if unclassified): r - lambda is outer iff that spr
     is <= 1, which a decisive cell (spr > 1 + 1e-9) or a zero-level one
     (r(0) = lambda) never meets.  Cell errors and knife-edge values are tagged
@@ -395,7 +350,7 @@ def finite_spectrum_sample(r, level_max=None, samples=1000, seed=0):
     Draws cycle through exact-boundary co-isometries, scaled Haar unitaries
     (single component and joint), and scaled Gaussian directions.
     """
-    r_min = _minimal_bounded(r)
+    r_min = _bounded(minimize(r))
     if level_max is None:
         level_max = r_min.n + 2
     rng = np.random.default_rng(seed)

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncfock as nf
-from conftest import src_env
+from conftest import count_calls, src_env
 from ncfock import factorization
 from ncfock.factorization import (
     _AutocorrelationSystem,
@@ -113,6 +114,38 @@ def test_is_outer_examples(poly_p5, t0_root):
 def test_is_outer_zero_at_zero():
     cert = nf.is_outer_rational(nf.minimize(nf.variable(1, 2)))
     assert not cert and cert.reason == "value at zero is zero"
+
+
+@pytest.mark.parametrize("text", ["inv(1 + z1 + z1*z2)",
+                                  "inv(2 - z1*z2*z1 + 0.3*z2*z2)"])
+def test_polynomial_inverse_has_spr_zero(text):
+    # 1/r is a polynomial: its tuple is nilpotent, and exactly so, as the
+    # minimal realization of 1/r is
+    r = nf.from_expression(text, 2)
+    assert nf.spr(nf.minimize(nf.invert(nf.minimize(r))).A) == 0.0
+    cert = nf.is_outer_rational(r)
+    assert cert.outer and cert.spr_inverse == 0.0
+
+
+def test_outerness_minimizes_once_and_inverts_nothing(monkeypatch, capsys):
+    from ncfock import cli, realization
+
+    counters = {name: [count_calls(monkeypatch, module, name)
+                       for module in (realization, factorization)]
+                for name in ("invert", "minimize")}
+
+    def calls(name):
+        total = sum(len(c) for c in counters[name])
+        for c in counters[name]:
+            del c[:]
+        return total
+
+    cert = nf.is_outer_rational(nf.from_expression("1 + z1 + z1*z2", 2))
+    assert not cert.outer
+    assert (calls("invert"), calls("minimize")) == (0, 1)
+    assert cli.main(["outer-test", "-d", "2", "1 + z1 + z1*z2"]) == 0
+    assert json.loads(capsys.readouterr().out)["outer"] is False
+    assert (calls("invert"), calls("minimize")) == (0, 1)
 
 
 def test_is_inner_examples():

@@ -243,11 +243,15 @@ def _count_spr_calls(monkeypatch):
 
 
 def test_verdict_computes_spr_once(monkeypatch, fixture_realization):
+    # a fresh realization: the session fixture's own CPMap may already hold
+    # its spr.  The kernel and the norm read the CPMap of the verdict.
+    r = nf.Realization(fixture_realization.A, fixture_realization.b,
+                       fixture_realization.c)
     calls = _count_spr_calls(monkeypatch)
-    assert nf.is_in_fock(fixture_realization).verdict == "in"
+    assert nf.is_in_fock(r).verdict == "in"
     assert len(calls) == 1
-    del calls[:]
-    nf.kernel_from_realization(fixture_realization)
+    nf.kernel_from_realization(r)
+    nf.h2_norm(r)
     assert len(calls) == 1
     del calls[:]
     # the fixture tuple scaled past the ball: its Perron matrix is positive
@@ -291,11 +295,11 @@ def test_verdicts_build_each_matrization_once(monkeypatch,
     assert nf.is_in_fock(big).verdict == "not_in"
     assert len(calls) == 1
     del calls[:]
-    # spr and the H^2 Stein solve share one; the kernel's spr makes one
-    # more, and its Stein solve on A/tau scales that one's real form
+    # spr, the H^2 Stein solve and the kernel share the one of r.cpmap; the
+    # kernel's Stein solve on A/tau scales its real form
     assert nf.is_in_fock(r).verdict == "in"
     nf.kernel_from_realization(r)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_dense_not_in_verdict_runs_one_eigensolve(monkeypatch):
@@ -352,14 +356,20 @@ _LAPACK = ("eig", "eigvals", "eigh", "eigvalsh", "solve", "svd", "qr", "inv",
 
 @pytest.mark.parametrize("n, target", [(8, 0.7), (8, 1.2), (16, 0.7),
                                        (16, 1.2)])
-def test_repeated_verdicts_cost_the_same(monkeypatch, n, target):
-    # nothing computed for r outlives the call: minimize hands a minimal r
-    # back as the same object, and a second verdict on it redoes every solve
+def test_repeated_verdicts_reuse_the_analysis(monkeypatch, n, target):
+    # minimize hands a minimal r back as the same object, whose CPMap keeps
+    # the analysis of A: a second verdict on it computes no spr, eigensolve,
+    # Arnoldi run or matrization, and redoes only the Stein solves and the
+    # witness.  An equal but distinct realization shares nothing.
+    from ncfock import spectral
+
     r = _scaled(n, target, seed=n)
     counters = {name: count_calls(monkeypatch, np.linalg, name)
                 for name in _LAPACK}
+    for name in ("spr", "_arnoldi_eigs", "matrize"):
+        counters[name] = count_calls(monkeypatch, spectral, name)
 
-    def verdict():
+    def verdict(r):
         for calls in counters.values():
             del calls[:]
         m = nf.minimize(r)
@@ -368,6 +378,11 @@ def test_repeated_verdicts_cost_the_same(monkeypatch, n, target):
             nf.kernel_from_realization(m)
         return {name: len(calls) for name, calls in counters.items()}
 
-    first = verdict()
-    assert sum(first.values()) > 0
-    assert verdict() == first
+    first = verdict(r)
+    assert first["spr"] == 1
+    second = verdict(r)
+    assert all(second[name] == 0
+               for name in ("spr", "_arnoldi_eigs", "matrize", "eig"))
+    assert all(second[name] <= first[name] for name in first)
+    assert sum(second.values()) < sum(first.values())
+    assert verdict(nf.Realization(r.A, r.b, r.c)) == first

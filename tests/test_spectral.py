@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from ncfock.spectral import (
     real_form,
     row_norm,
 )
+from ncfock.spectrum import _membership, _Resolvent
 
 
 def test_vec_column_stacking():
@@ -423,3 +426,47 @@ def test_null_vector_bound_certifies_sigma_min(n, kind):
     svd_min, svd_max = _pencil_sigma_min(A, Z.X)
     assert svd_min <= bound + 4 * np.finfo(float).eps * svd_max
     assert bound <= 1e-8
+
+
+# the doubles fl(1 -+ 1e-9) and their neighbours one ulp away, with the
+# side of the knife-edge band each lies on
+_BAND_ULP_CASES = [
+    (np.nextafter(1.0 - 1e-9, 0.0), "below"),
+    (1.0 - 1e-9, "edge"),
+    (np.nextafter(1.0 - 1e-9, 2.0), "edge"),
+    (np.nextafter(1.0 + 1e-9, 0.0), "edge"),
+    (1.0 + 1e-9, "edge"),
+    (np.nextafter(1.0 + 1e-9, 2.0), "above"),
+]
+
+
+@pytest.mark.parametrize("s, where", _BAND_ULP_CASES)
+def test_knife_edge_is_one_decision(s, where):
+    """Membership, a spectrum cell and outerness place an spr of exactly s
+    on the same side of the band."""
+    assert spectral.band(s) == where
+    A = np.array([[[s]]])
+    assert nf.spr(A) == s
+    verdict = nf.is_in_fock(nf.Realization(A, [1.0], [1.0])).verdict
+    assert verdict == {"below": "in", "edge": "boundary",
+                       "above": "not_in"}[where]
+    # r = 1 - s z1, minimal: its lambda = 0 cell tuple is exactly [[s]],
+    # and 1/r = 1/(1 - s z1) has spr s
+    r = nf.Realization(np.array([[[0.0, 1.0], [0.0, 0.0]]]), [1.0, 0.0],
+                       [1.0, -s])
+    cell = _membership(_Resolvent(r), 0.0)
+    assert cell.spr_value == s
+    assert bool(cell) == (where != "below")
+    assert cell.indeterminate == (where == "edge")
+    outer = nf.is_outer_rational(r)
+    assert outer.spr_inverse == s
+    assert outer.outer == (where != "above")
+    assert outer.indeterminate == (where == "edge")
+
+
+def test_only_spectral_reads_the_band_tolerance():
+    # every other module asks spectral.band, so the band means one thing
+    source = Path(spectral.__file__).parent
+    readers = [path.name for path in sorted(source.glob("*.py"))
+               if "SPR_BOUNDARY_TOL" in path.read_text()]
+    assert readers == ["spectral.py"]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncfock as nf
-from conftest import count_calls, src_env
+from conftest import count_calls, random_polynomial, src_env
 from ncfock import spectrum
 from ncfock.spectral import SPR_BOUNDARY_TOL
 from ncfock.spectrum import (
@@ -113,12 +113,21 @@ def _reference_inverse(r_min, lam):
     return nf.minimize(nf.invert(shifted, check=False))
 
 
+def _long_way_outer_spr(r):
+    """spr of the minimal realization of 1/r, built by invert and
+    minimize: the outerness test without ``is_outer_rational``."""
+    return nf.spr(nf.minimize(nf.invert(r, check=False)).A)
+
+
 def _reference_cell(r_min, lam, classify):
     """A scan cell decided by the spr of the minimal inverse realization,
-    classified by the outerness test of r - lam."""
+    classified by the outerness of r - lam, decided the long way: r - lam
+    is outer iff it is nonzero at 0 and that spr is <= 1 + 1e-9."""
     lam = complex(lam)
     shifted = nf.add(r_min, nf.const(-lam, r_min.d))
-    if abs(r_min.value_at_zero() - lam) > 1e-12 * max(1.0, abs(lam)):
+    zero_level = abs(r_min.value_at_zero() - lam) <= 1e-12 * max(1.0,
+                                                                 abs(lam))
+    if not zero_level:
         s = nf.spr(_reference_inverse(r_min, lam).A)
         if s < 1.0 - SPR_BOUNDARY_TOL:
             return False, CLASS_RESOLVENT
@@ -126,10 +135,13 @@ def _reference_cell(r_min, lam, classify):
             return True, CLASS_INDET
     if not classify:
         return True, CLASS_SPECTRUM
-    outer = nf.is_outer_rational(shifted)
-    if outer.indeterminate:
+    if zero_level:
+        return True, CLASS_SIGMAPM
+    s = _long_way_outer_spr(shifted)
+    if abs(s - 1.0) <= SPR_BOUNDARY_TOL:
         return True, CLASS_INDET
-    return True, ("sigma_0" if outer.outer else CLASS_SIGMAPM)
+    return True, ("sigma_0" if s <= 1.0 + SPR_BOUNDARY_TOL
+                  else CLASS_SIGMAPM)
 
 
 def _perturbed_fixture(fixture_realization, eps=1e-2, seed=3):
@@ -198,6 +210,42 @@ def test_resolvent_tuple_spr_matches_minimized_inverse(n, d, seed):
     got = nf.spr(_Resolvent(r).at(lam))
     want = nf.spr(_reference_inverse(r, lam).A)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+@st.composite
+def _non_minimal_realizations(draw):
+    """A realization that is not minimal, nonzero at 0: the shift
+    realization of a random polynomial with constant term 1 (controllable,
+    not always observable), or a random rational one plus the zero function
+    (a direct sum with an unreachable state)."""
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        p = random_polynomial(rng, d, degree=3, terms=5)
+        return nf.from_polynomial(p + nf.NCPolynomial(d, {(): 1.0}))
+    n = draw(st.integers(1, 6))
+    A = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
+    A *= rng.uniform(0.2, 0.9) / np.linalg.norm(np.hstack(list(A)), 2)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    c += (1.0 - np.vdot(b, c)) * b / np.vdot(b, b)      # r(0) = 1
+    return nf.add(nf.Realization(A, b, c), nf.const(0.0, d))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_non_minimal_realizations())
+def test_outerness_matches_minimized_inverse(r):
+    got = nf.is_outer_rational(r).spr_inverse
+    assert got == pytest.approx(_long_way_outer_spr(r), rel=1e-12,
+                                abs=1e-300)
+
+
+def test_outerness_of_a_constant():
+    r = nf.const(0.3 - 0.4j, 2)
+    assert _long_way_outer_spr(r) == 0.0
+    cert = nf.is_outer_rational(r)
+    assert cert.outer and not cert.indeterminate
+    assert cert.spr_inverse == 0.0
 
 
 # ---------------------------------------------------------------------------
