@@ -22,14 +22,13 @@ from .errors import CertificationError
 from .realization import (
     Realization,
     _krylov_basis,
-    _nilpotent_cleanup,
     from_polynomial,
     invert,
     minimize,
     mul,
     taylor_table,
 )
-from .spectral import _ABOVE, _EDGE, band, spr, spr_below, stein_solve
+from .spectral import _ABOVE, _EDGE, band, spr_below, stein_solve
 from .spectrum import _Resolvent
 from .words import NCPolynomial, suffixes, words_up_to
 
@@ -96,8 +95,7 @@ def is_outer_rational(r):
         return OuterResult(outer=False, spr_inverse=float("inf"),
                            value_at_zero=gamma,
                            reason="value at zero is zero")
-    # as in minimize, a polynomial 1/r comes out structurally nilpotent
-    s = spr(_nilpotent_cleanup(_Resolvent(r_min).inverse(0.0)).A)
+    s = _Resolvent(r_min).inverse_cpmap(0.0).spr
     where = band(s)
     return OuterResult(outer=where != _ABOVE, spr_inverse=s,
                        indeterminate=where == _EDGE, value_at_zero=gamma,

@@ -35,6 +35,7 @@ from .realization import (
     DEFAULT_RANK_TOL,
     MatrixTuple,
     Realization,
+    _nilpotent_cleanup,
     add,
     as_matrix_tuple,
     evaluate,
@@ -46,7 +47,6 @@ from .spectral import (
     _BELOW,
     _EDGE,
     MATRIX_FREE_MIN_N,
-    CPMap,
     _stein_band,
     band,
     boundary_singularity,
@@ -116,13 +116,18 @@ class _Resolvent:
     def at(self, lam):
         return self.A - self.cb / (self.gamma - lam)
 
-    def inverse(self, lam):
-        """A realization of 1/(r - lambda): B(lambda) bordered by the rows
-        b* A_j U: r - lambda = gamma - lambda + b* L_A^-1 (sum z_j A_j) c."""
+    def inverse_cpmap(self, lam):
+        """The ``CPMap`` of a realization of 1/(r - lambda), whose spr is
+        that of the minimal inverse: B(lambda) bordered by the rows b* A_j U,
+        as r - lambda = gamma - lambda + b* L_A^-1 (sum z_j A_j) c.  As in
+        minimize, a polynomial 1/(r - lambda) comes out structurally
+        nilpotent, so its spr is exactly 0, not roundoff^(1/n)."""
         n, g = self.n, 1.0 / (self.gamma - lam)
         A = np.zeros((self.d, n + 1, n + 1), dtype=complex)
         A[:, 0, 1:], A[:, 1:, 1:] = self.b_A, self.at(lam)
-        return Realization(A, np.eye(n + 1)[0], np.append(g, -g * g * self.c))
+        inverse = Realization(A, np.eye(n + 1)[0],
+                              np.append(g, -g * g * self.c))
+        return _nilpotent_cleanup(inverse).cpmap
 
     def is_zero_level(self, lam):
         return abs(self.gamma - lam) <= 1e-12 * max(1.0, abs(lam))
@@ -174,7 +179,7 @@ def _membership(resolvent, lam, want_witness=False):
         return SpectrumMembership(verdict="spectrum", zero_level=True,
                                   witness=MatrixTuple.zeros(resolvent.d, 1)
                                   if want_witness else None)
-    cp = CPMap(resolvent.at(lam))
+    cp = resolvent.inverse_cpmap(lam)
     s = cp.spr
     where = band(s)
     if where == _BELOW:
@@ -415,57 +420,20 @@ def _project_ball(X):
     return X if norm <= 1.0 else X / norm
 
 
-def _sigma_min(f, X):
-    return float(np.linalg.svd(_eval_any(f, MatrixTuple(X)),
-                               compute_uv=False)[-1])
-
-
-def variety_witness_search(f, level, attempts=8, seed=0, iters=50,
-                           tol=1e-8):
+def variety_witness_search(f, level, attempts=8, seed=0, tol=1e-8):
     """Best-effort search for (Z, y) with y* f(Z) = 0 at a fixed level.
 
-    Projected gradient descent on sigma_min(f(Z)) over the closed row ball
-    (finite-difference gradient, backtracking line search), followed by a
-    Gauss-Newton polish of (Z, y) jointly.  Failure to find a witness is not
-    a proof of emptiness; the certified negative route is the outerness test.
+    Each attempt draws a random point of the closed row ball and polishes
+    (Z, y) jointly by least squares on [y* f(Z), |y|^2 - 1], keeping Z in
+    the ball; the search stops at the first attempt with sigma_min(f(Z)) <=
+    tol and otherwise returns None.  Failure to find a witness is not a
+    proof of emptiness; the certified negative route is the outerness test.
     """
-    d = f.d
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(max(attempts, 1)):
-        Z = random_row_contraction(rng, d, level).X
-        # -- projected gradient phase
-        step = 0.2
-        value = _sigma_min(f, Z)
-        for _ in range(iters):
-            grad = np.zeros_like(Z)
-            h = 1e-6 * max(1.0, np.linalg.norm(Z.ravel(), np.inf))
-            for idx in np.ndindex(*Z.shape):
-                for part, delta in ((1.0, h), (1.0j, h)):
-                    Zp = Z.copy()
-                    Zp[idx] += part * delta
-                    diff = (_sigma_min(f, Zp) - value) / delta
-                    if part == 1.0:
-                        grad[idx] += diff
-                    else:
-                        grad[idx] += 1j * diff
-            gnorm = np.linalg.norm(grad.ravel())
-            if gnorm < 1e-14 or value <= tol * 0.1:
-                break
-            improved = False
-            t = step
-            for _ in range(20):
-                cand = _project_ball(Z - t * grad / gnorm)
-                cand_value = _sigma_min(f, cand)
-                if cand_value < value - 1e-4 * t * gnorm:
-                    Z, value, improved = cand, cand_value, True
-                    step = min(t * 2.0, 0.5)
-                    break
-                t /= 2.0
-            if not improved:
-                break
-        # -- Gauss-Newton polish on (Z, y)
-        Z, value = _polish_witness(f, Z, tol)
+        start = random_row_contraction(rng, f.d, level).X
+        Z, value = _polish_witness(f, start)
         if best is None or value < best[1]:
             best = (Z, value)
         if value <= tol:
@@ -481,7 +449,11 @@ def variety_witness_search(f, level, attempts=8, seed=0, iters=50,
                           level=level)
 
 
-def _polish_witness(f, Z, tol, steps=60):
+# evaluation budget of one least-squares polish
+_POLISH_STEPS = 60
+
+
+def _polish_witness(f, Z):
     """Least-squares polish of (Z, y) jointly on the residual
     [y* f(Z), |y|^2 - 1], keeping Z inside the closed ball."""
     from scipy.optimize import least_squares
@@ -511,10 +483,11 @@ def _polish_witness(f, Z, tol, steps=60):
                                [np.vdot(y, y).real - 1.0]])
 
     fit = least_squares(residual, join(Z, y0), method="trf", xtol=1e-15,
-                        ftol=1e-15, gtol=1e-15, max_nfev=steps)
+                        ftol=1e-15, gtol=1e-15, max_nfev=_POLISH_STEPS)
     Zp, _ = split(fit.x)
     Zp = _project_ball(Zp)
-    return Zp, _sigma_min(f, Zp)
+    return Zp, float(np.linalg.svd(_eval_any(f, MatrixTuple(Zp)),
+                                   compute_uv=False)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +558,6 @@ def continuity_probe(r, rect, resolution, scales=(1e-1, 1e-2, 1e-3),
             radius = eps * np.sqrt(rng.random())
             phase = 2.0 * np.pi * rng.random()
             noise[w] = radius * np.exp(1j * phase)
-        if eps == 0:
-            noise = {w: 0.0 for w in words}
         perturbed = add(r_min, from_polynomial(NCPolynomial(r_min.d, noise)))
         scan = grid_scan(perturbed, rect, resolution, classify=classify)
         distances.append(hausdorff_distance(base_points,

@@ -143,6 +143,10 @@ def test_variety_search_command(capsys):
     obj = json.loads(out)
     assert obj["found"] is True
     assert obj["residual"] <= 1e-8
+    Z = nf.matrix_tuple_from_json(obj["Z"])
+    y = [complex(entry["re"], entry["im"]) for entry in obj["y"]]
+    poly = nf.NCPolynomial(2, {(): 1.0, (1, 2): -1.0, (2, 1): -1.0})
+    nf.certify_witness(poly, Z, y, 1e-8)
 
 
 def test_continuity_probe_command(capsys):

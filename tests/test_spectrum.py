@@ -43,6 +43,16 @@ def test_contains_lambda_examples(z1):
     assert zero.verdict == "spectrum" and zero.zero_level
 
 
+def test_polynomial_inverse_cell_has_spr_zero():
+    # 1/(r - 0) is the polynomial 1 + 0.3 z1 + 0.3 z1 z2: the cell reads
+    # the spr of the cleaned, exactly nilpotent inverse, as outerness does
+    r = nf.minimize(nf.from_expression("inv(1 + 0.3*z1 + 0.3*z1*z2)", 2))
+    cell = nf.contains_lambda(r, 0.0)
+    assert cell.verdict == "resolvent"
+    assert cell.spr_value == 0.0
+    assert cell.spr_value == nf.is_outer_rational(r).spr_inverse
+
+
 def test_contains_lambda_witness(z1):
     res = nf.contains_lambda(z1, 0.5, want_witness=True)
     assert res.verdict == "spectrum"
@@ -447,6 +457,16 @@ def test_variety_search_finds_P6(poly_P6):
     assert witness is not None
     assert witness.residual <= 1e-8
     assert witness.Z.row_norm() <= 1.0 + 1e-9
+    nf.certify_witness(poly_P6, witness.Z, witness.y, 1e-8)
+
+
+def test_variety_search_inside_the_ball():
+    # with coefficients below 1 the variety still meets the closed ball at
+    # level 2
+    f = nf.NCPolynomial(2, {(): 1.0, (1, 2): -0.9, (2, 1): -0.9})
+    witness = nf.variety_witness_search(f, level=2, seed=0)
+    assert witness is not None and witness.level == 2
+    nf.certify_witness(f, witness.Z, witness.y, 1e-8)
 
 
 def test_variety_search_constant_and_outer(poly_p5):
@@ -454,8 +474,7 @@ def test_variety_search_constant_and_outer(poly_p5):
                                      attempts=2, seed=0) is None
     q = nf.outer_factor(poly_p5, seed=0).outer
     for level in (1, 2, 3, 4, 5):
-        found = nf.variety_witness_search(q, level=level, attempts=2,
-                                          seed=0, iters=30)
+        found = nf.variety_witness_search(q, level=level, attempts=2, seed=0)
         assert found is None, (level, found.residual)
 
 
@@ -478,7 +497,8 @@ def test_sigma_pm_cells_admit_witnesses(z1):
         shifted = nf.sub(z1, nf.const(lam, 2))
         witness = nf.variety_witness_search(shifted, level=1, attempts=4,
                                             seed=int(rng.integers(1000)))
-        if witness is not None and witness.residual <= 1e-8:
+        if witness is not None:
+            nf.certify_witness(shifted, witness.Z, witness.y, 1e-8)
             hits += 1
     assert hits >= 0.9 * len(lams)
 
