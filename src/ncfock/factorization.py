@@ -32,6 +32,9 @@ from .spectral import _ABOVE, _EDGE, band, spr_below, stein_solve
 from .spectrum import _Resolvent
 from .words import NCPolynomial, suffixes, words_up_to
 
+_RESIDUAL_TOL = 1e-8   # autocorrelation residual of an outer_factor root
+_INNER_TOL = 1e-7      # is_inner tolerance of its quotient
+
 
 def least_squares(*args, **kwargs):
     from scipy.optimize import least_squares  # lazy: most of import ncfock
@@ -90,8 +93,7 @@ def is_outer_rational(r):
     """Outerness of the function of r, which need not be minimal."""
     r_min = minimize(r)
     gamma = r_min.value_at_zero()
-    scale = max(np.linalg.norm(r_min.b) * np.linalg.norm(r_min.c), 1.0)
-    if abs(gamma) <= 1e-12 * scale:
+    if r_min.vanishes_at_zero():
         return OuterResult(outer=False, spr_inverse=float("inf"),
                            value_at_zero=gamma,
                            reason="value at zero is zero")
@@ -244,7 +246,7 @@ def autocorrelation_mismatch(p, q):
         default=0.0)
 
 
-def outer_factor(p, n_starts=8, seed=0, tol=1e-8, inner_tol=1e-7):
+def outer_factor(p, n_starts=8, seed=0):
     """Spectral factorization p = (inner) * q with q an NC outer polynomial.
 
     Solves autocorrelations(q) = autocorrelations(p) over the full support
@@ -285,7 +287,7 @@ def outer_factor(p, n_starts=8, seed=0, tol=1e-8, inner_tol=1e-7):
                             method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15,
                             max_nfev=4000)
         res = float(np.linalg.norm(system.residual(fit.x), np.inf))
-        if res > max(tol, 1e-10 * norm_p ** 2):
+        if res > max(_RESIDUAL_TOL, 1e-10 * norm_p ** 2):
             continue
         q = _unpack(d, words, fit.x)
         if q.coeff(()).real < 0:
@@ -310,7 +312,7 @@ def outer_factor(p, n_starts=8, seed=0, tol=1e-8, inner_tol=1e-7):
         if not outer_cert:
             continue
         theta = minimize(mul(p_real, invert(q_real)))
-        inner_cert = is_inner(theta, tol=inner_tol)
+        inner_cert = is_inner(theta, tol=_INNER_TOL)
         if not inner_cert:
             continue
         return FactorizationResult(
@@ -322,7 +324,7 @@ def outer_factor(p, n_starts=8, seed=0, tol=1e-8, inner_tol=1e-7):
         "certificates", diagnostics=diagnostics)
 
 
-def factor_identity_table(result, p, extra=4):
-    """Taylor table of inner * outer, for checking against p."""
+def factor_identity_table(result, p):
+    """Taylor table of inner * outer to length deg p + 4, to check p."""
     return taylor_table(
-        mul(result.inner, from_polynomial(result.outer)), p.degree + extra)
+        mul(result.inner, from_polynomial(result.outer)), p.degree + 4)

@@ -34,6 +34,8 @@ from .spectral import (
 )
 from .words import monomial_count, words_up_to
 
+_WITNESS_TOL = 1e-8    # sigma_min goal of an is_in_fock boundary witness
+
 
 class KernelVector:
     """NC Szego kernel datum {Z, y, v}; Z must be a strict row contraction."""
@@ -80,17 +82,15 @@ def kernel_to_realization(kernel):
     return Realization(np.conj(kernel.Z.X), np.conj(kernel.y), np.conj(kernel.v))
 
 
-def kernel_from_realization(r, margin=None):
+def kernel_from_realization(r):
     """Kernel datum of a realization with spr(A) < 1.
 
-    Applies the similarity to a strict row contraction W = S^{-1} A S and
-    returns {conj(W), conj(S* b), conj(S^{-1} c)}; the coefficient table of
-    the result reproduces the Taylor coefficients b* A^w c.
+    Applies the similarity to a row contraction W = S^{-1} A S of row norm
+    <= spr(A) + min((1 - spr(A)) / 2, 0.1) and returns {conj(W), conj(S* b),
+    conj(S^{-1} c)}, whose coefficients are the b* A^w c.
     """
     s = spr_below(r.cpmap, "not in Fock space: spr(A) = {s:.12g} is not < 1")
-    if margin is None:
-        margin = min(0.5 * (1.0 - s), 0.1)
-    S, W = similarity_to_contraction(r.cpmap, margin)
+    S, W = similarity_to_contraction(r.cpmap, min(0.5 * (1.0 - s), 0.1))
     x = S.conj().T @ r.b
     u = np.linalg.solve(S, r.c)
     return KernelVector(W.conjugate(), np.conj(x), np.conj(u))
@@ -140,7 +140,7 @@ class FockMembership:
     witness_sigma_min: float = None
 
 
-def is_in_fock(r, witness_tol=1e-8):
+def is_in_fock(r):
     """Theorem-A membership trichotomy for a minimal realization."""
     s = r.cpmap.spr
     radius = inf if s < 1e-12 else 1.0 / s
@@ -150,7 +150,7 @@ def is_in_fock(r, witness_tol=1e-8):
                               h2_norm=h2_norm(r))
     verdict = "boundary" if where == _EDGE else "not_in"
     try:
-        witness, sigma_min = _boundary_singularity(r.cpmap, witness_tol)
+        witness, sigma_min = _boundary_singularity(r.cpmap, _WITNESS_TOL)
     except ArithmeticError:
         witness = sigma_min = None
     return FockMembership(

@@ -28,6 +28,7 @@ from .words import NCPolynomial
 
 DEFAULT_RANK_TOL = 1e-10
 PENCIL_RCOND = 1e-12
+_NILPOTENT_COEFF_TOL = 1e-12   # relative zero of a Taylor tail coefficient
 
 
 # ---------------------------------------------------------------------------
@@ -52,10 +53,6 @@ class MatrixTuple:
     def zeros(cls, d, n):
         return cls(np.zeros((d, n, n), dtype=complex))
 
-    @classmethod
-    def from_scalars(cls, values):
-        return cls(np.array(values, dtype=complex).reshape(-1, 1, 1))
-
     @property
     def d(self):
         return self.X.shape[0]
@@ -74,8 +71,8 @@ class MatrixTuple:
         """Largest singular value of the 1 x d block row [X_1 ... X_d]."""
         return float(np.linalg.norm(np.hstack(list(self.X)), 2))
 
-    def is_strict_row_contraction(self, tol=0.0):
-        return self.row_norm() < 1.0 - tol
+    def is_strict_row_contraction(self):
+        return self.row_norm() < 1.0
 
     def conjugate(self):
         return MatrixTuple(np.conj(self.X))
@@ -137,6 +134,17 @@ class Realization:
 
     def value_at_zero(self):
         return complex(np.vdot(self.b, self.c))
+
+    @cached_property
+    def _value_and_scale(self):
+        return (self.value_at_zero(),
+                float(np.linalg.norm(self.b) * np.linalg.norm(self.c)))
+
+    def vanishes_at_zero(self, shift=0.0):
+        """r(0) = shift relative to max(|b| |c|, |shift|), with no floor;
+        a scan asks once per cell, so r(0) and |b| |c| are kept."""
+        gamma, scale = self._value_and_scale
+        return abs(gamma - shift) <= 1e-14 * max(scale, abs(shift))
 
     @cached_property
     def cpmap(self):
@@ -213,10 +221,9 @@ def invert(r, check=True):
     construction; when ``check`` is set the product r * invert(r) is verified
     to have Taylor table {empty word: 1} through length 4.
     """
-    gamma = r.value_at_zero()
-    scale_bc = max(np.linalg.norm(r.b) * np.linalg.norm(r.c), 1.0)
-    if abs(gamma) <= 1e-14 * scale_bc:
+    if r.vanishes_at_zero():
         raise ZeroAtZeroError("cannot invert: value at zero is zero")
+    gamma = r.value_at_zero()
     d, n = r.d, r.n
     bstar = np.conj(r.b)
     E = np.eye(n, dtype=complex) - np.outer(r.c, bstar) / gamma
@@ -368,32 +375,26 @@ def _compress(r, U):
 def minimize(r, tol=DEFAULT_RANK_TOL):
     """Jointly controllable and observable realization of the same function.
 
-    Alternates controllability compression (Krylov space of c under A) and
-    observability compression (Krylov space of b under A*) until the state
-    dimension stabilizes.  Taylor coefficients are preserved exactly up to
-    roundoff; already-minimal inputs pass through with unchanged dimension.
+    One round suffices: compress to the Krylov space of c under A
+    (controllability), then to that of b under A* (observability).  The
+    second step keeps controllability, as the complement of the observable
+    space is invariant under every A_j (Schutzenberger's reduction; Berstel
+    and Reutenauer, Noncommutative Rational Series with Applications, ch. 2).
+    Taylor coefficients are kept up to roundoff; an input that the round
+    does not shrink comes back unrotated, with its cleaner structural zeros.
     Jointly nilpotent functions (polynomials) come out structurally
     nilpotent: a joint triangularization restores the exact zeros that
     basis mixing smears at roundoff level.
     """
-    cur = r
-    for _ in range(max(r.n, 1)):
-        before = cur
-        U = _krylov_basis(cur.A, cur.c, tol)
-        if U.shape[1] == 0:
-            return const(0.0, r.d)
-        cur = _compress(cur, U)
-        Astar = np.conj(np.transpose(cur.A, (0, 2, 1)))
-        W = _krylov_basis(Astar, cur.b, tol)
-        if W.shape[1] == 0:
-            return const(0.0, r.d)
-        cur = _compress(cur, W)
-        if cur.n == before.n:
-            # the round only re-rotated an already-minimal system; keep the
-            # unrotated version, whose structural zeros are cleaner
-            cur = before
-            break
-    return _nilpotent_cleanup(cur)
+    U = _krylov_basis(r.A, r.c, tol)
+    if U.shape[1] == 0:
+        return const(0.0, r.d)
+    cur = _compress(r, U)
+    W = _krylov_basis(np.conj(np.transpose(cur.A, (0, 2, 1))), cur.b, tol)
+    if W.shape[1] == 0:
+        return const(0.0, r.d)
+    cur = _compress(cur, W)
+    return _nilpotent_cleanup(r if cur.n == r.n else cur)
 
 
 def _orth_columns(M, cutoff):
@@ -403,7 +404,7 @@ def _orth_columns(M, cutoff):
     return Q[:, : int(np.sum(s > cutoff))]
 
 
-def _nilpotent_cleanup(r, coeff_tol=1e-12):
+def _nilpotent_cleanup(r):
     """Exactly nilpotent rewrite of a realization of a polynomial.
 
     A minimal realization of dimension n is jointly nilpotent iff its Taylor
@@ -419,7 +420,7 @@ def _nilpotent_cleanup(r, coeff_tol=1e-12):
         # the tuple is pure roundoff: over the unit row ball the function
         # moves by a relative 1e-13 at most, so it is the constant b*c
         return Realization(np.zeros_like(r.A), r.b, r.c)
-    if s1 == 0 or d ** (n + 1) > 200_000:
+    if d ** (n + 1) > 200_000:
         return r
     # cheap prefilter: probe a few random tail words; any nonzero
     # coefficient means the function is not a polynomial of degree < n
@@ -431,26 +432,21 @@ def _nilpotent_cleanup(r, coeff_tol=1e-12):
             for _ in range(2 * n):
                 word = rng.integers(1, d + 1, size=length)
                 if abs(taylor_coeff(r, word)) \
-                        > coeff_tol * head_scale:
+                        > _NILPOTENT_COEFF_TOL * head_scale:
                     return r
-    # full confirmation: the whole Taylor tail at lengths n, n+1 vanishes
-    head = taylor_table(r, max(n - 1, 0))
-    head_max = max((abs(v) for v in head.coeffs.values()), default=0.0)
-    tails = [0.0]
-    level = {(): r.c}
-    for length in range(n + 2):
-        if length >= n:
-            tails += [abs(complex(np.conj(r.b) @ vec))
-                      for vec in level.values()]
-        if length == n + 1:
-            break
-        level = {(j + 1,) + w: r.A[j] @ v
-                 for w, v in level.items() for j in range(d)}
-    tail_max = max(tails)
-    if not np.isfinite([head_max] + tails).all():
+    # full confirmation: the whole Taylor tail at lengths n, n+1 vanishes;
+    # level k holds the vectors A^w c of the words of length k
+    bstar, level = np.conj(r.b), r.c[:, None]
+    coeffs = [np.abs(bstar @ level)]
+    for _ in range(n + 1):
+        level = np.hstack([A_j @ level for A_j in r.A])
+        coeffs.append(np.abs(bstar @ level))
+    head_max = max(float(np.max(k)) for k in coeffs[:n])
+    tail_max = max(float(np.max(k)) for k in coeffs[n:])
+    if not np.isfinite([head_max, tail_max]).all():
         raise NumericalFailureError(
             "Taylor coefficients of the realization overflow")
-    if tail_max > coeff_tol * max(head_max, 1e-300):
+    if tail_max > _NILPOTENT_COEFF_TOL * max(head_max, 1e-300):
         return r
     # joint image chain; each step strictly shrinks or the tuple is not
     # nilpotent after all

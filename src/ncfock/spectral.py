@@ -115,10 +115,8 @@ def vec(Z):
     return np.asarray(Z, dtype=complex).reshape(-1, order="F")
 
 
-def unvec(z, nrows, ncols=None):
-    if ncols is None:
-        ncols = nrows
-    return np.asarray(z, dtype=complex).reshape((nrows, ncols), order="F")
+def unvec(z, n):
+    return np.asarray(z, dtype=complex).reshape((n, n), order="F")
 
 
 def matrize(pairs):
@@ -395,7 +393,7 @@ def spr(A, method="matrized"):
 # Stein equations
 # ---------------------------------------------------------------------------
 
-def stein_solve(A, Q0, side="right", check_spr=True):
+def stein_solve(A, Q0, side="right"):
     """Solve the Stein equation of the CP map of A.
 
     side "right": P with P - sum_j A_j P A_j* = Q0  (P = sum_m Ad^(m)(Q0))
@@ -415,8 +413,7 @@ def stein_solve(A, Q0, side="right", check_spr=True):
         raise DimensionMismatchError("Q0 must be n x n")
     if side not in ("right", "left"):
         raise ValueError(f"unknown side {side!r}")
-    if check_spr:
-        spr_below(cp, "Stein equation needs spr(A) < 1 (got spr = {s:.12g})")
+    spr_below(cp, "Stein equation needs spr(A) < 1 (got spr = {s:.12g})")
     return _stein_real(cp.real_matrization, Q0, side)
 
 

@@ -21,7 +21,7 @@ are sigma_pm; true sigma_0 points sit exactly on the spr = 1 knife edge and
 surface as ``indeterminate`` cells.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -61,6 +61,7 @@ CLASS_RESOLVENT = "resolvent"
 CLASS_SIGMAPM = "sigma_pm"
 CLASS_INDET = "indeterminate"
 CLASS_SPECTRUM = "spectrum"          # member tag of an unclassified scan
+_PROBE_DEGREE = 3    # continuity_probe perturbs the words up to this length
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +103,7 @@ class _Resolvent:
         Q, s, _ = np.linalg.svd(np.hstack(np.conj(np.swapaxes(r.A, 1, 2))),
                                 full_matrices=False)
         U = Q[:, s > DEFAULT_RANK_TOL * s[0]]
+        self.r = r
         self.d = r.d
         self.gamma = r.value_at_zero()
         self.A = U.conj().T @ r.A @ U
@@ -129,9 +131,6 @@ class _Resolvent:
                               np.append(g, -g * g * self.c))
         return _nilpotent_cleanup(inverse).cpmap
 
-    def is_zero_level(self, lam):
-        return abs(self.gamma - lam) <= 1e-12 * max(1.0, abs(lam))
-
     @cached_property
     def _real_terms(self):
         """R0, Y1, Y2, R3 as rows: with C = cb and alpha = 1/(gamma -
@@ -154,7 +153,7 @@ class _Resolvent:
         (``spectral._stein_band``); None when the certificate cannot tell,
         at a zero-level lambda, and from MATRIX_FREE_MIN_N up."""
         n = self.n
-        if n >= MATRIX_FREE_MIN_N or self.is_zero_level(lam):
+        if n >= MATRIX_FREE_MIN_N or self.r.vanishes_at_zero(lam):
             return None
         alpha = 1.0 / (self.gamma - lam)
         coeffs = np.array([1.0, -alpha.real, -alpha.imag, abs(alpha) ** 2])
@@ -175,7 +174,7 @@ def contains_lambda(r, lam, want_witness=False):
 
 def _membership(resolvent, lam, want_witness=False):
     lam = complex(lam)
-    if resolvent.is_zero_level(lam):
+    if resolvent.r.vanishes_at_zero(lam):
         return SpectrumMembership(verdict="spectrum", zero_level=True,
                                   witness=MatrixTuple.zeros(resolvent.d, 1)
                                   if want_witness else None)
@@ -208,7 +207,6 @@ class SpectrumScan:
     centers_im: np.ndarray            # decreasing, length = rows
     member: np.ndarray                # bool, rows x columns
     classes: np.ndarray               # object array of class tags
-    classified: bool = False
 
     def member_points(self):
         """Complex centers of the cells marked spectrum."""
@@ -299,8 +297,7 @@ def _grid_scan(r_min, rect, resolution, classify):
                     resolvent, lam, classify)
     return SpectrumScan(rect=(re_min, re_max, im_min, im_max),
                         resolution=resolution, centers_re=centers_re,
-                        centers_im=centers_im, member=member, classes=classes,
-                        classified=classify)
+                        centers_im=centers_im, member=member, classes=classes)
 
 
 # ---------------------------------------------------------------------------
@@ -532,25 +529,23 @@ class ContinuityProbe:
     distances: list
     rect: tuple
     resolution: float
-    details: dict = field(default_factory=dict)
 
 
-def continuity_probe(r, rect, resolution, scales=(1e-1, 1e-2, 1e-3),
-                     degree=3, seed=0, classify=False):
+def continuity_probe(r, rect, resolution, scales=(1e-1, 1e-2, 1e-3), seed=0):
     """Hausdorff distance between the scan of r and scans of perturbed
     copies, one per noise scale.
 
     Each perturbation adds independent uniform complex noise of modulus
-    <= eps to every Taylor coefficient of word length <= degree, then
+    <= eps to every Taylor coefficient of word length <= 3, then
     re-realizes; ``grid_scan`` minimizes each copy.  r is minimized once,
     for its own scan and for the copies.  Distances are reported as a
     diagnostic table; spectral continuity predicts decay but no rate.
     """
     r_min = minimize(r)
-    base = _grid_scan(r_min, rect, resolution, classify)
+    base = _grid_scan(r_min, rect, resolution, classify=False)
     base_points = base.member_points()
     rng = np.random.default_rng(seed)
-    words = list(words_up_to(r_min.d, degree))
+    words = list(words_up_to(r_min.d, _PROBE_DEGREE))
     distances = []
     for eps in scales:
         noise = {}
@@ -559,7 +554,7 @@ def continuity_probe(r, rect, resolution, scales=(1e-1, 1e-2, 1e-3),
             phase = 2.0 * np.pi * rng.random()
             noise[w] = radius * np.exp(1j * phase)
         perturbed = add(r_min, from_polynomial(NCPolynomial(r_min.d, noise)))
-        scan = grid_scan(perturbed, rect, resolution, classify=classify)
+        scan = grid_scan(perturbed, rect, resolution, classify=False)
         distances.append(hausdorff_distance(base_points,
                                             scan.member_points()))
     return ContinuityProbe(scales=tuple(scales), distances=distances,

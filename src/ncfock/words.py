@@ -191,27 +191,12 @@ class NCPolynomial:
             out += coeff * monomial(word)
         return out
 
-    def truncate(self, max_len):
-        return NCPolynomial(
-            self.d, {w: v for w, v in self.coeffs.items() if len(w) <= max_len}
-        )
-
     def to_json_obj(self):
         """Coefficient table as a list of {"word", "re", "im"} records."""
         return [
             {"word": list(w), "re": float(v.real), "im": float(v.imag)}
             for w, v in self.items()
         ]
-
-    @classmethod
-    def from_json_obj(cls, d, records):
-        return cls(
-            d,
-            {
-                tuple(rec["word"]): complex(rec["re"], rec.get("im", 0.0))
-                for rec in records
-            },
-        )
 
     def __repr__(self):
         if self.is_zero():

@@ -1,8 +1,11 @@
+import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 
 import ncfock as nf
 from conftest import src_env
-from ncfock.cli import main
+from ncfock.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -488,3 +491,32 @@ def test_uncoded_exceptions_are_not_swallowed(monkeypatch):
         monkeypatch.setattr(cli, "_cmd_spr", command)
         with pytest.raises(exc):
             main(["spr", "-d", "1", "z1"])
+
+
+def test_outer_test_of_a_tiny_constant(capsys):
+    # a nonzero constant is outer at any scale: 1e-13 answers as 1e-11 does
+    for text in ("1e-13", "1e-11"):
+        code, out = run_cli(capsys, "outer-test", "-d", "1", text)
+        obj = json.loads(out)
+        assert code == 0, text
+        assert obj["outer"] is True and obj["spr_inverse"] == 0.0, text
+
+
+def test_member_of_the_inverse_of_a_tiny_constant(capsys):
+    code, out = run_cli(capsys, "member", "-d", "1", "inv(1e-15)")
+    obj = json.loads(out)
+    assert code == 0
+    assert obj["verdict"] == "in_H2"
+    assert obj["h2_norm"] == pytest.approx(1e15, rel=1e-12)
+
+
+def test_artifact_script_covers_every_subcommand():
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_artifacts.py"
+    spec = importlib.util.spec_from_file_location("cli_artifacts", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    parser = build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    covered = {argv[0] for argv in module.COMMANDS}
+    assert set(subparsers.choices) <= covered

@@ -316,7 +316,7 @@ def test_dense_not_in_verdict_runs_one_eigensolve(monkeypatch):
 def test_well_conditioned_stein_solve_factors_once(monkeypatch, n):
     cp = nf.CPMap(_scaled(n, 0.7, seed=n).A)
     calls = count_calls(monkeypatch, np.linalg, "solve")
-    nf.stein_solve(cp, np.eye(n), check_spr=False)
+    nf.stein_solve(cp, np.eye(n))
     assert len(calls) == 1
 
 

@@ -643,3 +643,15 @@ def test_samples_csv(z1):
     text = nf.samples_to_csv(eigs, levels)
     assert text.splitlines()[0] == "re,im,level"
     assert len(text.splitlines()) == len(eigs) + 1
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-13])
+def test_value_at_zero_test_does_not_depend_on_scale(s):
+    # 1 + z1 scaled by s, scanned on its own scaled grid, marks the same
+    # 4 cells at every scale, and its outer test sits on the knife edge
+    r = nf.scale(nf.minimize(nf.from_expression("1 + z1", 2)), s)
+    scan = nf.grid_scan(r, (-4 * s, 6 * s, -5 * s, 5 * s), s)
+    assert np.argwhere(scan.member).tolist() == [[4, 4], [4, 5], [5, 4],
+                                                 [5, 5]]
+    outer = nf.is_outer_rational(r)
+    assert outer.indeterminate and outer.spr_inverse == pytest.approx(1.0)

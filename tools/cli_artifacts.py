@@ -1,0 +1,156 @@
+"""Run a fixed list of ncfock CLI commands on one source tree and save
+everything each run printed and wrote, so that two trees can be compared
+byte for byte:
+
+    python tools/cli_artifacts.py --tree PATH_A OUT_A
+    python tools/cli_artifacts.py --tree PATH_B OUT_B
+    diff -r OUT_A OUT_B
+
+Each command runs in a fresh ``python -m ncfock`` process with the tree's
+``src`` on PYTHONPATH, one BLAS thread and OUT_DIR as working directory.
+Run k writes ``OUT_DIR/NNN-<subcommand>/`` holding ``argv`` (the command
+line), ``stdout``, ``stderr``, ``exit`` (the exit code) and the files that
+the run's ``--out`` wrote.  ``OUT_DIR/inputs/`` holds the fixed input files
+(a matrix tuple, a scaled realization) and the realizations that earlier
+``realize`` runs write for the ``--realization`` round trip.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+FIXTURE = "inv(1 - 0.5*z1*z2 - 0.5*z2*z1)"
+POLY = "1 + z1 + z1*z2"
+# the `regular_expression` shape of perfbench's cli workload (its realize
+# input at seed 101): 41 states, 11 after minimization
+RATIONAL41 = ("0.808*z1*z1*inv(1 + 0.3*z1*z1*(0.516*z2 - 0.800*z2*z1))"
+              " - 1.848*inv(1 + 0.3*z1*(0.295*z2*z2*z2"
+              " + 0.741*inv(1 - 0.3*z2*z2)))")
+INV4 = "inv(1 - 0.9*z1*z2 - 0.8*z2 - 0.7*z1*z1*z2)"
+EXPRESSIONS = {"fixture": FIXTURE, "poly": POLY, "rational41": RATIONAL41,
+               "inv4": INV4}
+
+RECT = "-1.5,1.5,-1.5,1.5"
+
+# fixed inputs, written to OUT_DIR/inputs
+INPUTS = {
+    "point.json": {
+        "d": 2, "n": 2,
+        "X": [[[[0.3, 0.1], [-0.2, 0.0]], [[0.0, 0.05], [0.25, -0.1]]],
+              [[[0.1, 0.0], [0.0, 0.2]], [[-0.15, 0.0], [0.2, 0.1]]]]},
+    # 1e-13 * (1 + z1) on two states, as nf.scale(r, 1e-13) builds it
+    "scaled.json": {
+        "d": 2, "n": 2,
+        "A": [[[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+              [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]],
+        "b": [[1.0, 0.0], [0.0, 0.0]],
+        "c": [[1e-13, 0.0], [1e-13, 0.0]]},
+}
+
+
+def _per_expression():
+    """Every subcommand on each of the four expressions."""
+    runs = []
+    for slug, text in EXPRESSIONS.items():
+        src = ["-d", "2", text]
+        runs += [
+            ["parse", "-d", "2", text],
+            ["realize", *src],
+            ["realize", *src, "--minimize",
+             "--out", f"inputs/{slug}-min.json"],
+            ["eval", *src, "--point", "inputs/point.json"],
+            ["spr", *src],
+            ["spr", *src, "--method", "iterate"],
+            ["norm", *src],
+            ["member", *src],
+            ["kernel", *src],
+            ["factor", "-d", "2", text],
+            ["outer-test", *src],
+            ["inner-test", *src],
+            ["boundary-sing", *src],
+            ["spectrum-scan", *src, f"--rect={RECT}", "--res", "0.5",
+             "--out", "{run}/scan"],
+            ["spectrum-sample", *src, "--samples", "60",
+             "--out", "{run}/sample.csv"],
+            ["variety-search", *src, "--level", "1"],
+            ["continuity-probe", *src, f"--rect={RECT}", "--res", "0.5",
+             "--scales", "1e-1,1e-2"],
+            # the round trip through the minimized realization file
+            ["member", "--realization", f"inputs/{slug}-min.json"],
+            ["outer-test", "--realization", f"inputs/{slug}-min.json"],
+        ]
+    return runs
+
+
+COMMANDS = _per_expression() + [
+    ["factor", "-d", "2", "1 - z1*z2 - z2*z1"],
+    ["factor", "-d", "2", "2 + z1*z2 + 3*z2*z1*z1"],
+    ["factor", "-d", "2", "1 + 2*z1*z2"],
+    ["factor", "-d", "2", POLY, "--seed", "3", "--starts", "4"],
+    ["realize", "-d", "2", RATIONAL41, "--minimize", "--tol", "1e-8"],
+    ["spectrum-scan", "-d", "2", "z1", "--rect=-1.3,1.3,-1.3,1.3",
+     "--res", "0.2", "--out", "{run}/scan"],
+    ["spectrum-scan", "-d", "2", "z1", "--rect=-1.3,1.3,-1.3,1.3",
+     "--res", "0.2", "--no-classify", "--out", "{run}/scan"],
+    ["spectrum-scan", "-d", "2", FIXTURE, "--rect=-2,2,-2,2", "--res",
+     "0.4", "--no-classify", "--out", "{run}/scan"],
+    ["spectrum-sample", "-d", "2", FIXTURE, "--levels", "3", "--samples",
+     "90", "--seed", "2", "--out", "{run}/sample.csv"],
+    ["continuity-probe", "-d", "2", "z1", "--rect=-1.3,1.3,-1.3,1.3",
+     "--res", "0.2", "--out", "{run}/probe.json"],
+    ["variety-search", "-d", "2", POLY, "--level", "2", "--seed", "1"],
+    ["variety-search", "-d", "2", "1 - z1*z2 - z2*z1", "--level", "2"],
+    # value at zero, at scales far below 1
+    ["outer-test", "-d", "1", "1e-13"],
+    ["outer-test", "-d", "1", "1e-11"],
+    ["member", "-d", "1", "inv(1e-15)"],
+    ["outer-test", "--realization", "inputs/scaled.json"],
+    ["spectrum-scan", "--realization", "inputs/scaled.json",
+     "--rect=-4e-13,6e-13,-5e-13,5e-13", "--res", "1e-13",
+     "--out", "{run}/scan"],
+    # usage and input errors
+    ["member", "-d", "2", "1 +"],
+    ["member", "--realization", "inputs/missing.json"],
+    ["spr"],
+    ["spectrum-scan", "-d", "2", "z1", "--res", "0.5"],
+]
+
+
+def run_all(tree, out_dir):
+    out_dir.mkdir(parents=True, exist_ok=True)
+    inputs = out_dir / "inputs"
+    inputs.mkdir(exist_ok=True)
+    for name, obj in INPUTS.items():
+        (inputs / name).write_text(json.dumps(obj) + "\n")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONHASHSEED="0")
+    for k, argv in enumerate(COMMANDS):
+        run = f"{k:03d}-{argv[0]}"
+        (out_dir / run).mkdir(exist_ok=True)
+        args = [a.replace("{run}", run) for a in argv]
+        proc = subprocess.run([sys.executable, "-m", "ncfock", *args],
+                              cwd=out_dir, env=env, capture_output=True,
+                              timeout=600)
+        (out_dir / run / "argv").write_text(json.dumps(args) + "\n")
+        (out_dir / run / "stdout").write_bytes(proc.stdout)
+        (out_dir / run / "stderr").write_bytes(proc.stderr)
+        (out_dir / run / "exit").write_text(f"{proc.returncode}\n")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--tree", type=Path, required=True,
+                        help="source tree whose src/ncfock is run")
+    parser.add_argument("out_dir", type=Path,
+                        help="directory for the outputs of every run")
+    args = parser.parse_args(argv)
+    run_all(args.tree.resolve(), args.out_dir.resolve())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
