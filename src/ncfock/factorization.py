@@ -36,9 +36,19 @@ _RESIDUAL_TOL = 1e-8   # autocorrelation residual of an outer_factor root
 _INNER_TOL = 1e-7      # is_inner tolerance of its quotient
 
 
-def least_squares(*args, **kwargs):
-    from scipy.optimize import least_squares  # lazy: most of import ncfock
-    return least_squares(*args, **kwargs)
+def least_squares(fun, x0, jac, max_nfev):
+    """Levenberg-Marquardt on fun from x0 with the exact Jacobian jac:
+    MINPACK lmder through scipy's ``leastsq``, without the set-up of
+    ``scipy.optimize.least_squares``, whose method "lm" runs the same lmder
+    with the same arguments (no ``diag``), so the same iterates.  Returns
+    an ``OptimizeResult`` with the solution x and the count nfev of
+    residual evaluations."""
+    # lazy: scipy.optimize is most of the cost of import ncfock
+    from scipy.optimize import OptimizeResult, leastsq
+    x, _, info, _, _ = leastsq(fun, x0, Dfun=jac, full_output=True,
+                               xtol=1e-15, ftol=1e-15, gtol=1e-15,
+                               maxfev=max_nfev)
+    return OptimizeResult(x=x, nfev=info["nfev"])
 
 
 def autocorrelations(p):
@@ -250,11 +260,12 @@ def outer_factor(p, n_starts=8, seed=0):
     """Spectral factorization p = (inner) * q with q an NC outer polynomial.
 
     Solves autocorrelations(q) = autocorrelations(p) over the full support
-    of words of length <= deg p with q(0) real, by Levenberg-Marquardt with
-    the exact Jacobian of ``_AutocorrelationSystem``.  It starts from 4
-    deterministic points (q = p with q(0) = |p(0)|, and three with mass on
-    the empty word: q(0) = ||p||_2 and the other coefficients 0.05, 0.2 and
-    0.5 times p's) plus ``n_starts`` randomized ones.  Among residual-
+    of words of length <= deg p with q(0) real, by Levenberg-Marquardt
+    (MINPACK lmder, ``least_squares``) with the exact Jacobian of
+    ``_AutocorrelationSystem``.  It starts from 4 deterministic points
+    (q = p with q(0) = |p(0)|, and three with mass on the empty word:
+    q(0) = ||p||_2 and the other coefficients 0.05, 0.2 and 0.5 times p's)
+    plus ``n_starts`` randomized ones.  Among residual-
     feasible solutions, candidates are taken in decreasing q(0) and the
     first one certified outer with an isometric quotient wins.
     """
@@ -284,7 +295,6 @@ def outer_factor(p, n_starts=8, seed=0):
     solutions = []
     for x0 in starts:
         fit = least_squares(system.residual, x0, jac=system.jacobian,
-                            method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15,
                             max_nfev=4000)
         res = float(np.linalg.norm(system.residual(fit.x), np.inf))
         if res > max(_RESIDUAL_TOL, 1e-10 * norm_p ** 2):

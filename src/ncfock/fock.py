@@ -143,7 +143,7 @@ class FockMembership:
 def is_in_fock(r):
     """Theorem-A membership trichotomy for a minimal realization."""
     s = r.cpmap.spr
-    radius = inf if s < 1e-12 else 1.0 / s
+    radius = inf if s == 0.0 else 1.0 / s
     where = band(s)
     if where == _BELOW:
         return FockMembership(verdict="in", in_h2=True, spr=s, radius=radius,

@@ -554,7 +554,7 @@ def boundary_singularity(r, tol=1e-8):
     P is positive definite, Y = P^{-1/2} (A/spr) P^{1/2} is a row
     co-isometry and Z = conj(Y)/spr kills the pencil.  A singular P is an
     invariant subspace: compress and recurse, padding the recursive point
-    with zeros.  The point is certified by |row norm - 1/spr| <= tol and an
+    with zeros.  The point is certified by |row norm * spr - 1| <= tol and an
     upper bound <= tol on the smallest singular value of the pencil at it
     (see ``_boundary_singularity``).  Jointly nilpotent tuples
     (polynomials) are rejected.
@@ -573,8 +573,8 @@ def _boundary_singularity(cp, tol):
     in place of the O(n^6) SVD of the n^2 x n^2 pencil.
     """
     A, rho = cp.A, cp.spr
-    scale = max(row_norm(A), 1.0)
-    if rho <= 1e-12 * scale:
+    # the spr routes return exactly 0.0 for a jointly nilpotent tuple
+    if rho == 0.0:
         raise JointlyNilpotentError(
             "spr(A) = 0: the tuple is jointly nilpotent (a polynomial), "
             "whose pencil is everywhere invertible")
@@ -611,7 +611,7 @@ def _boundary_singularity(cp, tol):
     point = MatrixTuple(Z)
     image = null - (A @ null @ np.swapaxes(Z, 1, 2)).sum(axis=0)
     sigma_min = float(np.linalg.norm(image) / np.linalg.norm(null))
-    if abs(point.row_norm() - 1.0 / rho) > tol or sigma_min > tol:
+    if abs(point.row_norm() * rho - 1.0) > tol or sigma_min > tol:
         raise BoundarySingularityError(
             f"boundary singularity certificate failed at tol {tol:g}: "
             f"row_norm = {point.row_norm():.12g}, 1/spr = {1.0 / rho:.12g}, "

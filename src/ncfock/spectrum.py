@@ -35,12 +35,14 @@ from .realization import (
     DEFAULT_RANK_TOL,
     MatrixTuple,
     Realization,
+    _kron,
     _nilpotent_cleanup,
     add,
     as_matrix_tuple,
     evaluate,
     from_polynomial,
     minimize,
+    pencil,
 )
 from .spectral import (
     _ABOVE,
@@ -421,10 +423,11 @@ def variety_witness_search(f, level, attempts=8, seed=0, tol=1e-8):
     """Best-effort search for (Z, y) with y* f(Z) = 0 at a fixed level.
 
     Each attempt draws a random point of the closed row ball and polishes
-    (Z, y) jointly by least squares on [y* f(Z), |y|^2 - 1], keeping Z in
-    the ball; the search stops at the first attempt with sigma_min(f(Z)) <=
-    tol and otherwise returns None.  Failure to find a witness is not a
-    proof of emptiness; the certified negative route is the outerness test.
+    (Z, y) jointly by least squares on [y* f(Z), |y|^2 - 1] with its exact
+    Jacobian (``_polish_witness``), keeping Z in the ball; the search stops
+    at the first attempt with sigma_min(f(Z)) <= tol and otherwise returns
+    None.  Failure to find a witness is not a proof of emptiness; the
+    certified negative route is the outerness test.
     """
     rng = np.random.default_rng(seed)
     best = None
@@ -450,38 +453,123 @@ def variety_witness_search(f, level, attempts=8, seed=0, tol=1e-8):
 _POLISH_STEPS = 60
 
 
-def _polish_witness(f, Z):
-    """Least-squares polish of (Z, y) jointly on the residual
-    [y* f(Z), |y|^2 - 1], keeping Z inside the closed ball."""
-    from scipy.optimize import least_squares
+def _row_derivative(f, W, y):
+    """f(W) and G[j, a, b, beta], the derivative of (y* f(W))_beta in
+    (W_j)_ab, which is holomorphic in W.
 
-    shape = Z.shape
-    n = shape[1]
-    nz = Z.size
+    For a polynomial, G = sum_w f_w sum_{i: w_i = j} (y* W^{w[:i]})_a
+    (W^{w[i+1:]})_{b beta}, from cached prefix rows and suffix matrices.
+    For a realization, with L = I - sum_k A_k kron W_k, ell = y* (b* kron I)
+    L^{-1} as an m x n array and R = L^{-1} (c kron I) as an m x n x n one,
+    G = sum_{p, q} ell[p, a] A_j[p, q] R[q, b, beta].
+    """
+    d, n = W.shape[0], W.shape[1]
+    if isinstance(f, NCPolynomial):
+        rows = {(): np.conj(y)}                 # y* W^u, u a prefix
+        mats = {(): np.eye(n, dtype=complex)}   # W^s, s a suffix
 
-    F0 = _eval_any(f, MatrixTuple(Z))
-    _, _, Vh = np.linalg.svd(F0.conj().T)
-    y0 = np.conj(Vh[-1])
+        def row(u):
+            if u not in rows:
+                rows[u] = row(u[:-1]) @ W[u[-1] - 1]
+            return rows[u]
 
-    def split(x):
-        Zc = (x[:nz] + 1j * x[nz:2 * nz]).reshape(shape)
+        def mat(s):
+            if s not in mats:
+                mats[s] = W[s[0] - 1] @ mat(s[1:])
+            return mats[s]
+
+        F = np.zeros((n, n), dtype=complex)
+        G = np.zeros((d, n, n, n), dtype=complex)
+        for w, coeff in f.coeffs.items():
+            F += coeff * mat(w)
+            for i, letter in enumerate(w):
+                G[letter - 1] += coeff * np.multiply.outer(row(w[:i]),
+                                                           mat(w[i + 1:]))
+        return F, G
+    m = f.n
+    L = pencil(f, W)
+    R = np.linalg.solve(L, _kron(f.c[:, None], np.eye(n))).reshape(m, n, n)
+    ell = np.linalg.solve(L.T, np.outer(np.conj(f.b), np.conj(y)).ravel())
+    F = np.tensordot(np.conj(f.b), R, 1)
+    G = np.einsum("pa,jpq,qbc->jabc", ell.reshape(m, n), f.A, R)
+    return F, G
+
+
+class _WitnessSystem:
+    """The polish residual [Re, Im of y* f(W), |y|^2 - 1] with W =
+    ``_project_ball(Z)``, and its exact Jacobian, in the coordinates
+    x = (Re Z, Im Z, Re y, Im y).
+
+    G of ``_row_derivative`` is holomorphic in W, so inside the ball (W = Z)
+    the Re Z columns are G and the Im Z ones iG.  Outside it W = Z / sigma,
+    sigma the top singular value of M = [Z_1 ... Z_d] with singular vectors
+    u and v, and the chain rule gives dW = (dZ - W dsigma) / sigma with
+    dsigma = Re(u* dM v).  The y columns are F[a, :] for Re y_a and
+    -i F[a, :] for Im y_a.
+    """
+
+    def __init__(self, f, shape):
+        self.f = f
+        self.shape = shape
+        self.n = shape[1]
+        self.nz = int(np.prod(shape))
+
+    def split(self, x):
+        nz, n = self.nz, self.n
+        Z = (x[:nz] + 1j * x[nz:2 * nz]).reshape(self.shape)
         y = x[2 * nz:2 * nz + n] + 1j * x[2 * nz + n:]
-        return Zc, y
+        return Z, y
 
-    def join(Zc, y):
-        return np.concatenate([Zc.ravel().real, Zc.ravel().imag,
+    @staticmethod
+    def join(Z, y):
+        return np.concatenate([Z.ravel().real, Z.ravel().imag,
                                y.real, y.imag])
 
-    def residual(x):
-        Zc, y = split(x)
-        Zc = _project_ball(Zc)
-        row = np.conj(y) @ _eval_any(f, MatrixTuple(Zc))
+    def residual(self, x):
+        Z, y = self.split(x)
+        row = np.conj(y) @ _eval_any(self.f, MatrixTuple(_project_ball(Z)))
         return np.concatenate([row.real, row.imag,
                                [np.vdot(y, y).real - 1.0]])
 
-    fit = least_squares(residual, join(Z, y0), method="trf", xtol=1e-15,
+    def jacobian(self, x):
+        Z, y = self.split(x)
+        W = _project_ball(Z)
+        F, G = _row_derivative(self.f, W, y)
+        G = G.reshape(self.nz, -1).T           # rows beta, columns (j, a, b)
+        d_re, d_im = G, 1j * G
+        if W is not Z:
+            d, n = self.shape[0], self.n
+            U, s, Vh = np.linalg.svd(np.hstack(list(Z)))
+            # dsigma = Re(g . dZ), g[j, a, b] = conj(u_a) v_{j n + b}
+            g = (np.conj(U[:, 0])[None, :, None]
+                 * np.conj(Vh[0]).reshape(d, 1, n)).ravel()
+            t = G @ W.ravel()
+            d_re = (G - np.outer(t, g.real)) / s[0]
+            d_im = (1j * G + np.outer(t, g.imag)) / s[0]
+        top = np.hstack([d_re, d_im, F.T, -1j * F.T])
+        norm_row = np.concatenate([np.zeros(2 * self.nz),
+                                   2.0 * y.real, 2.0 * y.imag])
+        return np.vstack([top.real, top.imag, norm_row])
+
+
+def _polish_witness(f, Z):
+    """Least-squares polish of (Z, y) jointly on the residual
+    [y* f(Z), |y|^2 - 1], keeping Z inside the closed ball.
+
+    Trust-region reflective least squares with the exact Jacobian of
+    ``_WitnessSystem``, at most ``_POLISH_STEPS`` residual evaluations.  It
+    stays on TRF: the system has 2n + 1 rows against 2 d n^2 + 2n unknowns,
+    and MINPACK's Levenberg-Marquardt needs at least as many rows."""
+    from scipy.optimize import least_squares
+
+    system = _WitnessSystem(f, Z.shape)
+    F0 = _eval_any(f, MatrixTuple(Z))
+    _, _, Vh = np.linalg.svd(F0.conj().T)
+    y0 = np.conj(Vh[-1])
+    fit = least_squares(system.residual, system.join(Z, y0),
+                        jac=system.jacobian, method="trf", xtol=1e-15,
                         ftol=1e-15, gtol=1e-15, max_nfev=_POLISH_STEPS)
-    Zp, _ = split(fit.x)
+    Zp, _ = system.split(fit.x)
     Zp = _project_ball(Zp)
     return Zp, float(np.linalg.svd(_eval_any(f, MatrixTuple(Zp)),
                                    compute_uv=False)[-1])

@@ -318,6 +318,27 @@ def test_outer_factor_uses_exact_jacobian(monkeypatch, poly_p5, poly_P6):
         assert all(callable(kwargs.get("jac")) for _, kwargs in lsq_calls)
 
 
+def test_lm_helper_matches_scipy_least_squares(monkeypatch, poly_p5,
+                                               poly_P6):
+    """The leastsq helper takes bitwise the iterates of scipy's
+    least_squares(method="lm") with the same Jacobian, on every start."""
+    from scipy.optimize import least_squares as reference
+
+    helper = factorization.least_squares
+    calls = _record_calls(monkeypatch, factorization, "least_squares")
+    p3 = nf.NCPolynomial(2, {(): 2.0, (1, 2): 1.0, (2, 1, 1): 3.0})
+    for p in (poly_p5, poly_P6, p3):
+        del calls[:]
+        nf.outer_factor(p, seed=0)
+        assert calls
+        for (fun, x0), kwargs in calls:
+            got = helper(fun, x0, **kwargs)
+            want = reference(fun, x0, method="lm", xtol=1e-15, ftol=1e-15,
+                             gtol=1e-15, **kwargs)
+            assert np.array_equal(got.x, want.x)
+            assert got.nfev == want.nfev
+
+
 def test_certification_error_diagnostics():
     with pytest.raises(ValueError):
         nf.outer_factor(nf.NCPolynomial.zero(2))

@@ -133,6 +133,15 @@ def test_is_in_fock_trichotomy(poly_p5, fixture_realization):
     assert fix.radius == pytest.approx(2 ** 0.25, abs=1e-6)
 
 
+def test_is_in_fock_radius_at_a_tiny_spr():
+    # spr 1e-13 is not zero: the radius of convergence is 1e13, not inf
+    member = nf.is_in_fock(nf.minimize(
+        nf.from_expression("inv(1 - 1e-13*z1)", 1)))
+    assert member.verdict == "in"
+    assert member.spr == pytest.approx(1e-13, rel=1e-12)
+    assert member.radius == pytest.approx(1e13, rel=1e-12)
+
+
 def test_membership_consistency_negative_side():
     geo = nf.minimize(nf.from_expression("inv(1 - z1 - z2)", 2))
     out = nf.is_in_fock(geo)

@@ -271,6 +271,19 @@ def test_boundary_singularity_reducible_tuple():
     assert np.linalg.svd(L, compute_uv=False)[-1] <= 1e-7
 
 
+def test_boundary_singularity_at_a_tiny_spr(fixture_tuple):
+    """A tuple scaled by 1e-13 is not nilpotent: its point has row norm
+    1/spr, certified relative to that scale."""
+    r = nf.minimize(nf.from_expression("inv(1 - 1e-13*z1)", 1))
+    Z = nf.boundary_singularity(r, tol=1e-10)
+    assert Z.X[0, 0, 0] == pytest.approx(1e13, rel=1e-12)
+    A = 1e-13 * fixture_tuple
+    Z = nf.boundary_singularity(A, tol=1e-8)
+    assert Z.row_norm() == pytest.approx(2 ** 0.25 * 1e13, rel=1e-8)
+    L = np.eye(9, dtype=complex) - sum(np.kron(A[j], Z[j]) for j in range(2))
+    assert np.linalg.svd(L, compute_uv=False)[-1] <= 1e-8
+
+
 def test_boundary_singularity_rejects_nilpotent():
     with pytest.raises(nf.JointlyNilpotentError):
         nf.boundary_singularity(np.array([[[0.0, 1.0], [0.0, 0.0]]]))

@@ -21,6 +21,7 @@ from ncfock.spectrum import (
     _cell_decision,
     _membership,
     _Resolvent,
+    _WitnessSystem,
 )
 
 
@@ -476,6 +477,77 @@ def test_variety_search_constant_and_outer(poly_p5):
     for level in (1, 2, 3, 4, 5):
         found = nf.variety_witness_search(q, level=level, attempts=2, seed=0)
         assert found is None, (level, found.residual)
+
+
+def _witness_case(kind, d, level, inside, seed):
+    """A polynomial or a realization f, and a point x = (Z, y) of the
+    polish coordinates with Z inside the row ball or outside it."""
+    rng = np.random.default_rng(seed)
+    if kind == "polynomial":
+        f = random_polynomial(rng, d, 3)
+    else:
+        m = int(rng.integers(1, 4))
+        A = rng.standard_normal((d, m, m)) + 1j * rng.standard_normal(
+            (d, m, m))
+        # sum_j ||A_j|| = 0.5 keeps the pencil invertible on the ball
+        A *= 0.5 / sum(np.linalg.norm(Aj, 2) for Aj in A)
+        b, c = (rng.standard_normal(m) + 1j * rng.standard_normal(m)
+                for _ in range(2))
+        f = nf.Realization(A, b, c)
+    Z = rng.standard_normal((d, level, level)) + 1j * rng.standard_normal(
+        (d, level, level))
+    norm = rng.uniform(0.3, 0.9) if inside else rng.uniform(1.1, 2.0)
+    Z *= norm / nf.MatrixTuple(Z).row_norm()
+    y = rng.standard_normal(level) + 1j * rng.standard_normal(level)
+    return f, _WitnessSystem.join(Z, y)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["polynomial", "realization"]),
+       d=st.integers(1, 3), level=st.integers(1, 3), inside=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_witness_jacobian_matches_central_differences(kind, d, level,
+                                                      inside, seed):
+    f, x = _witness_case(kind, d, level, inside, seed)
+    system = _WitnessSystem(f, (d, level, level))
+    J = system.jacobian(x)
+    h = 1e-6
+    fd = np.column_stack([(system.residual(x + h * e)
+                           - system.residual(x - h * e)) / (2 * h)
+                          for e in np.eye(x.size)])
+    assert J.shape == fd.shape == (2 * level + 1, x.size)
+    assert np.max(np.abs(J - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
+
+
+def test_polish_takes_the_exact_jacobian(monkeypatch, poly_P6,
+                                         fixture_realization):
+    """scipy gets a callable jac, so no polish evaluates its residual more
+    than _POLISH_STEPS times (a finite-difference Jacobian alone costs
+    2 d n^2 + 2n evaluations a step)."""
+    import scipy.optimize
+
+    original = scipy.optimize.least_squares
+    polishes = []
+
+    def recorded(fun, x0, jac="2-point", **kwargs):
+        calls = []
+        polishes.append((calls, jac))
+
+        def counted(x):
+            calls.append(None)
+            return fun(x)
+
+        return original(counted, x0, jac=jac, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", recorded)
+    f = nf.sub(fixture_realization, nf.const(2.0, 2))
+    for g, level in ((poly_P6, 3), (f, 2)):
+        del polishes[:]
+        nf.variety_witness_search(g, level, attempts=3, seed=1)
+        assert polishes
+        assert all(callable(jac) for _, jac in polishes)
+        assert max(len(calls) for calls, _ in polishes) \
+            <= spectrum._POLISH_STEPS
 
 
 def test_sigma0_on_boundary_of_shift_spectrum(z1):

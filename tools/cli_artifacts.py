@@ -116,6 +116,11 @@ COMMANDS = _per_expression() + [
     ["member", "--realization", "inputs/missing.json"],
     ["spr"],
     ["spectrum-scan", "-d", "2", "z1", "--res", "0.5"],
+    # the witness polish of a realization
+    ["variety-search", "-d", "2", f"{FIXTURE} - 2", "--level", "2"],
+    # a tuple with spr 1e-13: radius 1e13, boundary point at norm 1e13
+    ["member", "-d", "1", "inv(1 - 1e-13*z1)"],
+    ["boundary-sing", "-d", "1", "inv(1 - 1e-13*z1)"],
 ]
 
 
