@@ -16,11 +16,9 @@ spectrum of M with multiplicities and its 2-norm, and R^T is the matrix of
 the adjoint map P -> sum_j A_j* P A_j.  Every dense kernel works on R, in
 real arithmetic, at a half to a third of the cost of the complex one:
 
-- ``spr`` below MATRIX_FREE_MIN_N takes the eigenvalues of R, guarded
-  against spuriously large eigenvalues of near-nilpotent R by a
-  repeated-squaring probe.  A ``CPMap`` runs one eigensolve (with vectors)
-  per tuple, which ``spr`` and the Perron eigenmatrix of ``CPMap.perron``
-  share: a not-in verdict does not solve the same matrix twice.
+- ``CPMap.perron`` below MATRIX_FREE_MIN_N takes one eigensolve (with
+  vectors) of R, which ``spr`` and the Perron eigenmatrix share: a not-in
+  verdict does not solve the same matrix twice.
 - ``stein_solve`` solves (I - R) x = q, or (I - R^T) x = q on the left,
   with q the coordinates of the Hermitian part of Q0 and, if Q0 is not
   Hermitian, those of its anti-Hermitian part divided by i as a second
@@ -33,14 +31,17 @@ real arithmetic, at a half to a third of the cost of the complex one:
 ``spr`` has two methods: ``matrized`` (the spectral radius of Ad) and
 ``iterate`` (scaling-normalized repeated squaring of the complex M, which
 evaluates the defining norm limit at K = 2^48 applications and serves as
-the independent reference).  The state size n picks the route of
-``matrized``: below MATRIX_FREE_MIN_N the dense route above, from it up
-implicitly restarted Arnoldi (ARPACK, through scipy.sparse.linalg.eigs) on
-Ad itself, at O(d n^3) per product, so no n^2 x n^2 matrix is formed for
-spr.  The guard there is matrix-free too: a jointly nilpotent n-tuple has
-Ad^n(I) = 0, which n products detect, and spr is then exactly 0; for any
-other tuple ||Ad^n(I)||^(1/n) bounds rho(Ad) from above, since a positive
-map attains its norm at I.
+the independent reference).  ``matrized`` reads rho(Ad) from the one
+Perron pair ``CPMap.perron``, whose route the state size n picks: below
+MATRIX_FREE_MIN_N the dense eigensolve above, from it up implicitly
+restarted Arnoldi (ARPACK, through scipy.sparse.linalg.eigs) on Ad itself,
+at O(d n^3) per product, so no n^2 x n^2 matrix is formed for spr; if
+ARPACK fails, the dense eigensolve.  One matrix-free guard serves both
+routes: a jointly nilpotent n-tuple has Ad^n(I) = 0, which n products
+detect, and spr is then exactly 0; for any other tuple ||Ad^n(I)||^(1/n)
+bounds rho(Ad) from above, since a positive map attains its norm at I, and
+spr is the square root of the smaller of rho and that bound, which caps
+the spuriously large eigenvalues of a tuple nilpotent up to roundoff.
 
 With the real eigensolve the dense route and the Arnoldi run cost about
 the same near n = 10 (random d = 2 tuples, one BLAS thread, best of 15
@@ -57,10 +58,10 @@ from the switch up a solve would cost O(n^6) against O(d n^3) per Arnoldi
 step, so cells there keep the Arnoldi spr.
 
 One ``CPMap`` (a realization's is ``Realization.cpmap``) holds a tuple's
-spr, Perron eigenmatrix (same switch), real form and dense eigensolve,
-each computed once; ``spr``, ``stein_solve``, ``similarity_to_contraction``
-and ``boundary_singularity`` take it in place of the tuple, so the last
-reuses the eigensolve or Arnoldi run of ``spr``.  It certifies its point
+spr, Perron pair and real form, each computed once; ``spr``,
+``stein_solve``, ``similarity_to_contraction`` and
+``boundary_singularity`` take it in place of the tuple, so the last reuses
+the Perron pair that ``spr`` read.  It certifies its point
 by an upper bound on sigma_min of the n^2 x n^2 pencil, the relative
 residual of the pencil's known null vector P^(1/2), at O(d n^3) instead of
 an O(n^6) SVD.
@@ -173,9 +174,9 @@ def _as_tuple_array(A):
 
 class CPMap:
     """The CP map Ad_{A,A*} of a tuple A, with the analysis of A: its spr,
-    its Perron pair, the real form R of its matrization and, below
-    MATRIX_FREE_MIN_N, the one eigensolve of R that spr and the Perron pair
-    share.  Each is computed at most once, when first needed."""
+    its Perron pair (rho(Ad) and its eigenmatrix, the one source of rho
+    that spr reads) and the real form R of its matrization.  Each is
+    computed at most once, when first needed."""
 
     def __init__(self, A):
         self.A = _as_tuple_array(A)
@@ -207,15 +208,10 @@ class CPMap:
         that of the adjoint map.  The complex matrization it is built from
         is not kept."""
         R = real_form(self.matrization)
-        # the dense kernels start from ||R||_F, which squares the entries
-        # of R, themselves products of two entries of A
-        if not np.isfinite(np.linalg.norm(R)):
+        # the entries of R are sums of products of two entries of A
+        if not np.isfinite(R).all():
             raise NumericalFailureError("the matrization of A overflows")
         return R
-
-    @cached_property
-    def _dense_eig(self):
-        return np.linalg.eig(self.real_matrization)
 
     @cached_property
     def spr(self):
@@ -224,16 +220,16 @@ class CPMap:
     @cached_property
     def perron(self):
         """(rho(Ad), Hermitian Perron eigenmatrix): one Arnoldi run from
-        MATRIX_FREE_MIN_N up, None there if ARPACK does not converge; below
-        it the eigensolve of R that spr uses."""
-        if self.n < MATRIX_FREE_MIN_N:
-            return _dense_perron(self)
-        from scipy.sparse.linalg import ArpackNoConvergence
+        MATRIX_FREE_MIN_N up; below it, or if ARPACK fails (as it does on
+        a tuple nilpotent up to roundoff), one dense eigensolve of R."""
+        if self.n >= MATRIX_FREE_MIN_N:
+            from scipy.sparse.linalg import ArpackError
 
-        try:
-            return _arnoldi_perron(self)
-        except ArpackNoConvergence:
-            return None
+            try:
+                return _arnoldi_perron(self)
+            except ArpackError:
+                pass
+        return _dense_perron(self)
 
 
 def _cp_map(A):
@@ -244,15 +240,15 @@ def _cp_map(A):
 # Joint spectral radius
 # ---------------------------------------------------------------------------
 
-def _squared_power_estimate(M, squarings, start, to_matrix):
-    """rho(M) estimate from || M^K || at K = 2^squarings, with per-step
-    normalization and an accumulated log so nothing over- or underflows.
+def _squared_power_estimate(M, squarings, n):
+    """rho(M) estimate from || M^K || at K = 2^squarings for the complex
+    matrization M of an n-tuple, with per-step normalization and an
+    accumulated log so nothing over- or underflows.
 
     Per-step scaling uses the Frobenius norm (any submultiplicative norm
-    washes out in the K-th root); the final norm of Ad^(K)(I) is the
-    spectral norm of to_matrix(M^K start), faithful to the definition when
-    start holds the coordinates of I and to_matrix maps coordinates back
-    to a matrix.  Exactly nilpotent powers return 0.
+    washes out in the K-th root); the final norm is the spectral norm of
+    Ad^(K)(I) = unvec(M^K vec(I)), as in the definition.  Exactly
+    nilpotent powers, M = 0 among them, return 0.
     """
     norm = float(np.linalg.norm(M))
     if norm == 0:
@@ -269,7 +265,7 @@ def _squared_power_estimate(M, squarings, start, to_matrix):
         B /= s
         log_acc = 2.0 * log_acc + float(np.log(s))
     K = float(2 ** squarings)
-    wnorm = float(np.linalg.norm(to_matrix(B @ start), 2))
+    wnorm = float(np.linalg.norm(unvec(B @ vec(np.eye(n)), n), 2))
     if wnorm == 0:
         return 0.0
     return float(np.exp((log_acc + np.log(wnorm)) / K))
@@ -278,12 +274,14 @@ def _squared_power_estimate(M, squarings, start, to_matrix):
 def _power_bound(cp):
     """||Ad^n(I)||^(1/n) for the CP map of an n-tuple, with per-step
     normalization: an upper bound on rho(Ad), exactly 0 when the tuple is
-    jointly nilpotent."""
+    jointly nilpotent.  Each step divides by the largest entry modulus, which
+    squares nothing, so the bound, the product of those scales and the final
+    2-norm, is finite whenever every Ad^k(I) is."""
     P = np.eye(cp.n, dtype=complex)
     log_acc = 0.0
     for _ in range(cp.n):
         P = cp(P)
-        s = float(np.linalg.norm(P))
+        s = float(np.abs(P).max())
         if s == 0:
             return 0.0
         if not np.isfinite(s):
@@ -338,7 +336,7 @@ def _dense_perron(cp):
     """rho(Ad) and the Hermitian Perron eigenmatrix from the eigensolve of
     R: the real and imaginary parts of an eigenvector of the real
     eigenvalue rho are eigenvectors themselves; the larger is taken."""
-    w, V = cp._dense_eig
+    w, V = np.linalg.eig(cp.real_matrization)
     x = V[:, _perron_index(w)]
     P = _perron_matrix((from_hermitian_coords(x.real, cp.n),
                         from_hermitian_coords(x.imag, cp.n)))
@@ -348,45 +346,23 @@ def _dense_perron(cp):
 def spr(A, method="matrized"):
     """Joint (outer) spectral radius of a matrix tuple.
 
-    method "matrized": sqrt of the classical spectral radius of
-    sum_j conj(A_j) kron A_j, dense below MATRIX_FREE_MIN_N and by Arnoldi
-    on the CP map from it up.  method "iterate": sqrt of the norm-limit
-    estimate from repeated squaring of the complex matrization.  Jointly
-    nilpotent tuples return 0.  A may be a CPMap, whose cached Perron pair,
-    real form and eigensolve are used.
+    method "matrized": sqrt of rho(Ad) from the Perron pair
+    ``CPMap.perron`` (dense below MATRIX_FREE_MIN_N, by Arnoldi on the CP
+    map from it up), capped by the guard ||Ad^n(I)||^(1/n).  method
+    "iterate": sqrt of the norm-limit estimate from repeated squaring of
+    the complex matrization.  Jointly nilpotent tuples return 0.  A may be
+    a CPMap, whose cached Perron pair is used.
     """
     cp = _cp_map(A)
     if method == "iterate":
-        M = cp.matrization
-        if np.linalg.norm(M, 2) == 0:
-            return 0.0
-        n = cp.n
-        return float(np.sqrt(_squared_power_estimate(
-            M, 48, vec(np.eye(n)), lambda x: unvec(x, n))))
+        return float(np.sqrt(_squared_power_estimate(cp.matrization, 48,
+                                                     cp.n)))
     if method != "matrized":
         raise ValueError(f"unknown spr method {method!r}")
-    if cp.n >= MATRIX_FREE_MIN_N:
-        bound = _power_bound(cp)
-        if bound == 0:
-            return 0.0
-        # Arnoldi stalls on a tuple that is nilpotent up to roundoff; the
-        # dense route below still gives an answer
-        if cp.perron is not None:
-            return float(np.sqrt(min(cp.perron[0], bound)))
-    R = cp.real_matrization
-    norm = np.linalg.norm(R, 2)
-    if norm == 0:
+    bound = _power_bound(cp)
+    if bound == 0:
         return 0.0
-    # probe for (near-)nilpotency first: dense eigenvalues of a nilpotent
-    # matrix come back at roundoff^(1/n^2) scale, far above the truth
-    probe_squarings = max(int(np.ceil(np.log2(max(R.shape[0], 4)))) + 3, 8)
-    rho_probe = _squared_power_estimate(
-        R, probe_squarings, hermitian_coords(np.eye(cp.n)),
-        lambda x: from_hermitian_coords(x, cp.n))
-    if rho_probe < 1e-8 * norm:
-        return float(np.sqrt(max(rho_probe, 0.0)))
-    rho = float(np.max(np.abs(cp._dense_eig[0])))
-    return float(np.sqrt(min(rho, rho_probe) if rho < 0.05 * norm else rho))
+    return float(np.sqrt(min(cp.perron[0], bound)))
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +559,7 @@ def _boundary_singularity(cp, tol):
         """The point of the tuple of sub and the null vector of its
         pencil."""
         s = sub.spr
-        P = (sub.perron or _dense_perron(sub))[1]
+        P = sub.perron[1]
         w, V = np.linalg.eigh(P)
         threshold = 1e-9 * max(float(np.trace(P).real), float(w[-1]))
         if w[0] > threshold:

@@ -84,6 +84,17 @@ def poly_P6():
     return nf.NCPolynomial(2, {(): 1.0, (1, 2): -1.0, (2, 1): -1.0})
 
 
+# a degree-9 polynomial whose minimal realization (n = 17) is nilpotent only
+# up to roundoff, on which ARPACK stops with error 3 ("no shifts could be
+# applied"), not with the ArpackNoConvergence subclass (seen with scipy 1.17
+# and OpenBLAS; the outcome of ARPACK on roundoff is not promised)
+ARPACK_ERROR_3_POLY = (
+    "1.0 + (-0.2155971630897659-2.019986129147251i)*z1*z1*z1*z1*z2*z2*z2*z1*z1"
+    " + (-0.3526307943415954-0.28128741815135039i)*z1*z2*z2*z1*z1*z1*z1"
+    " + (0.9577587029597641-0.19980212906657999i)*z2*z1*z2*z2*z2*z2*z1*z1"
+    " + (-0.1828389745977349+0.5405251317548021i)*z2*z1*z1*z2*z2*z1*z1*z1")
+
+
 def cubic_root_bisection(lo=1.0 + 1e-9, hi=2.0, steps=200):
     """Real root of t^3 - 2 t^2 + t - 1 by bisection (independent oracle)."""
     def g(t):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncfock as nf
-from conftest import src_env
+from conftest import ARPACK_ERROR_3_POLY, src_env
 from ncfock.cli import build_parser, main
 
 
@@ -222,6 +222,27 @@ def test_boundary_sing_failed_certificate(capsys):
     assert _error_code(capsys, "boundary-sing", "-d", "2",
                        "inv(1 - 0.5*z1*z2 - 0.5*z2*z1)",
                        "--tol", "0") == "boundary-certificate-failed"
+
+
+def test_an_arpack_error_is_no_traceback(capsys):
+    for command in ("spr", "member"):
+        code, out = run_cli(capsys, command, "-d", "2", ARPACK_ERROR_3_POLY)
+        assert code == 0, command
+        assert json.loads(out)["spr"] < 1.0, command
+    # the spr above is roundoff of a polynomial: no certified point
+    assert _error_code(capsys, "boundary-sing", "-d", "2",
+                       ARPACK_ERROR_3_POLY) == "boundary-certificate-failed"
+
+
+def test_spr_of_a_realization_near_overflow(capsys, tmp_path):
+    # ||R||_F overflows at entries 1e77, R and Ad(I) do not
+    path = tmp_path / "big.json"
+    path.write_text('{"d": 1, "n": 1, "A": [[[[1e77, 1e77]]]], '
+                    '"b": [[1, 0]], "c": [[1, 0]]}')
+    code, out = run_cli(capsys, "spr", "--realization", str(path))
+    assert code == 0
+    assert json.loads(out)["spr"] == pytest.approx(np.sqrt(2) * 1e77,
+                                                   rel=1e-12)
 
 
 @pytest.mark.parametrize("rect, res", [

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import ncfock as nf
-from conftest import count_calls, padded
+from conftest import ARPACK_ERROR_3_POLY, padded
 from ncfock import spectral
 from ncfock.spectral import (
     MATRIX_FREE_MIN_N,
@@ -57,12 +57,25 @@ def test_spr_nilpotent_and_scalar():
     assert nf.spr(np.array([[[0.5]]])) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("n", [1, 3, MATRIX_FREE_MIN_N])
+def test_spr_of_a_matrization_near_overflow(n):
+    # entries 1e77 make ||R||_F overflow, but neither R nor any Ad^k(I):
+    # the guard scales by the largest entry, so spr is answered;
+    # A = c 1 1^T has the single nonzero eigenvalue n c
+    A = 1e77 * (1 + 1j) * np.ones((1, n, n))
+    expected = np.sqrt(2.0) * 1e77 * n
+    assert nf.spr(A) == pytest.approx(expected, rel=1e-12)
+    out = nf.is_in_fock(nf.Realization(A, np.ones(n), np.ones(n)))
+    assert out.verdict == "not_in"
+    assert out.radius == pytest.approx(1.0 / expected, rel=1e-12)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("n", [1, 3, MATRIX_FREE_MIN_N])
 def test_spr_of_an_overflowing_matrization_is_a_numerical_failure(n):
-    # ||R||_F of entries 1e77 overflows; the power estimate once turned that
-    # into spr = 0, and an in-verdict
-    A = 1e77 * (1 + 1j) * np.ones((1, n, n))
+    # entries 1e160 overflow Ad(I) itself; an overflow must never become
+    # spr = 0, and an in-verdict
+    A = 1e160 * (1 + 1j) * np.ones((1, n, n))
     with pytest.raises(nf.NumericalFailureError):
         nf.spr(A)
     with pytest.raises(nf.NumericalFailureError):
@@ -131,6 +144,79 @@ def test_spr_roundoff_nilpotent_takes_dense_route(monkeypatch):
     value = nf.spr(A)
     monkeypatch.setattr("ncfock.spectral.MATRIX_FREE_MIN_N", 10 ** 9)
     assert nf.spr(A) == value
+
+
+def test_a_roundoff_nilpotent_polynomial_gets_a_verdict():
+    # ARPACK stops on it with error 3, which the Perron pair must catch as
+    # it catches ArpackNoConvergence; the spr is roundoff, below the band
+    r = nf.minimize(nf.from_expression(ARPACK_ERROR_3_POLY, 2))
+    assert r.n >= MATRIX_FREE_MIN_N
+    out = nf.is_in_fock(r)
+    assert out.verdict == "in" and spectral.band(out.spr) == "below"
+
+
+def test_perron_fallback_serves_spr_and_the_boundary_point(monkeypatch,
+                                                            fixture_tuple):
+    # the one fallback of CPMap.perron: spr and boundary_singularity read
+    # the dense pair when Arnoldi fails
+    from scipy.sparse.linalg import ArpackError
+
+    A = padded(fixture_tuple, MATRIX_FREE_MIN_N + 1, seed=13)
+    failed = []
+
+    def fails(cp):
+        failed.append(cp)
+        raise ArpackError(3)
+
+    monkeypatch.setattr(spectral, "_arnoldi_perron", fails)
+    cp = nf.CPMap(A)
+    Z = nf.boundary_singularity(cp, tol=1e-8)
+    assert failed == [cp]
+    monkeypatch.setattr(spectral, "MATRIX_FREE_MIN_N", 10 ** 9)
+    assert cp.spr == nf.spr(A)
+    assert cp.spr == pytest.approx(2 ** -0.25, rel=1e-12)
+    assert Z.row_norm() == pytest.approx(2 ** 0.25, rel=1e-8)
+
+
+@st.composite
+def _similar_tuples(draw):
+    """A random tuple on either side of the dense/Arnoldi switch, a
+    well-conditioned S (cond <= 3) and a d x d unitary U."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([1, 2, 4, 7, MATRIX_FREE_MIN_N,
+                              MATRIX_FREE_MIN_N + 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    S = np.eye(n) + 0.5 * G / np.linalg.norm(G, 2)
+    U, _ = np.linalg.qr(rng.standard_normal((d, d))
+                        + 1j * rng.standard_normal((d, d)))
+    return A, S, U
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_similar_tuples())
+def test_spr_is_invariant_under_similarity_and_unitary_mixing(case):
+    A, S, U = case
+    s = nf.spr(A)
+    assert nf.spr(np.linalg.solve(S, A) @ S) == pytest.approx(s, rel=1e-9)
+    # sum_j B_j P B_j* = sum_k A_k P A_k* for B_j = sum_k u_jk A_k
+    assert nf.spr(np.einsum("jk,kab->jab", U, A)) == pytest.approx(
+        s, rel=1e-9)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(1, 6),
+       st.integers(MATRIX_FREE_MIN_N, MATRIX_FREE_MIN_N + 4),
+       st.integers(0, 2 ** 32 - 1))
+def test_zero_states_keep_spr_across_the_switch(d, m, n, seed):
+    # the m-state tuple takes the dense route and its padded copy Arnoldi
+    rng = np.random.default_rng(seed)
+    A0 = rng.standard_normal((d, m, m)) + 1j * rng.standard_normal((d, m, m))
+    A = rng.uniform(0.2, 1.8) / nf.spr(A0) * A0
+    s, s_padded = nf.spr(A), nf.spr(padded(A, n))
+    assert s_padded == pytest.approx(s, rel=1e-12)
+    assert spectral.band(s_padded) == spectral.band(s)
 
 
 @pytest.mark.parametrize("n", [3, MATRIX_FREE_MIN_N + 1])

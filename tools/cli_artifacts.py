@@ -11,7 +11,7 @@ Each command runs in a fresh ``python -m ncfock`` process with the tree's
 Run k writes ``OUT_DIR/NNN-<subcommand>/`` holding ``argv`` (the command
 line), ``stdout``, ``stderr``, ``exit`` (the exit code) and the files that
 the run's ``--out`` wrote.  ``OUT_DIR/inputs/`` holds the fixed input files
-(a matrix tuple, a scaled realization) and the realizations that earlier
+(a matrix tuple, two scaled realizations) and the realizations that earlier
 ``realize`` runs write for the ``--realization`` round trip.
 """
 
@@ -30,6 +30,13 @@ RATIONAL41 = ("0.808*z1*z1*inv(1 + 0.3*z1*z1*(0.516*z2 - 0.800*z2*z1))"
               " - 1.848*inv(1 + 0.3*z1*(0.295*z2*z2*z2"
               " + 0.741*inv(1 - 0.3*z2*z2)))")
 INV4 = "inv(1 - 0.9*z1*z2 - 0.8*z2 - 0.7*z1*z1*z2)"
+# a degree-9 polynomial, 17 states after minimization and nilpotent only up
+# to roundoff, on which ARPACK stops with error 3
+ARPACK3 = (
+    "1.0 + (-0.2155971630897659-2.019986129147251i)*z1*z1*z1*z1*z2*z2*z2*z1*z1"
+    " + (-0.3526307943415954-0.28128741815135039i)*z1*z2*z2*z1*z1*z1*z1"
+    " + (0.9577587029597641-0.19980212906657999i)*z2*z1*z2*z2*z2*z2*z1*z1"
+    " + (-0.1828389745977349+0.5405251317548021i)*z2*z1*z1*z2*z2*z1*z1*z1")
 EXPRESSIONS = {"fixture": FIXTURE, "poly": POLY, "rational41": RATIONAL41,
                "inv4": INV4}
 
@@ -48,6 +55,10 @@ INPUTS = {
               [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]],
         "b": [[1.0, 0.0], [0.0, 0.0]],
         "c": [[1e-13, 0.0], [1e-13, 0.0]]},
+    # A = 1e77 (1 + i): ||R||_F overflows, R and Ad(I) do not
+    "big.json": {
+        "d": 1, "n": 1, "A": [[[[1e77, 1e77]]]], "b": [[1.0, 0.0]],
+        "c": [[1.0, 0.0]]},
 }
 
 
@@ -121,6 +132,13 @@ COMMANDS = _per_expression() + [
     # a tuple with spr 1e-13: radius 1e13, boundary point at norm 1e13
     ["member", "-d", "1", "inv(1 - 1e-13*z1)"],
     ["boundary-sing", "-d", "1", "inv(1 - 1e-13*z1)"],
+    # spr 1.41e77, near the overflow threshold
+    ["spr", "--realization", "inputs/big.json"],
+    ["member", "--realization", "inputs/big.json"],
+    # ARPACK error 3 and the dense fallback
+    ["spr", "-d", "2", ARPACK3],
+    ["member", "-d", "2", ARPACK3],
+    ["boundary-sing", "-d", "2", ARPACK3],
 ]
 
 
