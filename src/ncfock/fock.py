@@ -11,7 +11,7 @@ canonical representation (kernel data are not unique).
 """
 
 from dataclasses import dataclass
-from math import inf
+from math import inf, ldexp
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .errors import DimensionMismatchError, NumericalFailureError
 from .realization import (
     MatrixTuple,
     Realization,
+    _pow2_scaled,
     as_matrix_tuple,
     taylor_coeff,
     taylor_table,
@@ -101,13 +102,20 @@ def kernel_from_realization(r):
 # ---------------------------------------------------------------------------
 
 def h2_norm(r):
-    """Fock-space norm sqrt(b* P b) with P - sum A_j P A_j* = c c*."""
+    """Fock-space norm sqrt(b* P b) with P - sum A_j P A_j* = c c*.  b and
+    c enter scaled by powers of two (``_pow2_scaled``), which the norm
+    takes back exactly, so neither c c* nor b* P b over- or underflows."""
     spr_below(r.cpmap, "not in Fock space: spr(A) = {s:.12g} is not < 1")
-    P = stein_solve(r.cpmap, np.outer(r.c, np.conj(r.c)), side="right")
-    value = float(np.real(np.conj(r.b) @ P @ r.b))
-    if not np.isfinite(value):
-        raise NumericalFailureError("the squared Fock norm overflows")
-    return float(np.sqrt(max(value, 0.0)))
+    b, e_b = _pow2_scaled(r.b)
+    c, e_c = _pow2_scaled(r.c)
+    P = stein_solve(r.cpmap, np.outer(c, np.conj(c)), side="right")
+    value = float(np.real(np.conj(b) @ P @ b))
+    if np.isfinite(value):
+        try:
+            return ldexp(float(np.sqrt(max(value, 0.0))), e_b + e_c)
+        except OverflowError:
+            pass
+    raise NumericalFailureError("the Fock norm overflows")
 
 
 def kernel_norm_bound(kernel):

@@ -10,6 +10,7 @@ Only the spectrum functions and the outerness test minimize their input; the
 Fock and innerness certificates take a realization as given.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -137,8 +138,14 @@ class Realization:
 
     @cached_property
     def _value_and_scale(self):
-        return (self.value_at_zero(),
-                float(np.linalg.norm(self.b) * np.linalg.norm(self.c)))
+        b, e_b = _pow2_scaled(self.b)
+        c, e_c = _pow2_scaled(self.c)
+        try:
+            scale = math.ldexp(float(np.linalg.norm(b) * np.linalg.norm(c)),
+                               e_b + e_c)
+        except OverflowError:
+            scale = math.inf
+        return self.value_at_zero(), scale
 
     def vanishes_at_zero(self, shift=0.0):
         """r(0) = shift relative to max(|b| |c|, |shift|), with no floor;
@@ -320,6 +327,18 @@ def taylor_table(r, max_len):
 # Minimization (two-sided Krylov compression)
 # ---------------------------------------------------------------------------
 
+def _pow2_scaled(v):
+    """(v 2^-e, e) with the largest modulus of v 2^-e in [1/2, 1], or (v, 0)
+    for a zero or non-finite v.  The scaling is exact, so the norm of v 2^-e
+    neither over- nor underflows and, wherever that of v does neither,
+    equals it times 2^-e to the bit."""
+    top = np.abs(v).max(initial=0.0)
+    if not 0.0 < top < math.inf:
+        return v, 0
+    e = max(math.frexp(top)[1], -1021)    # 2^1021 is the largest factor
+    return v * 2.0 ** -e, e
+
+
 def _krylov_basis(A, seed, tol):
     """Orthonormal basis of span{A^w seed} via breadth-first generations.
 
@@ -327,12 +346,15 @@ def _krylov_basis(A, seed, tol):
     accumulated basis, and orthonormalizes the remainder with a singular
     value cutoff relative to the largest scale seen so far: 1 for the
     normalized seed, the largest singular value of each image after it, so
-    that the cutoff does not depend on the scale of the seed.  Expanding
+    that the cutoff does not depend on the scale of the seed.  The seed is
+    first scaled by a power of two (``_pow2_scaled``), so that a seed of
+    any finite scale has a finite, nonzero norm.  Expanding
     generation by generation (instead of re-factoring the whole stack)
     keeps the graded zero structure of polynomial realizations exact, so
     jointly nilpotent functions compress to exactly nilpotent tuples.
     """
     n = A.shape[1]
+    seed = _pow2_scaled(seed)[0]
     norm_seed = np.linalg.norm(seed)
     if not np.isfinite(norm_seed):
         raise NumericalFailureError("the norm of b or c overflows")

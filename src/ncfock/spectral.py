@@ -52,10 +52,11 @@ factorizations (n <= 4) keep the dense route; the two routes differ by up
 to about 4e-15 at n = 9..11.
 
 Every verdict reads ``band(spr)``: "below", "edge" or "above" 1 +- 1e-9.
-``_stein_band`` answers from one or two dense real Stein solves, or None
-on the knife edge, so scan cells below the switch call spr only there;
-from the switch up a solve would cost O(n^6) against O(d n^3) per Arnoldi
-step, so cells there keep the Arnoldi spr.
+``_stein_bands`` answers for a stack of real forms at once, from one
+stacked real Stein solve and eigvalsh at t = 1 - 1e-9 and a second pair on
+the cells still open, or None on the knife edge, so scan cells below the
+switch call spr only there; from the switch up a solve would cost O(n^6)
+against O(d n^3) per Arnoldi step, so cells there keep the Arnoldi spr.
 
 One ``CPMap`` (a realization's is ``Realization.cpmap``) holds a tuple's
 spr, Perron pair and real form, each computed once; ``spr``,
@@ -140,11 +141,14 @@ def hermitian_coords(P):
 
 def from_hermitian_coords(x, n):
     """The Hermitian P with hermitian_coords(P) = x: with Q the n x n
-    matrix of x, P = (Q + Q^T)/2 + i (Q - Q^T)/2."""
-    Q = np.asarray(x, dtype=float).reshape((n, n), order="F")
-    P = np.empty((n, n), dtype=complex)
-    P.real = (Q + Q.T) / 2.0
-    P.imag = (Q - Q.T) / 2.0
+    matrix of x, P = (Q + Q^T)/2 + i (Q - Q^T)/2.  A stack of coordinate
+    vectors x[..., :] gives the stack of their P."""
+    x = np.asarray(x, dtype=float)
+    # column-stacking: the transpose of the row-major matrix of x
+    Q = x.reshape(x.shape[:-1] + (n, n)).swapaxes(-1, -2)
+    P = np.empty(Q.shape, dtype=complex)
+    P.real = (Q + Q.swapaxes(-1, -2)) / 2.0
+    P.imag = (Q - Q.swapaxes(-1, -2)) / 2.0
     return P
 
 
@@ -436,26 +440,48 @@ _STEIN_DELTA = 1e-6
 _STEIN_CAP = 1e7
 
 
-def _stein_band(R, n):
-    """``band`` of spr(B) from R, the real form of Ad_B: the certificate at
-    t = 1 - 1e-9, then at t = 1 + 1e-9; None when one cannot tell."""
+def _stein_bands(R, n):
+    """``band`` of spr(B) for each real form R[k] of Ad_B in a stack: the
+    certificate at t = 1 - 1e-9 on the whole stack, then at t = 1 + 1e-9
+    on the cells still open; None for a cell where it cannot tell.
+
+    Each t costs one stacked solve and one stacked eigvalsh, bitwise the
+    per-matrix calls.  A LinAlgError or a non-finite solution anywhere
+    in a stack of more than one cell sends that stack back to one
+    certificate per cell, so each cell gets exactly its own answer."""
+    bands = [None] * len(R)
+    open_ = np.arange(len(R))
+    diagonal = np.arange(n * n)
     for t, below_t in ((1.0 - SPR_BOUNDARY_TOL, _BELOW),
                        (1.0 + SPR_BOUNDARY_TOL, _EDGE)):
+        if open_.size == 0:
+            return bands
+        # I - R / t^2, bitwise: a 0 - x that keeps +0, then 1 on the diagonal
+        K = R[open_]
+        K /= t * t
+        np.subtract(0.0, K, out=K)
+        K[:, diagonal, diagonal] += 1.0
         try:
             # np.eye(n).ravel() is hermitian_coords(I)
-            P = from_hermitian_coords(np.linalg.solve(
-                np.eye(n * n) - R / (t * t), np.eye(n).ravel()), n)
-            w = np.linalg.eigvalsh(P)
+            x = np.linalg.solve(K, np.eye(n).ravel())
+            if not np.isfinite(x).all():
+                raise np.linalg.LinAlgError("non-finite Stein solution")
+            w = np.linalg.eigvalsh(from_hermitian_coords(x, n))
         except np.linalg.LinAlgError:
-            return None
-        norm = max(-w[0], w[-1])
-        if not norm <= _STEIN_CAP:
-            return None
-        if w[0] >= 1.0 - _STEIN_DELTA:
-            return below_t
-        if not w[0] < -_STEIN_DELTA * norm:
-            return None
-    return _ABOVE
+            if len(R) == 1:
+                return bands
+            return [band for k in range(len(R))
+                    for band in _stein_bands(R[k:k + 1], n)]
+        low = w[:, 0]
+        norm = np.maximum(-low, w[:, -1])
+        capped = norm <= _STEIN_CAP
+        below = capped & (low >= 1.0 - _STEIN_DELTA)
+        for k in open_[below]:
+            bands[k] = below_t
+        open_ = open_[capped & ~below & (low < -_STEIN_DELTA * norm)]
+    for k in open_:
+        bands[k] = _ABOVE
+    return bands
 
 
 # ---------------------------------------------------------------------------

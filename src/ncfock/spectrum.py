@@ -7,11 +7,13 @@ immediate zero-level singularity).  For minimal r = (A, b, c) that spr is
 the spr of B(lambda)_j = A_j - c b* A_j / (b* c - lambda) compressed to
 O = span{A*^w b : |w| >= 1} (see ``grid_scan``).  A scan cell needs only
 the ``spectral.band`` of that spr, which a Stein certificate on the real
-form of the matrization of B(lambda) gives without eigenvalues; spr itself
-runs only on the knife edge.  The lambda = 0 cell decides the outerness of
-r (``factorization.is_outer_rational``).  Random finite-level eigenvalue
-sampling provides the complementary lower bound, and sigma_0 / sigma_pm
-classification of spectrum cells follows the outerness of r - lambda.
+form of the matrization of B(lambda) gives without eigenvalues, for a
+block of cells (_STEIN_BLOCK entries of real form) in stacked calls; spr
+itself runs only on the knife edge.  The lambda = 0 cell decides the
+outerness of r (``factorization.is_outer_rational``).  Random finite-level
+eigenvalue sampling provides the complementary lower bound, and sigma_0 /
+sigma_pm classification of spectrum cells follows the outerness of
+r - lambda.
 
 For rational multipliers the spectrum coincides with the essential
 spectrum and is connected, so no separate essential-spectrum computation
@@ -49,7 +51,7 @@ from .spectral import (
     _BELOW,
     _EDGE,
     MATRIX_FREE_MIN_N,
-    _stein_band,
+    _stein_bands,
     band,
     boundary_singularity,
     matrize,
@@ -86,8 +88,8 @@ def _bounded(r_min):
     """r_min, which must be a bounded multiplier: spr(A) < 1 - 1e-9, shown
     by the Stein certificate below MATRIX_FREE_MIN_N and else by spr."""
     cp = r_min.cpmap
-    if not (cp.n < MATRIX_FREE_MIN_N and _stein_band(
-            cp.real_matrization, cp.n) == _BELOW):
+    if not (cp.n < MATRIX_FREE_MIN_N and _stein_bands(
+            cp.real_matrization[None], cp.n)[0] == _BELOW):
         spr_below(cp, "not a bounded multiplier: spr(A) = {s:.12g}")
     return r_min
 
@@ -135,8 +137,8 @@ class _Resolvent:
 
     @cached_property
     def _real_terms(self):
-        """R0, Y1, Y2, R3 as rows: with C = cb and alpha = 1/(gamma -
-        lambda) = a + ib, the matrization of B(lambda) is M0 - alpha X1 -
+        """R0, Y1, Y2, R3: with C = cb and alpha = 1/(gamma - lambda) =
+        a + ib, the matrization of B(lambda) is M0 - alpha X1 -
         conj(alpha) X2 + |alpha|^2 X3, where M0, X1, X2, X3 are the sums
         over j of conj(A_j) kron A_j, conj(A_j) kron C_j, conj(C_j) kron A_j
         and conj(C_j) kron C_j.  Its real form is R0 - a Y1 - b Y2 +
@@ -148,19 +150,31 @@ class _Resolvent:
         X1, X2 = matrize(zip(C, A_star)), matrize(zip(A, C_star))
         terms = [matrize(zip(A, A_star)), X1 + X2, 1j * (X1 - X2),
                  matrize(zip(C, C_star))]
-        return np.stack([real_form(T) for T in terms]).reshape(4, -1)
+        return [real_form(T) for T in terms]
 
     def band(self, lam):
-        """``spectral.band`` of spr(B(lambda)) by the Stein certificate
-        (``spectral._stein_band``); None when the certificate cannot tell,
-        at a zero-level lambda, and from MATRIX_FREE_MIN_N up."""
-        n = self.n
-        if n >= MATRIX_FREE_MIN_N or self.r.vanishes_at_zero(lam):
-            return None
-        alpha = 1.0 / (self.gamma - lam)
-        coeffs = np.array([1.0, -alpha.real, -alpha.imag, abs(alpha) ** 2])
-        return _stein_band((coeffs @ self._real_terms).reshape(n * n, n * n),
-                           n)
+        """``bands`` of the one cell lambda."""
+        return self.bands([lam])[0]
+
+    def bands(self, lams):
+        """``spectral.band`` of spr(B(lambda)) for each lambda by the Stein
+        certificate, all cells in stacked calls (``spectral._stein_bands``);
+        None where the certificate cannot tell, at a zero-level lambda, and
+        from MATRIX_FREE_MIN_N up.  The real forms are formed elementwise,
+        so their bits do not depend on which cells share a stack."""
+        bands = [None] * len(lams)
+        if self.n >= MATRIX_FREE_MIN_N:
+            return bands
+        cells = [k for k, lam in enumerate(lams)
+                 if not self.r.vanishes_at_zero(lam)]
+        alpha = 1.0 / (self.gamma - np.array([lams[k] for k in cells]))
+        a, b, s = (v[:, None, None] for v in
+                   (alpha.real, alpha.imag, np.abs(alpha) ** 2))
+        R0, Y1, Y2, R3 = self._real_terms
+        R = R0 - a * Y1 - b * Y2 + s * R3
+        for k, where in zip(cells, _stein_bands(R, self.n)):
+            bands[k] = where
+        return bands
 
 
 def contains_lambda(r, lam, want_witness=False):
@@ -223,9 +237,14 @@ class SpectrumScan:
 # so it is refused before anything is allocated
 _MAX_CELLS = 10 ** 7
 
+# entries of real form in one stack of Stein certificates (256 KB): a scan
+# of n-state cells certifies them in blocks of 2**15 // n**4
+_STEIN_BLOCK = 2 ** 15
 
-def _cell_decision(resolvent, lam, classify):
-    where = resolvent.band(lam)
+
+def _cell_decision(resolvent, lam, classify, where):
+    """A cell's (member, class) from the Stein band ``where`` of its
+    lambda, or from spr (``_membership``) where the band is None."""
     if where is None:
         try:
             membership = _membership(resolvent, lam)
@@ -248,15 +267,17 @@ def grid_scan(r, rect, resolution, classify=True):
     triangular with blocks B(lambda) and 0, every B(lambda)_j* maps O into
     itself and minimality makes A_j vanish off O.  The cell asks only for
     the ``spectral.band`` of that spr.  Below MATRIX_FREE_MIN_N the Stein
-    certificate answers (``_Resolvent.band``, whose four real terms are
-    built once per scan); only where it cannot tell does the cell compute
-    spr, as ``contains_lambda`` does, and from the switch up every cell
-    does, by Arnoldi.  Spectrum cells are tagged
-    sigma_pm (spectrum if unclassified): r - lambda is outer iff that spr
-    is <= 1, which a decisive cell (spr > 1 + 1e-9) or a zero-level one
-    (r(0) = lambda) never meets.  Cell errors and knife-edge values are tagged
-    indeterminate.  A constant multiplier (spectrum = one point) marks
-    exactly the cell containing its value.  A non-finite, empty or
+    certificate answers (``_Resolvent.bands``, whose four real terms are
+    built once per scan) for row-major blocks of 2**15 // n**4 cells, 256
+    KB of real form, in stacked solves; then each cell is decided
+    (``_cell_decision``), and only where the certificate cannot tell does
+    a cell compute spr, as ``contains_lambda`` does, and from the switch
+    up every cell does, by Arnoldi.  Spectrum cells are tagged sigma_pm
+    (spectrum if unclassified): r - lambda is outer iff that spr is <= 1,
+    which a decisive cell (spr > 1 + 1e-9) or a zero-level one
+    (r(0) = lambda) never meets.  Cell errors and knife-edge values are
+    tagged indeterminate.  A constant multiplier (spectrum = one point)
+    marks exactly the cell containing its value.  A non-finite, empty or
     over-large grid (more than 1e7 cells) raises ScanGridError.
     """
     return _grid_scan(minimize(r), rect, resolution, classify)
@@ -292,11 +313,13 @@ def _grid_scan(r_min, rect, resolution, classify):
             classes[row, col] = CLASS_SIGMAPM if classify else CLASS_SPECTRUM
     else:
         resolvent = _Resolvent(r_min)
-        for i in range(rows):
-            for j in range(cols):
-                lam = complex(centers_re[j], centers_im[i])
-                member[i, j], classes[i, j] = _cell_decision(
-                    resolvent, lam, classify)
+        lams = [complex(x, y) for y in centers_im for x in centers_re]
+        step = max(_STEIN_BLOCK // resolvent.n ** 4, 1)
+        for start in range(0, len(lams), step):
+            bands = resolvent.bands(lams[start:start + step])
+            for k, where in enumerate(bands, start):
+                member.flat[k], classes.flat[k] = _cell_decision(
+                    resolvent, lams[k], classify, where)
     return SpectrumScan(rect=(re_min, re_max, im_min, im_max),
                         resolution=resolution, centers_re=centers_re,
                         centers_im=centers_im, member=member, classes=classes)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ncfock as nf
 from conftest import count_calls, padded, random_kernel, random_polynomial
@@ -83,6 +87,50 @@ def test_h2_norm_examples(poly_p5, fixture_realization):
         np.sqrt(4.0 / 3.0), abs=1e-12)
     assert nf.h2_norm(fixture_realization) == pytest.approx(
         np.sqrt(2.0), abs=1e-10)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 4), d=st.integers(1, 2),
+       k=st.integers(-560, 560), m=st.integers(-560, 560),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_h2_norm_scales_exactly_with_b_and_c(n, d, k, m, seed):
+    """(A, 2^k b, 2^-m c) has h2_norm 2^(k - m) times that of (A, b, c), to
+    the bit, before and after minimize; a norm past the largest double is a
+    numerical failure."""
+    # below 2^-1000 the Taylor coefficients themselves leave the normal range
+    assume(k - m >= -1000)
+    rng = np.random.default_rng(seed)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    A = gaussian(d, n, n)
+    A *= rng.uniform(0.2, 0.9) / np.linalg.norm(np.hstack(list(A)), 2)
+    b, c = gaussian(n), gaussian(n)
+    r = nf.Realization(A, b, c)
+    scaled = nf.Realization(A, b * 2.0 ** k, c * 2.0 ** -m)
+    for norm, get in ((nf.h2_norm(r), lambda: nf.h2_norm(scaled)),
+                      (nf.h2_norm(nf.minimize(r)),
+                       lambda: nf.h2_norm(nf.minimize(scaled)))):
+        try:
+            want = math.ldexp(norm, k - m)
+        except OverflowError:
+            with pytest.raises(nf.NumericalFailureError):
+                get()
+        else:
+            assert get() == want
+
+
+@pytest.mark.parametrize("b, c, want", [(1.0, 1e-170, 1.1547005383792515e-170),
+                                        (1e160, 1.0, 1.1547005383792515e160)])
+def test_membership_of_a_scaled_realization(b, c, want):
+    # 1/(1 - z/2) scaled through b or c: the Krylov seed and c c* once
+    # underflowed to 0, and |b|^2 overflowed
+    r = nf.minimize(nf.Realization(np.array([[[0.5]]]), [b], [c]))
+    assert r.n == 1 and r.A[0, 0, 0] == 0.5
+    out = nf.is_in_fock(r)
+    assert (out.verdict, out.spr, out.radius) == ("in", 0.5, 2.0)
+    assert out.h2_norm == pytest.approx(want, rel=1e-15)
 
 
 def test_h2_norm_kernel_bound():

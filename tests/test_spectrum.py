@@ -383,8 +383,10 @@ def test_knife_edge_cells_defer_to_one_spr(monkeypatch, z1):
     calls = count_calls(monkeypatch, spectral, "spr")
     for lam in (1.0, 1j, 1.0 + 1e-10, 1.0 - 1e-10):
         del calls[:]
-        assert resolvent.band(lam) is None, lam
-        assert _cell_decision(resolvent, lam, True) == (True, CLASS_INDET)
+        where = resolvent.band(lam)
+        assert where is None, lam
+        assert _cell_decision(resolvent, lam, True, where) == \
+            (True, CLASS_INDET)
         assert len(calls) == 1, lam
 
 
@@ -395,6 +397,84 @@ def test_cell_decision_runs_once_per_cell(monkeypatch, z1):
     scan = nf.grid_scan(z1, (-1.3, 1.3, -1.3, 1.3), 0.2)
     assert len(calls) == scan.member.size == 169
     assert len({complex(call[1]) for call in calls}) == 169
+
+
+def _knife_edge_real_form(rng, d, n, offset):
+    """The real form of the CP map of a random d-tuple of n x n matrices
+    scaled to spr 1 + offset."""
+    B = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
+    B *= (1.0 + offset) / nf.spr(B)
+    return nf.CPMap(B).real_matrization
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 6), d=st.integers(1, 3),
+       offsets=st.lists(st.sampled_from([-0.3, -1e-6, -1e-8, -1e-10, 1e-10,
+                                         1e-8, 1e-6, 0.3]),
+                        min_size=2, max_size=5),
+       bad=st.sampled_from([None, "singular", "nan"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_stein_bands_equal_single_ones(n, d, offsets, bad, seed):
+    """A stack of real forms with spr near and away from the knife edge gets
+    the band of each one alone; an exactly singular I - R/t^2 or a NaN in R
+    gives None for that entry alone."""
+    from ncfock.spectral import _stein_bands
+
+    rng = np.random.default_rng(seed)
+    R = np.stack([_knife_edge_real_form(rng, d, n, offset)
+                  for offset in offsets])
+    k = int(rng.integers(len(R)))
+    if bad is not None:
+        R[k] = 0.0
+        t = 1.0 - SPR_BOUNDARY_TOL
+        # row 0 of I - R/t^2 is exactly 0 at the first t; a NaN is not finite
+        R[k, 0, 0] = t * t if bad == "singular" else np.nan
+    stacked = _stein_bands(R, n)
+    assert stacked == [_stein_bands(R[k:k + 1], n)[0] for k in range(len(R))]
+    if bad is not None:
+        assert stacked[k] is None
+    for j, offset in enumerate(offsets):
+        if abs(offset) == 0.3 and not (bad and j == k):
+            assert stacked[j] == (_BELOW if offset < 0 else _ABOVE), offset
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(n=st.integers(1, 6), d=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_scan_does_not_depend_on_the_block(n, d, seed):
+    rng = np.random.default_rng(seed)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    A = gaussian(d, n, n)
+    A *= rng.uniform(0.2, 0.9) / np.linalg.norm(np.hstack(list(A)), 2)
+    r = nf.minimize(nf.Realization(A, gaussian(n), gaussian(n)))
+    mu = r.value_at_zero()
+    radius = 2.0 * float(np.abs(nf.evaluate(r, nf.MatrixTuple.zeros(d, 1)))
+                         .max()) + 1.0
+    rect = (mu.real - radius, mu.real + radius, mu.imag - radius,
+            mu.imag + radius)
+    whole = nf.grid_scan(r, rect, radius / 3.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectrum, "_STEIN_BLOCK", 1)
+        single = nf.grid_scan(r, rect, radius / 3.0)
+    assert np.array_equal(whole.member, single.member)
+    assert np.array_equal(whole.classes, single.classes)
+
+
+def test_stacked_certificates_stay_within_the_block(monkeypatch,
+                                                     fixture_realization):
+    r = _perturbed_fixture(fixture_realization)
+    assert _Resolvent(r).n == 8
+    calls = count_calls(monkeypatch, np.linalg, "solve")
+    scan = nf.grid_scan(r, (0.4, 3.6, -1.6, 1.6), 0.4)
+    assert scan.member.size == 64
+    stacks = [args[0].shape for args in calls if args[0].ndim == 3]
+    # 2**15 // 8**4 = 8 cells a block: 8 blocks, each solved at the first t
+    assert max(shape[0] for shape in stacks) == 8
+    assert len(stacks) >= 8
+    assert all(np.prod(shape) <= spectrum._STEIN_BLOCK for shape in stacks)
 
 
 def test_contains_lambda_witness_kills_minimized_inverse(

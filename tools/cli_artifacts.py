@@ -11,8 +11,8 @@ Each command runs in a fresh ``python -m ncfock`` process with the tree's
 Run k writes ``OUT_DIR/NNN-<subcommand>/`` holding ``argv`` (the command
 line), ``stdout``, ``stderr``, ``exit`` (the exit code) and the files that
 the run's ``--out`` wrote.  ``OUT_DIR/inputs/`` holds the fixed input files
-(a matrix tuple, two scaled realizations) and the realizations that earlier
-``realize`` runs write for the ``--realization`` round trip.
+(a matrix tuple, realizations at extreme scales) and the realizations that
+earlier ``realize`` runs write for the ``--realization`` round trip.
 """
 
 import argparse
@@ -58,6 +58,14 @@ INPUTS = {
     # A = 1e77 (1 + i): ||R||_F overflows, R and Ad(I) do not
     "big.json": {
         "d": 1, "n": 1, "A": [[[[1e77, 1e77]]]], "b": [[1.0, 0.0]],
+        "c": [[1.0, 0.0]]},
+    # 1/(1 - z/2) scaled through c and through b: the norms of b and c
+    # under- and overflow, their power-of-two scaled ones do not
+    "tiny-c.json": {
+        "d": 1, "n": 1, "A": [[[[0.5, 0.0]]]], "b": [[1.0, 0.0]],
+        "c": [[1e-170, 0.0]]},
+    "huge-b.json": {
+        "d": 1, "n": 1, "A": [[[[0.5, 0.0]]]], "b": [[1e160, 0.0]],
         "c": [[1.0, 0.0]]},
 }
 
@@ -139,6 +147,15 @@ COMMANDS = _per_expression() + [
     ["spr", "-d", "2", ARPACK3],
     ["member", "-d", "2", ARPACK3],
     ["boundary-sing", "-d", "2", ARPACK3],
+    # a 10-state resolvent on 64 cells: Stein certificates in blocks of 3
+    ["spectrum-scan", "--realization", "inputs/rational41-min.json",
+     "--rect=-2.8,-0.4,-1.2,1.2", "--res", "0.3", "--out", "{run}/scan"],
+    # centres on |lambda| = 1: knife-edge cells go to spr
+    ["spectrum-scan", "-d", "2", "z1", "--rect=-1.25,1.25,-1.25,1.25",
+     "--res", "0.5", "--out", "{run}/scan"],
+    *([*command, "--realization", f"inputs/{name}"]
+      for name in ("tiny-c.json", "huge-b.json")
+      for command in (["member"], ["norm"], ["realize", "--minimize"])),
 ]
 
 
