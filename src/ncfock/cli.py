@@ -248,15 +248,29 @@ def _scales(text):
     return scales
 
 
-def _positive_int(text):
-    """argparse type of --levels and --level."""
+def _int_at_least(low):
+    """argparse type of a count flag: an integer no less than low."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+def _tol(text):
+    """argparse type of --tol: a number in [0, 1), so never nan or inf."""
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        value = 0
-    if value < 1:
+        value = -1.0
+    if not 0.0 <= value < 1.0:
         raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
+            f"expected a tolerance in [0, 1), got {text!r}")
     return value
 
 
@@ -354,7 +368,7 @@ def build_parser():
     s = subs.add_parser("realize", help="compile to a realization JSON")
     _add_source_args(s)
     s.add_argument("--minimize", action="store_true")
-    s.add_argument("--tol", type=float, default=1e-10)
+    s.add_argument("--tol", type=_tol, default=1e-10)
     s.set_defaults(func=_cmd_realize)
 
     s = subs.add_parser("eval", help="evaluate at a matrix tuple JSON")
@@ -385,7 +399,7 @@ def build_parser():
     s.add_argument("expression")
     s.add_argument("-d", "--vars", dest="d", type=int, required=True)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--starts", type=int, default=8)
+    s.add_argument("--starts", type=_int_at_least(0), default=8)
     s.add_argument("--out", default=None)
     s.set_defaults(func=_cmd_factor)
 
@@ -395,13 +409,13 @@ def build_parser():
 
     s = subs.add_parser("inner-test", help="isometry (innerness) certificate")
     _add_source_args(s)
-    s.add_argument("--tol", type=float, default=1e-7)
+    s.add_argument("--tol", type=_tol, default=1e-7)
     s.set_defaults(func=_cmd_inner_test)
 
     s = subs.add_parser("boundary-sing",
                         help="pencil-singular point at norm 1/spr")
     _add_source_args(s)
-    s.add_argument("--tol", type=float, default=1e-8)
+    s.add_argument("--tol", type=_tol, default=1e-8)
     s.set_defaults(func=_cmd_boundary_sing)
 
     s = subs.add_parser("spectrum-scan", help="grid scan to CSV + PGM")
@@ -415,16 +429,16 @@ def build_parser():
     s = subs.add_parser("spectrum-sample",
                         help="finite-level eigenvalue sampling to CSV")
     _add_source_args(s)
-    s.add_argument("--levels", type=_positive_int, default=None)
-    s.add_argument("--samples", type=int, default=1000)
+    s.add_argument("--levels", type=_int_at_least(1), default=None)
+    s.add_argument("--samples", type=_int_at_least(1), default=1000)
     s.set_defaults(func=_cmd_spectrum_sample)
 
     s = subs.add_parser("variety-search",
                         help="search Sing_n(f) for a witness (Z, y)")
     _add_source_args(s)
-    s.add_argument("--level", type=_positive_int, required=True)
-    s.add_argument("--attempts", type=int, default=8)
-    s.add_argument("--tol", type=float, default=1e-8)
+    s.add_argument("--level", type=_int_at_least(1), required=True)
+    s.add_argument("--attempts", type=_int_at_least(1), default=8)
+    s.add_argument("--tol", type=_tol, default=1e-8)
     s.set_defaults(func=_cmd_variety_search)
 
     s = subs.add_parser("continuity-probe",

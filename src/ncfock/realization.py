@@ -405,8 +405,9 @@ def minimize(r, tol=DEFAULT_RANK_TOL):
     Taylor coefficients are kept up to roundoff; an input that the round
     does not shrink comes back unrotated, with its cleaner structural zeros.
     Jointly nilpotent functions (polynomials) come out structurally
-    nilpotent: a joint triangularization restores the exact zeros that
-    basis mixing smears at roundoff level.
+    nilpotent: ``_nilpotent_cleanup`` restores, in polynomial time, the
+    exact zeros that basis mixing smears at roundoff level.  Raises
+    NumericalFailureError when r(0) = b* c overflows.
     """
     U = _krylov_basis(r.A, r.c, tol)
     if U.shape[1] == 0:
@@ -420,8 +421,6 @@ def minimize(r, tol=DEFAULT_RANK_TOL):
 
 
 def _orth_columns(M, cutoff):
-    if M.size == 0:
-        return M.reshape(M.shape[0], 0)
     Q, s, _ = np.linalg.svd(M, full_matrices=False)
     return Q[:, : int(np.sum(s > cutoff))]
 
@@ -429,76 +428,64 @@ def _orth_columns(M, cutoff):
 def _nilpotent_cleanup(r):
     """Exactly nilpotent rewrite of a realization of a polynomial.
 
-    A minimal realization of dimension n is jointly nilpotent iff its Taylor
-    coefficients vanish for word lengths >= n.  When the tail does vanish
-    (relative to the head), the joint image chain span{A^w : |w| = k} gives
-    a flag in which every A_j is strictly block upper triangular; rotating
-    to that flag and zeroing the structural entries removes the roundoff
-    that would otherwise masquerade as a tiny spectral radius.
+    The tuple decides and the function confirms, both in polynomial time.
+    The joint image chain C^n, span{A^w x : |w| = 1}, span{A^w x : |w| = 2},
+    ... (rank cutoff 1e-8 of the largest singular value of [A_1 ... A_d])
+    must shrink strictly to 0, else r comes back as it is; a joint range
+    of full rank, the common case, returns at once.  A chain that reaches 0
+    is confirmed on the Taylor tail: the words of lengths n and n + 1 must
+    have coefficients that vanish against those of the shorter words, in
+    the per-level l2 norms ||b* F_k||, where F_k F_k* = sum over |w| = k of
+    A^w c c* A^w* and one QR a level keeps F_k at most n columns wide.
+    Every A_j is then strictly block upper triangular in the flag of the
+    chain; rotating to it and zeroing the structural entries removes the
+    roundoff that would otherwise masquerade as a tiny spectral radius.
     """
-    n, d = r.n, r.d
-    s1 = float(np.linalg.norm(np.hstack(list(r.A)), 2))
-    if s1 <= 1e-13:
+    if not np.isfinite(r.value_at_zero()):
+        raise NumericalFailureError("r(0) = b* c of the realization overflows")
+    n = r.n
+    joint = np.hstack(list(r.A))
+    sing = np.linalg.svd(joint, compute_uv=False)
+    if sing[0] <= 1e-13:
         # the tuple is pure roundoff: over the unit row ball the function
         # moves by a relative 1e-13 at most, so it is the constant b*c
         return Realization(np.zeros_like(r.A), r.b, r.c)
-    if d ** (n + 1) > 200_000:
+    cutoff = 1e-8 * sing[0]
+    if np.sum(sing > cutoff) == n:
         return r
-    # cheap prefilter: probe a few random tail words; any nonzero
-    # coefficient means the function is not a polynomial of degree < n
-    head2 = taylor_table(r, min(2, max(n - 1, 0)))
-    head_scale = max((abs(v) for v in head2.coeffs.values()), default=0.0)
-    if head_scale > 0:
-        rng = np.random.default_rng(0)
-        for length in (n, n + 1):
-            for _ in range(2 * n):
-                word = rng.integers(1, d + 1, size=length)
-                if abs(taylor_coeff(r, word)) \
-                        > _NILPOTENT_COEFF_TOL * head_scale:
-                    return r
-    # full confirmation: the whole Taylor tail at lengths n, n+1 vanishes;
-    # level k holds the vectors A^w c of the words of length k
-    bstar, level = np.conj(r.b), r.c[:, None]
-    coeffs = [np.abs(bstar @ level)]
+    flags, image = [np.eye(n, dtype=complex)], joint
+    while True:
+        span = _orth_columns(image, cutoff)
+        if span.shape[1] >= flags[-1].shape[1]:
+            return r
+        if span.shape[1] == 0:
+            break
+        flags.append(span)
+        image = np.hstack([A_j @ span for A_j in r.A])
+    bstar, F = np.conj(r.b), r.c[:, None]
+    levels = [np.linalg.norm(bstar @ F)]
     for _ in range(n + 1):
-        level = np.hstack([A_j @ level for A_j in r.A])
-        coeffs.append(np.abs(bstar @ level))
-    head_max = max(float(np.max(k)) for k in coeffs[:n])
-    tail_max = max(float(np.max(k)) for k in coeffs[n:])
-    if not np.isfinite([head_max, tail_max]).all():
+        F = np.hstack([A_j @ F for A_j in r.A])
+        F = np.linalg.qr(F.conj().T, mode="r").conj().T
+        levels.append(np.linalg.norm(bstar @ F))
+    head, tail = max(levels[:n]), max(levels[n:])
+    if not np.isfinite([head, tail]).all():
         raise NumericalFailureError(
             "Taylor coefficients of the realization overflow")
-    if tail_max > _NILPOTENT_COEFF_TOL * max(head_max, 1e-300):
+    if tail > _NILPOTENT_COEFF_TOL * max(head, 1e-300):
         return r
-    # joint image chain; each step strictly shrinks or the tuple is not
-    # nilpotent after all
-    cutoff = 1e-8 * s1
-    flags = []
-    span = _orth_columns(np.hstack(list(r.A)), cutoff)
-    while span.shape[1] > 0:
-        if len(flags) > n:
-            return r
-        flags.append(span)
-        span = _orth_columns(np.hstack([r.A[j] @ span for j in range(d)]),
-                             cutoff)
-    blocks = []
-    accumulated = np.zeros((n, 0), dtype=complex)
-    for k in range(len(flags) - 1, -1, -1):
-        fresh = flags[k] - accumulated @ (accumulated.conj().T @ flags[k])
-        fresh = _orth_columns(fresh, 1e-8)
+    # rotate to the flag, deepest image first; the C^n flag gives the
+    # complement of the joint range
+    blocks, Q = [], np.zeros((n, 0), dtype=complex)
+    for span in reversed(flags):
+        fresh = _orth_columns(span - Q @ (Q.conj().T @ span), 1e-8)
         if fresh.shape[1]:
             blocks.append(fresh)
-            accumulated = np.hstack([accumulated, fresh])
-    complement = np.eye(n, dtype=complex) \
-        - accumulated @ accumulated.conj().T
-    fresh = _orth_columns(complement, 1e-8)
-    if fresh.shape[1]:
-        blocks.append(fresh)
-    Q = np.hstack(blocks)
+            Q = np.hstack([Q, fresh])
     if Q.shape[1] != n:
         return r
     starts = np.cumsum([0] + [blk.shape[1] for blk in blocks])
-    A_new = np.stack([Q.conj().T @ r.A[j] @ Q for j in range(d)])
+    A_new = np.stack([Q.conj().T @ A_j @ Q for A_j in r.A])
     for t in range(len(blocks)):
         A_new[:, starts[t]:, starts[t]:starts[t + 1]] = 0.0
     return Realization(A_new, Q.conj().T @ r.b, Q.conj().T @ r.c)

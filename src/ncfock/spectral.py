@@ -613,7 +613,8 @@ def _boundary_singularity(cp, tol):
     point = MatrixTuple(Z)
     image = null - (A @ null @ np.swapaxes(Z, 1, 2)).sum(axis=0)
     sigma_min = float(np.linalg.norm(image) / np.linalg.norm(null))
-    if abs(point.row_norm() * rho - 1.0) > tol or sigma_min > tol:
+    if not (abs(point.row_norm() * rho - 1.0) <= tol
+            and sigma_min <= tol):
         raise BoundarySingularityError(
             f"boundary singularity certificate failed at tol {tol:g}: "
             f"row_norm = {point.row_norm():.12g}, 1/spr = {1.0 / rho:.12g}, "

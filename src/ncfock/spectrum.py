@@ -462,7 +462,7 @@ def variety_witness_search(f, level, attempts=8, seed=0, tol=1e-8):
         if value <= tol:
             break
     Z, value = best
-    if value > tol:
+    if not value <= tol:
         return None
     point = MatrixTuple(Z)
     F = _eval_any(f, point)

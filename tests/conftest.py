@@ -84,11 +84,10 @@ def poly_P6():
     return nf.NCPolynomial(2, {(): 1.0, (1, 2): -1.0, (2, 1): -1.0})
 
 
-# a degree-9 polynomial whose minimal realization (n = 17) is nilpotent only
-# up to roundoff, on which ARPACK stops with error 3 ("no shifts could be
-# applied"), not with the ArpackNoConvergence subclass (seen with scipy 1.17
-# and OpenBLAS; the outcome of ARPACK on roundoff is not promised)
-ARPACK_ERROR_3_POLY = (
+# a degree-9 polynomial with a minimal realization of 17 states: the
+# compressions leave its tuple nilpotent only up to roundoff, and minimize
+# must make it exactly nilpotent, or spr and ARPACK read the roundoff
+DEGREE9_POLY = (
     "1.0 + (-0.2155971630897659-2.019986129147251i)*z1*z1*z1*z1*z2*z2*z2*z1*z1"
     " + (-0.3526307943415954-0.28128741815135039i)*z1*z2*z2*z1*z1*z1*z1"
     " + (0.9577587029597641-0.19980212906657999i)*z2*z1*z2*z2*z2*z2*z1*z1"

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncfock as nf
-from conftest import ARPACK_ERROR_3_POLY, src_env
+from conftest import DEGREE9_POLY, src_env
 from ncfock.cli import build_parser, main
 
 
@@ -217,6 +217,13 @@ def test_realization_json_missing_key(tmp_path, capsys, key):
                        str(path)) == "malformed-json"
 
 
+def test_zero_random_starts_are_valid(capsys):
+    # --starts counts the random starts on top of the four fixed ones
+    code, out = run_cli(capsys, "factor", "-d", "2", "1 + z1*z2",
+                        "--starts", "0")
+    assert code == 0 and json.loads(out)["outer"]
+
+
 def test_boundary_sing_failed_certificate(capsys):
     # the certificate compares floats with roundoff against tol = 0
     assert _error_code(capsys, "boundary-sing", "-d", "2",
@@ -224,14 +231,16 @@ def test_boundary_sing_failed_certificate(capsys):
                        "--tol", "0") == "boundary-certificate-failed"
 
 
-def test_an_arpack_error_is_no_traceback(capsys):
-    for command in ("spr", "member"):
-        code, out = run_cli(capsys, command, "-d", "2", ARPACK_ERROR_3_POLY)
-        assert code == 0, command
-        assert json.loads(out)["spr"] < 1.0, command
-    # the spr above is roundoff of a polynomial: no certified point
+def test_a_degree_nine_polynomial_is_jointly_nilpotent(capsys):
+    # 17 minimal states, d = 2: spr exactly 0, radius inf, no boundary point
+    code, out = run_cli(capsys, "spr", "-d", "2", DEGREE9_POLY)
+    assert code == 0 and json.loads(out)["spr"] == 0.0
+    code, out = run_cli(capsys, "member", "-d", "2", DEGREE9_POLY)
+    member = json.loads(out)
+    assert code == 0 and member["verdict"] == "in_H2"
+    assert member["radius"] == "inf" and member["spr"] == 0.0
     assert _error_code(capsys, "boundary-sing", "-d", "2",
-                       ARPACK_ERROR_3_POLY) == "boundary-certificate-failed"
+                       DEGREE9_POLY) == "jointly-nilpotent"
 
 
 def test_spr_of_a_realization_near_overflow(capsys, tmp_path):
@@ -266,8 +275,25 @@ def test_scan_non_finite_or_huge_grid_is_module_error(rect, res, tmp_path,
      "--scales", "0.1,nan"],
     ["spectrum-sample", "-d", "2", "z1", "--levels", "0"],
     ["variety-search", "-d", "2", "1-z1*z2", "--level", "0"],
+    # a tolerance is a number in [0, 1), and counts are at least 1 (0 starts)
+    ["realize", "-d", "2", "z1*inv(1-0.5*z2)", "--minimize", "--tol", "nan"],
+    ["realize", "-d", "2", "z1*inv(1-0.5*z2)", "--minimize", "--tol", "inf"],
+    ["realize", "-d", "2", "z1*inv(1-0.5*z2)", "--minimize", "--tol", "1"],
+    ["realize", "-d", "2", "z1", "--minimize", "--tol", "-1e-10"],
+    ["inner-test", "-d", "2", "z1", "--tol", "nan"],
+    ["boundary-sing", "-d", "2", "inv(1 - 0.5*z1*z2 - 0.5*z2*z1)",
+     "--tol", "nan"],
+    ["variety-search", "-d", "2", "1 + z1*z2", "--level", "1",
+     "--attempts", "1", "--tol", "nan"],
+    ["spectrum-sample", "-d", "2", "z1", "--samples", "0"],
+    ["variety-search", "-d", "2", "1-z1*z2", "--level", "1",
+     "--attempts", "0"],
+    ["factor", "-d", "2", "1 + z1*z2", "--starts", "-1"],
 ], ids=["rect-letters", "rect-three-numbers", "scales-letter", "scales-empty",
-        "scales-nan", "levels-zero", "level-zero"])
+        "scales-nan", "levels-zero", "level-zero", "realize-tol-nan",
+        "realize-tol-inf", "realize-tol-one", "realize-tol-negative",
+        "inner-tol-nan", "boundary-tol-nan", "variety-tol-nan",
+        "samples-zero", "attempts-zero", "starts-negative"])
 def test_bad_numeric_flags_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)

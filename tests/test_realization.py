@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ncfock as nf
@@ -351,3 +351,34 @@ def test_minimize_properties(r):
 def test_minimize_keeps_a_scaled_product():
     r = nf.from_expression("1e8*(1 + z1)", 1)
     assert _same_table(nf.minimize(r), r)
+
+
+# longest word of a random polynomial in d variables
+_MAX_WORD = {1: 9, 2: 5, 3: 5, 4: 4}
+
+
+@st.composite
+def _polynomials(draw):
+    """Random NC polynomials: d = 1 to 4, up to 5 terms, words up to
+    9, 5, 5 and 4 letters."""
+    d = draw(st.integers(1, 4))
+    words = st.lists(st.integers(1, d), max_size=_MAX_WORD[d]).map(tuple)
+    coeffs = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0)
+    return nf.NCPolynomial(d, draw(st.dictionaries(words, coeffs,
+                                                   min_size=1, max_size=5)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_polynomials())
+@example(nf.NCPolynomial(3, {(): 1.0, (3, 1, 3, 3): 1.7, (2, 1): 1.5,
+                             (1, 1, 3, 1, 2): 0.7, (2, 2, 1): 0.4}))
+def test_minimize_makes_a_polynomial_nilpotent(p):
+    # Schutzenberger's reduction of a polynomial gives an exactly nilpotent
+    # tuple: spr exactly 0, radius inf and no boundary singularity
+    m = nf.minimize(nf.from_polynomial(p))
+    scale = max(abs(v) for v in p.coeffs.values())
+    assert nf.spr(m.A) == 0.0
+    assert nf.taylor_table(m, p.degree + 1).allclose(p, tol=1e-12 * scale)
+    assert nf.is_in_fock(m).radius == np.inf
+    with pytest.raises(nf.JointlyNilpotentError):
+        nf.boundary_singularity(m)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import ncfock as nf
-from conftest import ARPACK_ERROR_3_POLY, padded
+from conftest import DEGREE9_POLY, padded
 from ncfock import spectral
 from ncfock.spectral import (
     MATRIX_FREE_MIN_N,
@@ -147,12 +147,12 @@ def test_spr_roundoff_nilpotent_takes_dense_route(monkeypatch):
 
 
 def test_a_roundoff_nilpotent_polynomial_gets_a_verdict():
-    # ARPACK stops on it with error 3, which the Perron pair must catch as
-    # it catches ArpackNoConvergence; the spr is roundoff, below the band
-    r = nf.minimize(nf.from_expression(ARPACK_ERROR_3_POLY, 2))
+    # its compressed tuple is nilpotent only up to roundoff; minimize makes
+    # it exactly nilpotent, so the spr is exactly 0 on the Arnoldi side too
+    r = nf.minimize(nf.from_expression(DEGREE9_POLY, 2))
     assert r.n >= MATRIX_FREE_MIN_N
     out = nf.is_in_fock(r)
-    assert out.verdict == "in" and spectral.band(out.spr) == "below"
+    assert out.verdict == "in" and out.spr == 0.0
 
 
 def test_perron_fallback_serves_spr_and_the_boundary_point(monkeypatch,
@@ -525,6 +525,11 @@ def test_null_vector_bound_certifies_sigma_min(n, kind):
     svd_min, svd_max = _pencil_sigma_min(A, Z.X)
     assert svd_min <= bound + 4 * np.finfo(float).eps * svd_max
     assert bound <= 1e-8
+
+
+def test_a_nan_tolerance_certifies_no_boundary_point(fixture_tuple):
+    with pytest.raises(nf.BoundarySingularityError):
+        spectral._boundary_singularity(nf.CPMap(fixture_tuple), np.nan)
 
 
 # the doubles fl(1 -+ 1e-9) and their neighbours one ulp away, with the

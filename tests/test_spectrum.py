@@ -550,6 +550,13 @@ def test_variety_search_inside_the_ball():
     nf.certify_witness(f, witness.Z, witness.y, 1e-8)
 
 
+def test_a_nan_tolerance_finds_no_witness():
+    # 1 + z1 z2 has no witness in the level-1 ball; nan must not accept one
+    f = nf.NCPolynomial(2, {(): 1.0, (1, 2): 1.0})
+    assert nf.variety_witness_search(f, level=1, attempts=1, seed=0,
+                                     tol=np.nan) is None
+
+
 def test_variety_search_constant_and_outer(poly_p5):
     assert nf.variety_witness_search(nf.NCPolynomial.one(2), level=2,
                                      attempts=2, seed=0) is None

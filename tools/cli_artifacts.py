@@ -30,13 +30,17 @@ RATIONAL41 = ("0.808*z1*z1*inv(1 + 0.3*z1*z1*(0.516*z2 - 0.800*z2*z1))"
               " - 1.848*inv(1 + 0.3*z1*(0.295*z2*z2*z2"
               " + 0.741*inv(1 - 0.3*z2*z2)))")
 INV4 = "inv(1 - 0.9*z1*z2 - 0.8*z2 - 0.7*z1*z1*z2)"
-# a degree-9 polynomial, 17 states after minimization and nilpotent only up
-# to roundoff, on which ARPACK stops with error 3
-ARPACK3 = (
+# polynomials whose compressed tuples are nilpotent only up to roundoff,
+# which minimize must make exactly nilpotent: degree 9 in d = 2 with 17
+# minimal states, d = 4 with 8 and d = 3 with 11
+DEGREE9 = (
     "1.0 + (-0.2155971630897659-2.019986129147251i)*z1*z1*z1*z1*z2*z2*z2*z1*z1"
     " + (-0.3526307943415954-0.28128741815135039i)*z1*z2*z2*z1*z1*z1*z1"
     " + (0.9577587029597641-0.19980212906657999i)*z2*z1*z2*z2*z2*z2*z1*z1"
     " + (-0.1828389745977349+0.5405251317548021i)*z2*z1*z1*z2*z2*z1*z1*z1")
+POLY_D4 = "1 + 0.5*z3*z4*z4 + 1.7*z4*z1*z2*z4 + 0.2*z2*z2*z3"
+POLY_D3 = ("1 + 1.7*z3*z1*z3*z3 + 1.5*z2*z1 + 0.7*z1*z1*z3*z1*z2"
+           " + 0.4*z2*z2*z1")
 EXPRESSIONS = {"fixture": FIXTURE, "poly": POLY, "rational41": RATIONAL41,
                "inv4": INV4}
 
@@ -143,10 +147,10 @@ COMMANDS = _per_expression() + [
     # spr 1.41e77, near the overflow threshold
     ["spr", "--realization", "inputs/big.json"],
     ["member", "--realization", "inputs/big.json"],
-    # ARPACK error 3 and the dense fallback
-    ["spr", "-d", "2", ARPACK3],
-    ["member", "-d", "2", ARPACK3],
-    ["boundary-sing", "-d", "2", ARPACK3],
+    # jointly nilpotent at n = 17: spr 0, radius inf, no boundary point
+    ["spr", "-d", "2", DEGREE9],
+    ["member", "-d", "2", DEGREE9],
+    ["boundary-sing", "-d", "2", DEGREE9],
     # a 10-state resolvent on 64 cells: Stein certificates in blocks of 3
     ["spectrum-scan", "--realization", "inputs/rational41-min.json",
      "--rect=-2.8,-0.4,-1.2,1.2", "--res", "0.3", "--out", "{run}/scan"],
@@ -156,6 +160,12 @@ COMMANDS = _per_expression() + [
     *([*command, "--realization", f"inputs/{name}"]
       for name in ("tiny-c.json", "huge-b.json")
       for command in (["member"], ["norm"], ["realize", "--minimize"])),
+    *([command, "-d", str(d), text]
+      for d, text in ((4, POLY_D4), (3, POLY_D3))
+      for command in ("spr", "member", "boundary-sing")),
+    # a nan tolerance is a usage error
+    ["realize", "-d", "2", "z1*inv(1-0.5*z2)", "--minimize", "--tol", "nan"],
+    ["boundary-sing", "-d", "2", FIXTURE, "--tol", "nan"],
 ]
 
 
