@@ -20,6 +20,7 @@ from .errors import (
     ParseError,
     ScanGridError,
     SpectralRadiusError,
+    ToleranceError,
     ZeroAtZeroError,
 )
 from .expr import as_polynomial, eval_ast, format_expr, normalize, parse

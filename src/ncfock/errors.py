@@ -82,6 +82,12 @@ class ScanGridError(NCFockError, ValueError):
     code = "invalid-scan-grid"
 
 
+class ToleranceError(NCFockError, ValueError):
+    """A relative tolerance outside [0, 1), nan included."""
+
+    code = "invalid-tolerance"
+
+
 class MalformedJSONError(NCFockError, ValueError):
     """A JSON input that does not parse or lacks a required key."""
 

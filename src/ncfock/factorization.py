@@ -28,7 +28,7 @@ from .realization import (
     mul,
     taylor_table,
 )
-from .spectral import _ABOVE, _EDGE, band, spr_below, stein_solve
+from .spectral import _ABOVE, _EDGE, spr_below, stein_solve
 from .spectrum import _Resolvent
 from .words import NCPolynomial, suffixes, words_up_to
 
@@ -107,8 +107,8 @@ def is_outer_rational(r):
         return OuterResult(outer=False, spr_inverse=float("inf"),
                            value_at_zero=gamma,
                            reason="value at zero is zero")
-    s = _Resolvent(r_min).inverse_cpmap(0.0).spr
-    where = band(s)
+    cp = _Resolvent(r_min).inverse_cpmap(0.0)
+    s, where = cp.spr, cp.band
     return OuterResult(outer=where != _ABOVE, spr_inverse=s,
                        indeterminate=where == _EDGE, value_at_zero=gamma,
                        reason=f"spr of inverse realization = {s:.12g}")

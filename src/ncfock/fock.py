@@ -28,7 +28,6 @@ from .spectral import (
     _BELOW,
     _EDGE,
     _boundary_singularity,
-    band,
     similarity_to_contraction,
     spr_below,
     stein_solve,
@@ -90,7 +89,8 @@ def kernel_from_realization(r):
     <= spr(A) + min((1 - spr(A)) / 2, 0.1) and returns {conj(W), conj(S* b),
     conj(S^{-1} c)}, whose coefficients are the b* A^w c.
     """
-    s = spr_below(r.cpmap, "not in Fock space: spr(A) = {s:.12g} is not < 1")
+    spr_below(r.cpmap, "not in Fock space: spr(A) = {s:.12g} is not < 1")
+    s = r.cpmap.spr
     S, W = similarity_to_contraction(r.cpmap, min(0.5 * (1.0 - s), 0.1))
     x = S.conj().T @ r.b
     u = np.linalg.solve(S, r.c)
@@ -130,7 +130,7 @@ class FockMembership:
     """Outcome of the membership test with its certificate.
 
     verdict is "in" (member of H^2, H^infty, and the NC disk algebra),
-    "not_in", or "boundary" for the knife edge (``spectral.band``), which is
+    "not_in", or "boundary" for the knife edge (``CPMap.band``), which is
     surfaced rather than forced into a class.  ``in_h2`` is True only for
     the certified positive verdict.  On the non-positive side ``witness``
     is a pencil-singular point at norm 1/spr <= 1 (+/- the band width), and
@@ -152,11 +152,10 @@ def is_in_fock(r):
     """Theorem-A membership trichotomy for a minimal realization."""
     s = r.cpmap.spr
     radius = inf if s == 0.0 else 1.0 / s
-    where = band(s)
-    if where == _BELOW:
+    if r.cpmap.band == _BELOW:
         return FockMembership(verdict="in", in_h2=True, spr=s, radius=radius,
                               h2_norm=h2_norm(r))
-    verdict = "boundary" if where == _EDGE else "not_in"
+    verdict = "boundary" if r.cpmap.band == _EDGE else "not_in"
     try:
         witness, sigma_min = _boundary_singularity(r.cpmap, _WITNESS_TOL)
     except ArithmeticError:

@@ -23,6 +23,7 @@ from .errors import (
     MalformedJSONError,
     NotRegularAtZeroError,
     NumericalFailureError,
+    ToleranceError,
     ZeroAtZeroError,
 )
 from .words import NCPolynomial
@@ -407,8 +408,11 @@ def minimize(r, tol=DEFAULT_RANK_TOL):
     Jointly nilpotent functions (polynomials) come out structurally
     nilpotent: ``_nilpotent_cleanup`` restores, in polynomial time, the
     exact zeros that basis mixing smears at roundoff level.  Raises
-    NumericalFailureError when r(0) = b* c overflows.
+    NumericalFailureError when r(0) = b* c overflows, ToleranceError
+    for a tol outside [0, 1).
     """
+    if not 0.0 <= tol < 1.0:
+        raise ToleranceError(f"expected a tolerance in [0, 1), got {tol!r}")
     U = _krylov_basis(r.A, r.c, tol)
     if U.shape[1] == 0:
         return const(0.0, r.d)

@@ -51,21 +51,20 @@ at n = 12, so that membership verdicts of n <= 11 and
 factorizations (n <= 4) keep the dense route; the two routes differ by up
 to about 4e-15 at n = 9..11.
 
-Every verdict reads ``band(spr)``: "below", "edge" or "above" 1 +- 1e-9.
-``_stein_bands`` answers for a stack of real forms at once, from one
-stacked real Stein solve and eigvalsh at t = 1 - 1e-9 and a second pair on
-the cells still open, or None on the knife edge, so scan cells below the
-switch call spr only there; from the switch up a solve would cost O(n^6)
-against O(d n^3) per Arnoldi step, so cells there keep the Arnoldi spr.
+Every verdict reads ``CPMap.band``: "below", "edge" or "above" 1 +- 1e-9.
+Below the switch a residual-checked Stein certificate decides it
+(``_stein_bands``, which takes a whole block of scan cells in stacked
+calls); ``band(spr)`` decides where that cannot tell, within roundoff of
+1 +- 1e-9, and from the switch up, where a solve would cost O(n^6) against
+O(d n^3) per Arnoldi step.  spr is the printed estimate.
 
 One ``CPMap`` (a realization's is ``Realization.cpmap``) holds a tuple's
-spr, Perron pair and real form, each computed once; ``spr``,
-``stein_solve``, ``similarity_to_contraction`` and
-``boundary_singularity`` take it in place of the tuple, so the last reuses
-the Perron pair that ``spr`` read.  It certifies its point
-by an upper bound on sigma_min of the n^2 x n^2 pencil, the relative
-residual of the pencil's known null vector P^(1/2), at O(d n^3) instead of
-an O(n^6) SVD.
+spr, band, Perron pair and real form, each computed once; ``spr``,
+``stein_solve``, ``similarity_to_contraction`` and ``boundary_singularity``
+take it in place of the tuple, so the last reuses the Perron pair that
+``spr`` read.  It certifies its point by an upper bound on sigma_min of the
+n^2 x n^2 pencil, the relative residual of the pencil's known null vector
+P^(1/2), at O(d n^3) instead of an O(n^6) SVD.
 """
 
 from functools import cached_property
@@ -79,7 +78,7 @@ from .errors import (
     NumericalFailureError,
     SpectralRadiusError,
 )
-from .realization import MatrixTuple, Realization
+from .realization import MatrixTuple, Realization, _kron
 
 SPR_BOUNDARY_TOL = 1e-9
 
@@ -102,10 +101,9 @@ def band(s):
 
 
 def spr_below(cp, message):
-    """cp.spr if its ``band`` is "below"; else SpectralRadiusError(message)."""
-    if band(cp.spr) != _BELOW:
+    """SpectralRadiusError(message) unless ``cp.band`` is "below"."""
+    if cp.band != _BELOW:
         raise SpectralRadiusError(message.format(s=cp.spr))
-    return cp.spr
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +127,7 @@ def matrize(pairs):
     out = np.zeros((A0.shape[0] * B0.shape[1], A0.shape[1] * B0.shape[0]),
                    dtype=complex)
     for A, B in pairs:
-        out += np.kron(B.T, A)
+        out += _kron(B.T, A)
     return out
 
 
@@ -178,8 +176,8 @@ def _as_tuple_array(A):
 
 class CPMap:
     """The CP map Ad_{A,A*} of a tuple A, with the analysis of A: its spr,
-    its Perron pair (rho(Ad) and its eigenmatrix, the one source of rho
-    that spr reads) and the real form R of its matrization.  Each is
+    its band, its Perron pair (rho(Ad) and its eigenmatrix, the one source
+    of rho that spr reads) and the real form R of its matrization.  Each is
     computed at most once, when first needed."""
 
     def __init__(self, A):
@@ -220,6 +218,15 @@ class CPMap:
     @cached_property
     def spr(self):
         return spr(self)
+
+    @cached_property
+    def band(self):
+        """The band every verdict reads: ``_stein_bands`` below the switch,
+        ``band(spr)`` from MATRIX_FREE_MIN_N up and where that cannot tell."""
+        where = None
+        if self.n < MATRIX_FREE_MIN_N:
+            where = _stein_bands(self.real_matrization[None], self.n)[0]
+        return band(self.spr) if where is None else where
 
     @cached_property
     def perron(self):
@@ -427,61 +434,58 @@ def _stein_real(R, Q0, side="right"):
     return P
 
 
-# The Stein certificate (Popescu, J. reine angew. Math. 561, 2003): for
-# t > 0 the solution P of P - Ad_{B/t}(P) = I is >= I when spr(B) < t, and
-# is not positive definite when spr(B) > t, since a positive definite P
-# gives Ad_{B/t}(P) = P - I <= (1 - 1/||P||) P.  The computed P carries a
-# roundoff of about n ||P|| 1e-16, so lambda_min(P) >= 1 - _STEIN_DELTA
-# certifies spr < t and lambda_min(P) < -_STEIN_DELTA ||P|| certifies
-# spr >= t.  ||P|| grows like 1/|1 - spr^2/t^2| near the knife edge; above
-# _STEIN_CAP the answer is left to spr (|spr - t| below 5e-8 on 1 x 1
-# tuples, below up to about 1e-6 on some random 6 x 6 ones).
-_STEIN_DELTA = 1e-6
-_STEIN_CAP = 1e7
-
-
 def _stein_bands(R, n):
-    """``band`` of spr(B) for each real form R[k] of Ad_B in a stack: the
-    certificate at t = 1 - 1e-9 on the whole stack, then at t = 1 + 1e-9
-    on the cells still open; None for a cell where it cannot tell.
-
-    Each t costs one stacked solve and one stacked eigvalsh, bitwise the
-    per-matrix calls.  A LinAlgError or a non-finite solution anywhere
-    in a stack of more than one cell sends that stack back to one
-    certificate per cell, so each cell gets exactly its own answer."""
-    bands = [None] * len(R)
+    """``band`` of spr(B) for each real form R[k] of Ad_B in a stack, by the
+    Stein certificate (Popescu, J. reine angew. Math. 561, 2003) at
+    t = 1 - 1e-9, then at t = 1 + 1e-9 on the cells still open; None where
+    it cannot tell.  The solve of (I - R/t^2) x = coords(I) gives P with
+    P - Ad_{B/t}(P) = I + E, E the residual in these isometric coordinates.
+    Its norm plus the rounding bound gamma_{n^2+2} ||I - R/t^2||_F ||x||
+    (Higham, ch. 3) below 1 makes I + E > 0.  Then lambda_min(P) > mu
+    proves spr(B) < t (Ad_{B/t}(P) < P with P > 0), and lambda_min(P) < -mu
+    proves spr(B) >= t (for spr(B) < t, P = sum_k Ad_{B/t}^k(I + E) > 0);
+    mu = 8 n eps max|lambda(P)| covers the error of eigvalsh.  Each t costs
+    one stacked solve and eigvalsh, bitwise the per-matrix calls; a
+    LinAlgError or a non-finite solution in a stack of more than one cell
+    sends that stack back to one certificate per cell."""
+    bands = np.full(len(R), None)
     open_ = np.arange(len(R))
     diagonal = np.arange(n * n)
+    coords_I = hermitian_coords(np.eye(n))
+    eps = np.finfo(float).eps
+    u = (n * n + 2) * eps / 2
+    # gamma_{n^2+2} ||I - R/t^2||_F at either t
+    slack = u / (1.0 - u) * (n + np.sqrt(np.einsum("kij,kij->k", R, R))
+                             / (1.0 - SPR_BOUNDARY_TOL) ** 2)
     for t, below_t in ((1.0 - SPR_BOUNDARY_TOL, _BELOW),
                        (1.0 + SPR_BOUNDARY_TOL, _EDGE)):
         if open_.size == 0:
-            return bands
+            return bands.tolist()
         # I - R / t^2, bitwise: a 0 - x that keeps +0, then 1 on the diagonal
         K = R[open_]
         K /= t * t
         np.subtract(0.0, K, out=K)
         K[:, diagonal, diagonal] += 1.0
         try:
-            # np.eye(n).ravel() is hermitian_coords(I)
-            x = np.linalg.solve(K, np.eye(n).ravel())
+            x = np.linalg.solve(K, coords_I)
             if not np.isfinite(x).all():
                 raise np.linalg.LinAlgError("non-finite Stein solution")
             w = np.linalg.eigvalsh(from_hermitian_coords(x, n))
         except np.linalg.LinAlgError:
             if len(R) == 1:
-                return bands
+                return bands.tolist()
             return [band for k in range(len(R))
                     for band in _stein_bands(R[k:k + 1], n)]
+        resid = np.matmul(K, x[:, :, None])[:, :, 0] - coords_I
+        positive = (np.sqrt(np.einsum("ki,ki->k", resid, resid))
+                    + slack[open_] * np.sqrt(np.einsum("ki,ki->k", x, x))
+                    < 1.0)
         low = w[:, 0]
-        norm = np.maximum(-low, w[:, -1])
-        capped = norm <= _STEIN_CAP
-        below = capped & (low >= 1.0 - _STEIN_DELTA)
-        for k in open_[below]:
-            bands[k] = below_t
-        open_ = open_[capped & ~below & (low < -_STEIN_DELTA * norm)]
-    for k in open_:
-        bands[k] = _ABOVE
-    return bands
+        mu = 8 * n * eps * np.maximum(-low, w[:, -1])
+        bands[open_[positive & (low > mu)]] = below_t
+        open_ = open_[positive & (low < -mu)]
+    bands[open_] = _ABOVE
+    return bands.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ lambda lies in the spectrum of r(L) iff the minimal realization of
 immediate zero-level singularity).  For minimal r = (A, b, c) that spr is
 the spr of B(lambda)_j = A_j - c b* A_j / (b* c - lambda) compressed to
 O = span{A*^w b : |w| >= 1} (see ``grid_scan``).  A scan cell needs only
-the ``spectral.band`` of that spr, which a Stein certificate on the real
-form of the matrization of B(lambda) gives without eigenvalues, for a
-block of cells (_STEIN_BLOCK entries of real form) in stacked calls; spr
-itself runs only on the knife edge.  The lambda = 0 cell decides the
+the band of that spr against 1 +- 1e-9, which the Stein certificate of
+``spectral._stein_bands`` gives for a block of cells (_STEIN_BLOCK entries
+of real form) in stacked calls; an undecided cell reads the same
+``CPMap.band`` as ``contains_lambda``.  The lambda = 0 cell decides the
 outerness of r (``factorization.is_outer_rational``).  Random finite-level
 eigenvalue sampling provides the complementary lower bound, and sigma_0 /
 sigma_pm classification of spectrum cells follows the outerness of
@@ -52,7 +52,6 @@ from .spectral import (
     _EDGE,
     MATRIX_FREE_MIN_N,
     _stein_bands,
-    band,
     boundary_singularity,
     matrize,
     real_form,
@@ -85,12 +84,8 @@ class SpectrumMembership:
 
 
 def _bounded(r_min):
-    """r_min, which must be a bounded multiplier: spr(A) < 1 - 1e-9, shown
-    by the Stein certificate below MATRIX_FREE_MIN_N and else by spr."""
-    cp = r_min.cpmap
-    if not (cp.n < MATRIX_FREE_MIN_N and _stein_bands(
-            cp.real_matrization[None], cp.n)[0] == _BELOW):
-        spr_below(cp, "not a bounded multiplier: spr(A) = {s:.12g}")
+    """r_min, which ``spr_below`` shows a bounded multiplier."""
+    spr_below(r_min.cpmap, "not a bounded multiplier: spr(A) = {s:.12g}")
     return r_min
 
 
@@ -152,21 +147,17 @@ class _Resolvent:
                  matrize(zip(C, C_star))]
         return [real_form(T) for T in terms]
 
-    def band(self, lam):
-        """``bands`` of the one cell lambda."""
-        return self.bands([lam])[0]
-
     def bands(self, lams):
-        """``spectral.band`` of spr(B(lambda)) for each lambda by the Stein
-        certificate, all cells in stacked calls (``spectral._stein_bands``);
-        None where the certificate cannot tell, at a zero-level lambda, and
-        from MATRIX_FREE_MIN_N up.  The real forms are formed elementwise,
-        so their bits do not depend on which cells share a stack."""
-        bands = [None] * len(lams)
+        """The band of spr(B(lambda)) for each lambda: "above" if r(0) =
+        lambda, as 1/(r - lambda) is not regular at 0; else by the stacked
+        ``spectral._stein_bands``, None where it cannot tell and from
+        MATRIX_FREE_MIN_N up.  The real forms are formed elementwise, so
+        their bits do not depend on which cells share a stack."""
+        bands = [_ABOVE if self.r.vanishes_at_zero(lam) else None
+                 for lam in lams]
         if self.n >= MATRIX_FREE_MIN_N:
             return bands
-        cells = [k for k, lam in enumerate(lams)
-                 if not self.r.vanishes_at_zero(lam)]
+        cells = [k for k, where in enumerate(bands) if where is None]
         alpha = 1.0 / (self.gamma - np.array([lams[k] for k in cells]))
         a, b, s = (v[:, None, None] for v in
                    (alpha.real, alpha.imag, np.abs(alpha) ** 2))
@@ -181,9 +172,9 @@ def contains_lambda(r, lam, want_witness=False):
     """Decide lambda in sigma(r(L)) for a bounded realization.
 
     Returns "spectrum" immediately when r(0) = lambda; otherwise returns
-    "resolvent" iff the minimal realization of (r - lambda)^{-1} has joint
-    spectral radius < 1 - 1e-9, computed as in ``grid_scan``.  Values within
-    1e-9 of 1 keep the spectrum verdict but set ``indeterminate``.
+    "resolvent" iff the minimal realization of (r - lambda)^{-1} has the
+    ``CPMap.band`` "below", computed as in ``grid_scan``; "edge" keeps the
+    spectrum verdict but sets ``indeterminate``.
     """
     return _membership(_Resolvent(_bounded(minimize(r))), lam, want_witness)
 
@@ -195,8 +186,7 @@ def _membership(resolvent, lam, want_witness=False):
                                   witness=MatrixTuple.zeros(resolvent.d, 1)
                                   if want_witness else None)
     cp = resolvent.inverse_cpmap(lam)
-    s = cp.spr
-    where = band(s)
+    s, where = cp.spr, cp.band
     if where == _BELOW:
         return SpectrumMembership(verdict="resolvent", spr_value=s)
     witness = None
@@ -243,15 +233,13 @@ _STEIN_BLOCK = 2 ** 15
 
 
 def _cell_decision(resolvent, lam, classify, where):
-    """A cell's (member, class) from the Stein band ``where`` of its
-    lambda, or from spr (``_membership``) where the band is None."""
+    """A cell's (member, class) from the band ``where`` of its lambda, or
+    where that is None from the ``CPMap.band`` that ``_membership`` reads."""
     if where is None:
         try:
-            membership = _membership(resolvent, lam)
+            where = resolvent.inverse_cpmap(lam).band
         except NCFockError:
             return False, CLASS_INDET
-        where = (_BELOW if not membership
-                 else _EDGE if membership.indeterminate else _ABOVE)
     if where == _BELOW:
         return False, CLASS_RESOLVENT
     if where == _EDGE:
@@ -266,19 +254,17 @@ def grid_scan(r, rect, resolution, classify=True):
     equals that of the minimal inverse, as invert(r - lambda) is block
     triangular with blocks B(lambda) and 0, every B(lambda)_j* maps O into
     itself and minimality makes A_j vanish off O.  The cell asks only for
-    the ``spectral.band`` of that spr.  Below MATRIX_FREE_MIN_N the Stein
-    certificate answers (``_Resolvent.bands``, whose four real terms are
-    built once per scan) for row-major blocks of 2**15 // n**4 cells, 256
-    KB of real form, in stacked solves; then each cell is decided
-    (``_cell_decision``), and only where the certificate cannot tell does
-    a cell compute spr, as ``contains_lambda`` does, and from the switch
-    up every cell does, by Arnoldi.  Spectrum cells are tagged sigma_pm
-    (spectrum if unclassified): r - lambda is outer iff that spr is <= 1,
-    which a decisive cell (spr > 1 + 1e-9) or a zero-level one
-    (r(0) = lambda) never meets.  Cell errors and knife-edge values are
-    tagged indeterminate.  A constant multiplier (spectrum = one point)
-    marks exactly the cell containing its value.  A non-finite, empty or
-    over-large grid (more than 1e7 cells) raises ScanGridError.
+    the band of that spr.  Below MATRIX_FREE_MIN_N the Stein certificate
+    answers (``_Resolvent.bands``, whose four real terms are built once per
+    scan) for row-major blocks of 2**15 // n**4 cells, 256 KB of real form,
+    in stacked solves; a cell it leaves open (every cell from the switch
+    up) reads the ``CPMap.band`` of its inverse, as ``contains_lambda``
+    does.  Spectrum cells are tagged sigma_pm (spectrum if unclassified):
+    r - lambda is outer iff that spr is <= 1, which a decisive cell (spr >
+    1 + 1e-9) or a zero-level one (r(0) = lambda) never meets.  Cell errors
+    and knife-edge values are tagged indeterminate.  A constant multiplier
+    (spectrum = one point) marks exactly the cell containing its value.  A
+    non-finite, empty or over-large grid (over 1e7 cells) raises ScanGridError.
     """
     return _grid_scan(minimize(r), rect, resolution, classify)
 

@@ -329,6 +329,18 @@ def _scaled(n, target, seed):
     return nf.Realization(target / nf.spr(A0) * A0, b, c)
 
 
+@pytest.mark.parametrize("n", [3, 8, MATRIX_FREE_MIN_N - 1])
+def test_gates_below_the_switch_compute_no_spr(monkeypatch, n):
+    # below the switch the Stein certificate of CPMap.band passes the gate
+    from ncfock import spectral
+
+    calls = count_calls(monkeypatch, spectral, "spr")
+    nf.h2_norm(_scaled(n, 0.7, seed=n))
+    nf.stein_solve(_scaled(n, 0.7, seed=n).A, np.eye(n))
+    nf.is_inner(_scaled(n, 0.7, seed=n))
+    assert calls == []
+
+
 @pytest.mark.parametrize("n", [16, 21])
 def test_not_in_verdict_runs_arnoldi_once(monkeypatch, n):
     # spr and the Perron eigenmatrix of the witness share one Arnoldi run
@@ -372,6 +384,8 @@ def test_dense_not_in_verdict_runs_one_eigensolve(monkeypatch):
 @pytest.mark.parametrize("n", [3, 8, 16])
 def test_well_conditioned_stein_solve_factors_once(monkeypatch, n):
     cp = nf.CPMap(_scaled(n, 0.7, seed=n).A)
+    # the certificate solve of the spr gate is not the Stein solve counted
+    assert cp.band == "below"
     calls = count_calls(monkeypatch, np.linalg, "solve")
     nf.stein_solve(cp, np.eye(n))
     assert len(calls) == 1

@@ -262,6 +262,16 @@ def test_minimize_reports_overflow(A, bc):
     assert isinstance(info.value, ArithmeticError)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 1.0, -1e-10])
+def test_minimize_rejects_a_tolerance_outside_0_1(tol):
+    # each of these kept no singular value: the zero function came back
+    r = nf.from_expression("z1*inv(1-0.5*z2)", 2)
+    with pytest.raises(nf.ToleranceError) as info:
+        nf.minimize(r, tol=tol)
+    assert info.value.code == "invalid-tolerance"
+    assert isinstance(info.value, ValueError)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_failed_inverse_self_check_is_coded():
     with pytest.raises(nf.NumericalFailureError):

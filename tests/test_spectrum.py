@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import ncfock as nf
 from conftest import count_calls, random_polynomial, src_env
 from ncfock import spectrum
-from ncfock.spectral import SPR_BOUNDARY_TOL
+from ncfock.spectral import SPR_BOUNDARY_TOL, band
 from ncfock.spectrum import (
     _ABOVE,
     _BELOW,
@@ -264,11 +264,15 @@ def test_outerness_of_a_constant():
 # ---------------------------------------------------------------------------
 
 def _spr_band(membership):
-    """Where the spr of a cell tuple lies against 1 +- 1e-9 (a zero-level
-    cell counts as above)."""
-    if not membership:
-        return _BELOW
-    return _EDGE if membership.indeterminate else _ABOVE
+    """Where the printed spr of a cell tuple lies against 1 +- 1e-9 (a
+    zero-level cell counts as above); the verdict, which reads the
+    certificate of ``CPMap.band``, must say the same."""
+    if membership.zero_level:
+        return _ABOVE
+    where = band(membership.spr_value)
+    assert bool(membership) == (where != _BELOW)
+    assert membership.indeterminate == (where == _EDGE)
+    return where
 
 
 def _spr_cell(band, classify):
@@ -282,13 +286,12 @@ def _spr_cell(band, classify):
 
 def _check_certificate(resolvent, lam):
     """The certificate agrees with the spr band or defers, and defers only
-    at a zero-level cell or where spr is within 1e-6 of 1.  Returns the spr
-    band."""
+    where spr is within 1e-6 of 1.  Returns the spr band."""
     membership = _membership(resolvent, lam)
     want = _spr_band(membership)
-    band = resolvent.band(lam)
-    if band is not None:
-        assert band == want, lam
+    where = resolvent.bands([lam])[0]
+    if where is not None:
+        assert where == want, lam
     elif not membership.zero_level:
         assert abs(membership.spr_value - 1.0) <= 1e-6, lam
     return want
@@ -362,7 +365,7 @@ def test_stein_certificate_at_the_knife_edge(n, d, seed):
                      xtol=1e-300, rtol=1e-15, maxiter=500)
         lam = resolvent.gamma + rho * direction
         assert _spr_band(_membership(resolvent, lam)) == band, offset
-        assert resolvent.band(lam) in (None, band), offset
+        assert resolvent.bands([lam])[0] in (None, band), offset
 
 
 def test_scan_of_perturbed_copy_calls_no_spr(monkeypatch,
@@ -376,18 +379,20 @@ def test_scan_of_perturbed_copy_calls_no_spr(monkeypatch,
     assert calls == []
 
 
-def test_knife_edge_cells_defer_to_one_spr(monkeypatch, z1):
+def test_knife_edge_cells_are_certified_on_the_edge(monkeypatch, z1):
     from ncfock import spectral
 
     resolvent = _Resolvent(z1)
     calls = count_calls(monkeypatch, spectral, "spr")
+    inverses = count_calls(monkeypatch, resolvent, "inverse_cpmap")
     for lam in (1.0, 1j, 1.0 + 1e-10, 1.0 - 1e-10):
-        del calls[:]
-        where = resolvent.band(lam)
-        assert where is None, lam
-        assert _cell_decision(resolvent, lam, True, where) == \
+        assert resolvent.bands([lam])[0] == _EDGE, lam
+        assert calls == [] and inverses == [], lam
+        # a cell left undecided reads the band of its inverse's CPMap
+        assert _cell_decision(resolvent, lam, True, None) == \
             (True, CLASS_INDET)
-        assert len(calls) == 1, lam
+        assert inverses.pop() == (lam,)
+    assert calls == []
 
 
 def test_cell_decision_runs_once_per_cell(monkeypatch, z1):
@@ -436,6 +441,30 @@ def test_stacked_stein_bands_equal_single_ones(n, d, offsets, bad, seed):
     for j, offset in enumerate(offsets):
         if abs(offset) == 0.3 and not (bad and j == k):
             assert stacked[j] == (_BELOW if offset < 0 else _ABOVE), offset
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 6), d=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stein_bands_decide_within_roundoff_of_the_band(n, d, seed):
+    """A tuple scaled to spr t (1 + delta) at either end t of the band gets
+    exactly the band of that spr for |delta| down to 1e-11, and that band
+    or None at 1e-13, never another."""
+    from ncfock.spectral import _stein_bands
+
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
+    B /= nf.spr(B, method="iterate")
+    for t in (1.0 - SPR_BOUNDARY_TOL, 1.0 + SPR_BOUNDARY_TOL):
+        for delta in (1e-9, 1e-11, 1e-13):
+            for s in (t * (1.0 + delta), t * (1.0 - delta)):
+                where = _stein_bands(nf.CPMap(s * B).real_matrization[None],
+                                     n)[0]
+                want = band(s)
+                if delta == 1e-13:
+                    assert where in (want, None), (t, s)
+                else:
+                    assert where == want, (t, s)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)

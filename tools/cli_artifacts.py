@@ -41,6 +41,8 @@ DEGREE9 = (
 POLY_D4 = "1 + 0.5*z3*z4*z4 + 1.7*z4*z1*z2*z4 + 0.2*z2*z2*z3"
 POLY_D3 = ("1 + 1.7*z3*z1*z3*z3 + 1.5*z2*z1 + 0.7*z1*z1*z3*z1*z2"
            " + 0.4*z2*z2*z1")
+EDGE = "inv(1 - 0.9999999995*z1)"
+NEAR_EDGE = "inv(1 - 0.999999997*z1)"
 EXPRESSIONS = {"fixture": FIXTURE, "poly": POLY, "rational41": RATIONAL41,
                "inv4": INV4}
 
@@ -154,7 +156,7 @@ COMMANDS = _per_expression() + [
     # a 10-state resolvent on 64 cells: Stein certificates in blocks of 3
     ["spectrum-scan", "--realization", "inputs/rational41-min.json",
      "--rect=-2.8,-0.4,-1.2,1.2", "--res", "0.3", "--out", "{run}/scan"],
-    # centres on |lambda| = 1: knife-edge cells go to spr
+    # centres on |lambda| = 1: knife-edge cells, certified on the edge
     ["spectrum-scan", "-d", "2", "z1", "--rect=-1.25,1.25,-1.25,1.25",
      "--res", "0.5", "--out", "{run}/scan"],
     *([*command, "--realization", f"inputs/{name}"]
@@ -166,6 +168,13 @@ COMMANDS = _per_expression() + [
     # a nan tolerance is a usage error
     ["realize", "-d", "2", "z1*inv(1-0.5*z2)", "--minimize", "--tol", "nan"],
     ["boundary-sing", "-d", "2", FIXTURE, "--tol", "nan"],
+    # spr 1 - 5e-10, on the edge, and 1 - 3e-9, below it with a Stein
+    # solution of norm about 2.5e8
+    *([command, "-d", "2", text]
+      for text in (EDGE, NEAR_EDGE)
+      for command in ("member", "norm", "kernel", "inner-test")),
+    ["spectrum-scan", "-d", "2", NEAR_EDGE, "--rect=-1,3,-2,2", "--res",
+     "0.25", "--out", "{run}/scan"],
 ]
 
 
