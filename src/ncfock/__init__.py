@@ -22,6 +22,7 @@ from .errors import (
     SpectralRadiusError,
     ToleranceError,
     ZeroAtZeroError,
+    ZeroPolynomialError,
 )
 from .expr import as_polynomial, eval_ast, format_expr, normalize, parse
 from .factorization import (

@@ -88,6 +88,12 @@ class ToleranceError(NCFockError, ValueError):
     code = "invalid-tolerance"
 
 
+class ZeroPolynomialError(NCFockError, ValueError):
+    """An operation that needs a nonzero polynomial, such as its factor."""
+
+    code = "zero-polynomial"
+
+
 class MalformedJSONError(NCFockError, ValueError):
     """A JSON input that does not parse or lacks a required key."""
 

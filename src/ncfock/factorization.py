@@ -14,11 +14,17 @@ the lambda = 0 cell of r's spectrum scan, has joint spectral radius <= 1.
 Innerness is an exact Gram condition computed through one left Stein solve.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CertificationError
+from .errors import (
+    CertificationError,
+    NumericalFailureError,
+    ZeroPolynomialError,
+)
+from .lsq import least_squares
 from .realization import (
     Realization,
     _krylov_basis,
@@ -30,25 +36,10 @@ from .realization import (
 )
 from .spectral import _ABOVE, _EDGE, spr_below, stein_solve
 from .spectrum import _Resolvent
-from .words import NCPolynomial, suffixes, words_up_to
+from .words import NCPolynomial, _pow2_normalized, suffixes, words_up_to
 
 _RESIDUAL_TOL = 1e-8   # autocorrelation residual of an outer_factor root
 _INNER_TOL = 1e-7      # is_inner tolerance of its quotient
-
-
-def least_squares(fun, x0, jac, max_nfev):
-    """Levenberg-Marquardt on fun from x0 with the exact Jacobian jac:
-    MINPACK lmder through scipy's ``leastsq``, without the set-up of
-    ``scipy.optimize.least_squares``, whose method "lm" runs the same lmder
-    with the same arguments (no ``diag``), so the same iterates.  Returns
-    an ``OptimizeResult`` with the solution x and the count nfev of
-    residual evaluations."""
-    # lazy: scipy.optimize is most of the cost of import ncfock
-    from scipy.optimize import OptimizeResult, leastsq
-    x, _, info, _, _ = leastsq(fun, x0, Dfun=jac, full_output=True,
-                               xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                               maxfev=max_nfev)
-    return OptimizeResult(x=x, nfev=info["nfev"])
 
 
 def autocorrelations(p):
@@ -68,7 +59,7 @@ def autocorrelations(p):
 def hereditary_tree(p):
     """All suffixes of support words of p; |T_p| bounds the variety level."""
     if p.is_zero():
-        raise ValueError("hereditary tree of the zero polynomial")
+        raise ZeroPolynomialError("hereditary tree of the zero polynomial")
     tree = set()
     for word in p.coeffs:
         tree.update(suffixes(word))
@@ -185,67 +176,82 @@ def _unpack(d, words, x):
     return NCPolynomial(d, table)
 
 
-def _real_rows(z):
-    """Real rows of a complex array indexed by gamma along axis 0: the real
-    part at the empty word, then the real and imaginary parts of each
-    further gamma in turn."""
-    out = np.empty((2 * len(z) - 1,) + z.shape[1:])
-    out[0] = z[0].real
-    out[1::2] = z[1:].real
-    out[2::2] = z[1:].imag
-    return out
+def _sum_into(slots, values, size):
+    """Sums of values[..., t] into slot slots[t] of a last axis of length
+    size, by one bincount over the leading (batch) axes."""
+    lead = values.shape[:-1]
+    count = math.prod(lead)
+    flat = (np.arange(count)[:, None] * size + slots).ravel()
+    return np.bincount(flat, values.ravel(),
+                       count * size).reshape(lead + (size,))
+
+
+def _real_coords(j):
+    """(real coordinate, weight) pairs of complex coefficients j in the
+    coordinates of ``_pack``: c_0 = x_0 and c_j = x_{2j-1} + i x_{2j}; the
+    imaginary coordinate of c_0 gets weight 0."""
+    return ((np.where(j == 0, 0, 2 * j - 1), np.ones(j.shape)),
+            (2 * j, np.where(j == 0, 0, 1j)))
 
 
 class _AutocorrelationSystem:
     """autocorrelations(q) - target over the words of length <= deg, and its
-    exact Jacobian, in the coordinates x of ``_pack``.
+    exact Jacobian, in the coordinates x of ``_pack``; x may carry leading
+    batch axes, one point per start.
 
-    Words are indexed in ``words_up_to`` order, so q's coefficient vector
-    is c = (x[0], x[1] + i x[2], ...).  Each pair of words (w, w gamma)
-    with |w gamma| <= deg is stored once as an index triple (iw, iwg, ig);
-    the L^gamma autocorrelation is then sum over ig = gamma of
-    conj(c[iw]) c[iwg], and its derivatives in Re c_k and Im c_k come from
-    the triples with iw = k or iwg = k.
+    Each pair of words (w, w gamma) with |w gamma| <= deg adds
+    conj(c_w) c_{w gamma} to the L^gamma autocorrelation.  Split into the
+    real coordinates of c_w and c_{w gamma}, and into the real rows of
+    gamma (the real part at the empty word, then the real and imaginary
+    parts of each further gamma in turn), the system is the real quadratic
+    form f_r(x) = sum W[r, a, b] x_a x_b - t_r, stored as its nonzero
+    entries (r, a, b, W).  The residual and the Jacobian
+    df_r/dx_a = sum_b (W[r, a, b] + W[r, b, a]) x_b are then one
+    ``np.bincount`` each over the whole batch.
     """
 
     def __init__(self, d, deg, target):
         words = list(words_up_to(d, deg))
         index = {w: k for k, w in enumerate(words)}
-        triples = np.array([(index[w], index[w + g], index[g])
-                            for w in words
-                            for g in words_up_to(d, deg - len(w))]).T
-        self.iw, self.iwg, self.ig = triples
-        self.target = np.array([target.get(w, 0.0) for w in words],
-                               dtype=complex)
-        # Jacobian entries: (ig, iw) from conj(c_w), (ig, iwg) from c_wg
-        self._jac_at = (np.concatenate((self.ig, self.ig)),
-                        np.concatenate((self.iw, self.iwg)))
-
-    def coefficients(self, x):
-        c = np.empty(len(self.target), dtype=complex)
-        c[0] = x[0]
-        c[1:] = x[1::2] + 1j * x[2::2]
-        return c
+        iw, iwg, ig = np.array([(index[w], index[w + g], index[g])
+                                for w in words
+                                for g in words_up_to(d, deg - len(w))]).T
+        rows, left, right, weights = [], [], [], []
+        for a, wa in _real_coords(iw):
+            for b, wb in _real_coords(iwg):
+                weight = np.conj(wa) * wb
+                for row, part in ((np.where(ig == 0, 0, 2 * ig - 1),
+                                   weight.real),
+                                  (2 * ig, np.where(ig == 0, 0, weight.imag))):
+                    rows.append(row)
+                    left.append(a)
+                    right.append(b)
+                    weights.append(part)
+        rows, left, right, weights = map(np.concatenate,
+                                         (rows, left, right, weights))
+        keep = weights != 0
+        self.rows, self.left, self.right, self.weights = (
+            rows[keep], left[keep], right[keep], weights[keep])
+        self.size = 2 * len(words) - 1          # rows and unknowns
+        target = np.array([target.get(w, 0.0) for w in words], dtype=complex)
+        self.target = np.empty(self.size)
+        self.target[0] = target[0].real
+        self.target[1::2] = target[1:].real
+        self.target[2::2] = target[1:].imag
+        # Jacobian entries, flat in (r, a): W x_b at (r, a), W x_a at (r, b)
+        self._jac_at = np.concatenate((self.rows * self.size + self.left,
+                                       self.rows * self.size + self.right))
+        self._jac_by = np.concatenate((self.right, self.left))
+        self._jac_weights = np.concatenate((self.weights, self.weights))
 
     def residual(self, x):
-        c = self.coefficients(x)
-        auto = np.zeros_like(self.target)
-        np.add.at(auto, self.ig, np.conj(c[self.iw]) * c[self.iwg])
-        return _real_rows(auto - self.target)
+        products = self.weights * x[..., self.left] * x[..., self.right]
+        return _sum_into(self.rows, products, self.size) - self.target
 
     def jacobian(self, x):
-        c = self.coefficients(x)
-        n = len(c)
-        left, right = c[self.iwg], np.conj(c[self.iw])
-        d_re = np.zeros((n, n), dtype=complex)
-        np.add.at(d_re, self._jac_at, np.concatenate((left, right)))
-        d_im = np.zeros((n, n), dtype=complex)
-        np.add.at(d_im, self._jac_at, 1j * np.concatenate((-left, right)))
-        J = np.empty((n, len(x)), dtype=complex)
-        J[:, 0] = d_re[:, 0]              # q(0) = x[0] is real
-        J[:, 1::2] = d_re[:, 1:]
-        J[:, 2::2] = d_im[:, 1:]
-        return _real_rows(J)
+        J = _sum_into(self._jac_at, self._jac_weights * x[..., self._jac_by],
+                      self.size * self.size)
+        return J.reshape(x.shape[:-1] + (self.size, self.size))
 
 
 def autocorrelation_mismatch(p, q):
@@ -260,17 +266,29 @@ def outer_factor(p, n_starts=8, seed=0):
     """Spectral factorization p = (inner) * q with q an NC outer polynomial.
 
     Solves autocorrelations(q) = autocorrelations(p) over the full support
-    of words of length <= deg p with q(0) real, by Levenberg-Marquardt
-    (MINPACK lmder, ``least_squares``) with the exact Jacobian of
-    ``_AutocorrelationSystem``.  It starts from 4 deterministic points
-    (q = p with q(0) = |p(0)|, and three with mass on the empty word:
-    q(0) = ||p||_2 and the other coefficients 0.05, 0.2 and 0.5 times p's)
-    plus ``n_starts`` randomized ones.  Among residual-
-    feasible solutions, candidates are taken in decreasing q(0) and the
-    first one certified outer with an isometric quotient wins.
+    of words of length <= deg p with q(0) real, by the Levenberg-Marquardt
+    of ``least_squares`` with the exact Jacobian of
+    ``_AutocorrelationSystem``, on all starts in one batch: 4 deterministic
+    points (q = p with q(0) = |p(0)|, and three with mass on the empty
+    word: q(0) = ||p||_2 and the other coefficients 0.05, 0.2 and 0.5 times
+    p's) plus ``n_starts`` randomized ones.  Among residual-feasible
+    solutions, candidates are taken in decreasing q(0) and the first one
+    certified outer with an isometric quotient wins.
+
+    Everything runs on 2^-k p, with 2^k the power of two that brings the
+    largest coefficient modulus of p into [1/2, 1]; the result is 2^k q,
+    2^k q(0) and the residual times 2^2k, and the inner factor is that of
+    2^-k p.  The scaling is exact, so 2^j p gives bitwise 2^j q.  Raises
+    ``ZeroPolynomialError`` for p = 0 and ``NumericalFailureError`` where
+    ||p||_2^2, the autocorrelation at the empty word, overflows.
     """
     if p.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
+        raise ZeroPolynomialError("cannot factor the zero polynomial")
+    norm_p = p.l2_norm()
+    if not math.isfinite(norm_p * norm_p):
+        raise NumericalFailureError(
+            f"the autocorrelations of p overflow: ||p||_2 = {norm_p:.6g}")
+    p, k = _pow2_normalized(p)
     d, deg = p.d, p.degree
     words = [w for w in words_up_to(d, deg) if w != ()]
     norm_p = p.l2_norm()
@@ -292,14 +310,14 @@ def outer_factor(p, n_starts=8, seed=0):
                   for w in words}
         starts.append(_pack(words, norm_p * rng.uniform(0.3, 1.2), jitter))
 
+    fit = least_squares(system.residual, np.array(starts),
+                        jac=system.jacobian, max_nfev=4000)
+    residuals = np.linalg.norm(system.residual(fit.x), np.inf, axis=-1)
     solutions = []
-    for x0 in starts:
-        fit = least_squares(system.residual, x0, jac=system.jacobian,
-                            max_nfev=4000)
-        res = float(np.linalg.norm(system.residual(fit.x), np.inf))
+    for x, res in zip(fit.x, residuals.tolist()):
         if res > max(_RESIDUAL_TOL, 1e-10 * norm_p ** 2):
             continue
-        q = _unpack(d, words, fit.x)
+        q = _unpack(d, words, x)
         if q.coeff(()).real < 0:
             q = q * (-1.0)
         solutions.append((float(q.coeff(()).real), res, q))
@@ -326,7 +344,8 @@ def outer_factor(p, n_starts=8, seed=0):
         if not inner_cert:
             continue
         return FactorizationResult(
-            outer=q, inner=theta, residual=res, q0=q0,
+            outer=q * 2.0 ** k, inner=theta, residual=math.ldexp(res, 2 * k),
+            q0=math.ldexp(q0, k),
             outer_certificate=outer_cert, inner_certificate=inner_cert,
             candidates_tried=len(unique), diagnostics=diagnostics)
     raise CertificationError(

@@ -26,7 +26,7 @@ from .errors import (
     ToleranceError,
     ZeroAtZeroError,
 )
-from .words import NCPolynomial
+from .words import NCPolynomial, _pow2_scaled
 
 DEFAULT_RANK_TOL = 1e-10
 PENCIL_RCOND = 1e-12
@@ -327,18 +327,6 @@ def taylor_table(r, max_len):
 # ---------------------------------------------------------------------------
 # Minimization (two-sided Krylov compression)
 # ---------------------------------------------------------------------------
-
-def _pow2_scaled(v):
-    """(v 2^-e, e) with the largest modulus of v 2^-e in [1/2, 1], or (v, 0)
-    for a zero or non-finite v.  The scaling is exact, so the norm of v 2^-e
-    neither over- nor underflows and, wherever that of v does neither,
-    equals it times 2^-e to the bit."""
-    top = np.abs(v).max(initial=0.0)
-    if not 0.0 < top < math.inf:
-        return v, 0
-    e = max(math.frexp(top)[1], -1021)    # 2^1021 is the largest factor
-    return v * 2.0 ** -e, e
-
 
 def _krylov_basis(A, seed, tol):
     """Orthonormal basis of span{A^w seed} via breadth-first generations.

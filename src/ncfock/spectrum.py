@@ -23,6 +23,7 @@ are sigma_pm; true sigma_0 points sit exactly on the spr = 1 knife edge and
 surface as ``indeterminate`` cells.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,6 +34,7 @@ from .errors import (
     NumericalFailureError,
     ScanGridError,
 )
+from .lsq import least_squares
 from .realization import (
     DEFAULT_RANK_TOL,
     MatrixTuple,
@@ -58,7 +60,12 @@ from .spectral import (
     row_norm,
     spr_below,
 )
-from .words import NCPolynomial, words_up_to
+from .words import (
+    NCPolynomial,
+    _pow2_normalized,
+    _pow2_scaled,
+    words_up_to,
+)
 
 CLASS_RESOLVENT = "resolvent"
 CLASS_SIGMAPM = "sigma_pm"
@@ -399,11 +406,18 @@ def _eval_any(f, Z):
 
 
 def witness_residual(f, Z, y):
-    """||y* f(Z)|| for a unit-normalized left vector y."""
+    """||y* f(Z)|| for a unit-normalized left vector y, inf where it
+    overflows: the norm is taken of 2^-k f (``_pow2_normalized_function``)
+    and scaled back by 2^k, so it neither over- nor underflows on the way."""
     Z = as_matrix_tuple(Z)
     y = np.asarray(y, dtype=complex).reshape(-1)
     y = y / np.linalg.norm(y)
-    return float(np.linalg.norm(np.conj(y) @ _eval_any(f, Z)))
+    g, k = _pow2_normalized_function(f)
+    try:
+        return math.ldexp(float(np.linalg.norm(np.conj(y) @ _eval_any(g, Z))),
+                          k)
+    except OverflowError:
+        return math.inf
 
 
 def certify_witness(f, Z, y, tol=1e-8):
@@ -421,28 +435,43 @@ def certify_witness(f, Z, y, tol=1e-8):
 
 def _project_ball(X):
     if not np.isfinite(X).all():
-        # the least-squares polish of a function with huge values can step
-        # to a non-finite point
+        # a guard: ``least_squares`` stops a start rather than take a
+        # non-finite step
         raise NumericalFailureError("the witness search lost finiteness")
     norm = row_norm(X)
     return X if norm <= 1.0 else X / norm
 
 
+def _pow2_normalized_function(f):
+    """(2^-k f, k) for the power of two 2^k that brings the largest
+    coefficient modulus of a polynomial f, or those of b and of c of a
+    realization f, into [1/2, 1].  The scaling is exact and keeps the zero
+    set of f."""
+    if isinstance(f, NCPolynomial):
+        return _pow2_normalized(f)
+    b, e_b = _pow2_scaled(f.b)
+    c, e_c = _pow2_scaled(f.c)
+    return Realization(f.A, b, c), e_b + e_c
+
+
 def variety_witness_search(f, level, attempts=8, seed=0, tol=1e-8):
     """Best-effort search for (Z, y) with y* f(Z) = 0 at a fixed level.
 
-    Each attempt draws a random point of the closed row ball and polishes
-    (Z, y) jointly by least squares on [y* f(Z), |y|^2 - 1] with its exact
-    Jacobian (``_polish_witness``), keeping Z in the ball; the search stops
-    at the first attempt with sigma_min(f(Z)) <= tol and otherwise returns
-    None.  Failure to find a witness is not a proof of emptiness; the
-    certified negative route is the outerness test.
+    The search runs on g = 2^-k f of ``_pow2_normalized_function``, which
+    has the zero set of f, so 2^j f gives bitwise the Z and y of f.  Each
+    attempt draws a random point of the closed row ball and polishes (Z, y)
+    jointly by least squares on [y* g(Z), |y|^2 - 1] (``_polish_witness``),
+    keeping Z in the ball; the search stops at the first attempt with
+    sigma_min(g(Z)) <= tol and otherwise returns None.  The residual
+    returned is that of f, ||y* f(Z)||.  Failure to find a witness is not a
+    proof of emptiness; the certified negative route is the outerness test.
     """
+    g, _ = _pow2_normalized_function(f)
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(max(attempts, 1)):
-        start = random_row_contraction(rng, f.d, level).X
-        Z, value = _polish_witness(f, start)
+        start = random_row_contraction(rng, g.d, level).X
+        Z, value = _polish_witness(g, start)
         if best is None or value < best[1]:
             best = (Z, value)
         if value <= tol:
@@ -451,8 +480,7 @@ def variety_witness_search(f, level, attempts=8, seed=0, tol=1e-8):
     if not value <= tol:
         return None
     point = MatrixTuple(Z)
-    F = _eval_any(f, point)
-    _, _, Vh = np.linalg.svd(F.conj().T)
+    _, _, Vh = np.linalg.svd(_eval_any(g, point).conj().T)
     y = np.conj(Vh[-1])
     return VarietyWitness(Z=point, y=y, residual=witness_residual(f, point, y),
                           level=level)
@@ -565,19 +593,17 @@ def _polish_witness(f, Z):
     """Least-squares polish of (Z, y) jointly on the residual
     [y* f(Z), |y|^2 - 1], keeping Z inside the closed ball.
 
-    Trust-region reflective least squares with the exact Jacobian of
-    ``_WitnessSystem``, at most ``_POLISH_STEPS`` residual evaluations.  It
-    stays on TRF: the system has 2n + 1 rows against 2 d n^2 + 2n unknowns,
-    and MINPACK's Levenberg-Marquardt needs at least as many rows."""
-    from scipy.optimize import least_squares
-
+    The Levenberg-Marquardt of ``least_squares`` with the exact Jacobian of
+    ``_WitnessSystem``, at most ``_POLISH_STEPS`` residual evaluations.  The
+    system has 2n + 1 rows against 2 d n^2 + 2n unknowns, so each step is
+    the minimum-norm one, from a (2n + 1)-square solve.  Returns the
+    polished point and sigma_min(f(Z)) there."""
     system = _WitnessSystem(f, Z.shape)
     F0 = _eval_any(f, MatrixTuple(Z))
     _, _, Vh = np.linalg.svd(F0.conj().T)
     y0 = np.conj(Vh[-1])
     fit = least_squares(system.residual, system.join(Z, y0),
-                        jac=system.jacobian, method="trf", xtol=1e-15,
-                        ftol=1e-15, gtol=1e-15, max_nfev=_POLISH_STEPS)
+                        jac=system.jacobian, max_nfev=_POLISH_STEPS)
     Zp, _ = system.split(fit.x)
     Zp = _project_ball(Zp)
     return Zp, float(np.linalg.svd(_eval_any(f, MatrixTuple(Zp)),

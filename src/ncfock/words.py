@@ -5,6 +5,7 @@ The global monomial order used everywhere (coefficient tables, Toeplitz
 truncations) is length-then-lexicographic with 1 < 2 < ... < d.
 """
 
+import math
 from itertools import product
 
 import numpy as np
@@ -40,6 +41,27 @@ def monomial_count(d, max_len):
     if d == 1:
         return max_len + 1
     return (d ** (max_len + 1) - 1) // (d - 1)
+
+
+def _pow2_scaled(v):
+    """(v 2^-e, e) with the largest modulus of v 2^-e in [1/2, 1], or (v, 0)
+    for a zero or non-finite v.  The scaling is exact, so the norm of v 2^-e
+    neither over- nor underflows and, wherever that of v does neither,
+    equals it times 2^-e to the bit."""
+    top = np.abs(v).max(initial=0.0)
+    if not 0.0 < top < math.inf:
+        return v, 0
+    e = max(math.frexp(top)[1], -1021)    # 2^1021 is the largest factor
+    return v * 2.0 ** -e, e
+
+
+def _pow2_normalized(p):
+    """(p 2^-e, e) with the largest coefficient modulus of p 2^-e in
+    [1/2, 1], as ``_pow2_scaled`` gives it; the scaling is exact."""
+    support = list(p.coeffs)
+    values, e = _pow2_scaled(np.array([p.coeffs[w] for w in support],
+                                      dtype=complex))
+    return NCPolynomial(p.d, dict(zip(support, values.tolist()))), e
 
 
 def suffixes(word):
@@ -160,7 +182,16 @@ class NCPolynomial:
         )
 
     def l2_norm(self):
-        return float(np.sqrt(sum(abs(v) ** 2 for v in self.coeffs.values())))
+        """The l2 norm of the coefficients, inf where it overflows; the
+        coefficients are summed scaled by a power of two, so no square
+        over- or underflows on its own."""
+        values, e = _pow2_scaled(np.array(list(self.coeffs.values()),
+                                          dtype=complex))
+        norm = math.sqrt(sum(abs(v) ** 2 for v in values.tolist()))
+        try:
+            return math.ldexp(norm, e)
+        except OverflowError:
+            return math.inf
 
     def allclose(self, other, tol=1e-10):
         if np.isscalar(other):

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -555,6 +556,33 @@ def test_member_of_the_inverse_of_a_tiny_constant(capsys):
     assert code == 0
     assert obj["verdict"] == "in_H2"
     assert obj["h2_norm"] == pytest.approx(1e15, rel=1e-12)
+
+
+def test_factor_error_contract(capsys):
+    """The zero polynomial and a polynomial whose autocorrelations overflow
+    give coded errors; a tiny one factors."""
+    assert _error_code(capsys, "factor", "-d", "2", "0") == "zero-polynomial"
+    assert _error_code(capsys, "factor", "-d", "1",
+                       "1e170*(1+z1)") == "numerical-failure"
+    code, out = run_cli(capsys, "factor", "-d", "1", "1e-200*(1+z1)")
+    assert code == 0
+    assert json.loads(out)["outer_certified"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["factor", "-d", "1", "1e-150*(1+z1)"],
+    ["factor", "-d", "1", "1e200*(1+z1)"],
+    ["factor", "-d", "1", "1e150*(2+z1)"],
+    ["variety-search", "-d", "1", "1e200*(1-z1)", "--level", "1"],
+    ["variety-search", "-d", "1", "1e-200*(1-z1)", "--level", "2"]])
+def test_scaled_factor_and_witness_runs_warn_nothing(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli(capsys, *argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert code in (0, 1)
+    if argv[0] == "variety-search":
+        assert json.loads(out)["found"] is True
 
 
 def test_artifact_script_covers_every_subcommand():

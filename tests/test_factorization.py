@@ -1,6 +1,8 @@
 import json
+import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from ncfock.factorization import (
     _pack,
     _unpack,
 )
+from ncfock.lsq import LeastSquaresResult, least_squares
 from ncfock.words import words_up_to
 
 
@@ -278,6 +281,12 @@ def test_index_triple_residual_matches_reference(case):
     got, want = system.residual(x), reference(x)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * (1 + x @ x)
+    # a batch of starts gives each start's rows, to the bit
+    batch = np.stack([x, -0.5 * x, x[::-1]])
+    for name in ("residual", "jacobian"):
+        method = getattr(system, name)
+        assert np.array_equal(method(batch),
+                              np.stack([method(row) for row in batch]))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -305,38 +314,53 @@ def _record_calls(monkeypatch, module, name):
 
 
 def test_outer_factor_uses_exact_jacobian(monkeypatch, poly_p5, poly_P6):
-    """Every least-squares solve gets the analytic Jacobian, and the only
-    autocorrelation table built is the target's."""
+    """All starts go to the least-squares helper in one batched call with
+    the analytic Jacobian, and the only autocorrelation table built is the
+    target's, that of p scaled by a power of two."""
     auto_calls = _record_calls(monkeypatch, factorization, "autocorrelations")
     lsq_calls = _record_calls(monkeypatch, factorization, "least_squares")
     for p in (poly_p5, poly_P6):
         del auto_calls[:], lsq_calls[:]
         res = nf.outer_factor(p, seed=0)
         assert res.outer_certificate and res.inner_certificate
-        assert [args for args, _ in auto_calls] == [(p,)]
-        assert len(lsq_calls) == res.diagnostics["starts"]
-        assert all(callable(kwargs.get("jac")) for _, kwargs in lsq_calls)
+        [(target,)] = [args for args, _ in auto_calls]
+        assert target.coeffs == (p * 0.5).coeffs
+        [((_, x0), kwargs)] = lsq_calls
+        assert x0.shape[0] == res.diagnostics["starts"]
+        assert callable(kwargs.get("jac"))
 
 
-def test_lm_helper_matches_scipy_least_squares(monkeypatch, poly_p5,
-                                               poly_P6):
-    """The leastsq helper takes bitwise the iterates of scipy's
-    least_squares(method="lm") with the same Jacobian, on every start."""
+def _scipy_lm(fun, x0, jac, max_nfev):
+    """scipy's MINPACK least_squares(method="lm") on each start in turn: a
+    test-only reference with the call signature of the helper."""
     from scipy.optimize import least_squares as reference
 
-    helper = factorization.least_squares
-    calls = _record_calls(monkeypatch, factorization, "least_squares")
+    fits = [reference(fun, x, jac=jac, method="lm", xtol=1e-15, ftol=1e-15,
+                      gtol=1e-15, max_nfev=max_nfev) for x in x0]
+    return LeastSquaresResult(x=np.array([fit.x for fit in fits]),
+                              nfev=sum(int(fit.nfev) for fit in fits))
+
+
+def test_lm_helper_converges_wherever_scipy_lm_does(monkeypatch, poly_p5,
+                                                    poly_P6):
+    """On every start of three polynomials the helper reaches the residual
+    tolerance of outer_factor wherever MINPACK's Levenberg-Marquardt does,
+    and the certified q0 of the two agree to 1e-13 relative."""
     p3 = nf.NCPolynomial(2, {(): 2.0, (1, 2): 1.0, (2, 1, 1): 3.0})
     for p in (poly_p5, poly_P6, p3):
-        del calls[:]
-        nf.outer_factor(p, seed=0)
-        assert calls
-        for (fun, x0), kwargs in calls:
-            got = helper(fun, x0, **kwargs)
-            want = reference(fun, x0, method="lm", xtol=1e-15, ftol=1e-15,
-                             gtol=1e-15, **kwargs)
-            assert np.array_equal(got.x, want.x)
-            assert got.nfev == want.nfev
+        calls = _record_calls(monkeypatch, factorization, "least_squares")
+        q0 = nf.outer_factor(p, seed=0).q0
+        monkeypatch.undo()
+        [((fun, x0), kwargs)] = calls
+        converged = [
+            np.linalg.norm(fun(fit.x), np.inf, axis=-1) <= 1e-8
+            for fit in (least_squares(fun, x0, **kwargs),
+                        _scipy_lm(fun, x0, **kwargs))]
+        assert converged[1].any()
+        assert np.all(converged[0] | ~converged[1])
+        monkeypatch.setattr(factorization, "least_squares", _scipy_lm)
+        assert nf.outer_factor(p, seed=0).q0 == pytest.approx(q0, rel=1e-13)
+        monkeypatch.undo()
 
 
 def test_certification_error_diagnostics():
@@ -344,9 +368,59 @@ def test_certification_error_diagnostics():
         nf.outer_factor(nf.NCPolynomial.zero(2))
 
 
+def test_zero_polynomial_is_a_coded_error():
+    for call in (nf.outer_factor, nf.hereditary_tree):
+        with pytest.raises(nf.ZeroPolynomialError) as info:
+            call(nf.NCPolynomial.zero(2))
+        assert isinstance(info.value, nf.NCFockError)
+        assert info.value.code == "zero-polynomial"
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(j=st.integers(-400, 400))
+def test_outer_factor_is_invariant_under_powers_of_two(j, poly_p5):
+    """outer_factor runs on 2^-k p, so 2^j p gives bitwise 2^j (q, q0), the
+    residual times 4^j and the same inner factor."""
+    p3 = nf.NCPolynomial(2, {(): 2.0, (1, 2): 1.0, (2, 1, 1): 3.0})
+    for p in (poly_p5, p3):
+        want = nf.outer_factor(p, seed=0)
+        got = nf.outer_factor(p * 2.0 ** j, seed=0)
+        assert got.outer.coeffs == (want.outer * 2.0 ** j).coeffs
+        assert got.q0 == math.ldexp(want.q0, j)
+        assert got.residual == math.ldexp(want.residual, 2 * j)
+        for name in "Abc":
+            assert np.array_equal(getattr(got.inner, name),
+                                  getattr(want.inner, name))
+
+
+def test_outer_factor_at_extreme_scales():
+    # ||p||_2^2, the empty-word autocorrelation, overflows at 1e170
+    with pytest.raises(nf.NumericalFailureError):
+        nf.outer_factor(nf.NCPolynomial(1, {(): 1e170, (1,): 1e170}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (1e-200, 1e-150, 1e150):
+            res = nf.outer_factor(nf.NCPolynomial(1, {(): 2 * s, (1,): s}))
+            assert res.q0 == pytest.approx(2 * s, rel=1e-12)
+            assert res.outer_certificate and res.inner_certificate
+
+
 def test_import_leaves_scipy_optimize_unloaded():
+    """Neither importing ncfock nor a factor or variety-search run loads
+    scipy.optimize."""
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, ncfock; print('scipy.optimize' in sys.modules)"],
+        env=src_env(), capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import contextlib, io, sys\n"
+         "from ncfock.cli import main\n"
+         "with contextlib.redirect_stdout(io.StringIO()):\n"
+         "    main(['factor', '-d', '2', '1 + z1 + z1*z2'])\n"
+         "    main(['variety-search', '-d', '2', '1 - z1*z2 - z2*z1',\n"
+         "          '--level', '2'])\n"
+         "print('scipy.optimize' in sys.modules)"],
         env=src_env(), capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -637,15 +638,13 @@ def test_witness_jacobian_matches_central_differences(kind, d, level,
 
 def test_polish_takes_the_exact_jacobian(monkeypatch, poly_P6,
                                          fixture_realization):
-    """scipy gets a callable jac, so no polish evaluates its residual more
-    than _POLISH_STEPS times (a finite-difference Jacobian alone costs
-    2 d n^2 + 2n evaluations a step)."""
-    import scipy.optimize
-
-    original = scipy.optimize.least_squares
+    """The least-squares helper gets a callable jac, so no polish evaluates
+    its residual more than _POLISH_STEPS times (a finite-difference
+    Jacobian alone costs 2 d n^2 + 2n evaluations a step)."""
+    original = spectrum.least_squares
     polishes = []
 
-    def recorded(fun, x0, jac="2-point", **kwargs):
+    def recorded(fun, x0, jac, max_nfev):
         calls = []
         polishes.append((calls, jac))
 
@@ -653,9 +652,9 @@ def test_polish_takes_the_exact_jacobian(monkeypatch, poly_P6,
             calls.append(None)
             return fun(x)
 
-        return original(counted, x0, jac=jac, **kwargs)
+        return original(counted, x0, jac=jac, max_nfev=max_nfev)
 
-    monkeypatch.setattr(scipy.optimize, "least_squares", recorded)
+    monkeypatch.setattr(spectrum, "least_squares", recorded)
     f = nf.sub(fixture_realization, nf.const(2.0, 2))
     for g, level in ((poly_P6, 3), (f, 2)):
         del polishes[:]
@@ -664,6 +663,36 @@ def test_polish_takes_the_exact_jacobian(monkeypatch, poly_P6,
         assert all(callable(jac) for _, jac in polishes)
         assert max(len(calls) for calls, _ in polishes) \
             <= spectrum._POLISH_STEPS
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(j=st.integers(-600, 600))
+def test_witness_search_is_invariant_under_powers_of_two(j):
+    """2^j f has the zero set of f, and the search runs on one and the same
+    normalized function for both: the same Z and y to the bit."""
+    p = nf.NCPolynomial(2, {(): 1.0, (1, 2): -1.1, (2, 1): -1.2})
+    r = nf.minimize(nf.from_expression("inv(1 - 0.5*z1*z2 - 0.5*z2*z1) - 2",
+                                       2))
+    for f, scaled, level in ((p, p * 2.0 ** j, 2),
+                             (r, nf.scale(r, 2.0 ** j), 1)):
+        want = nf.variety_witness_search(f, level, seed=1)
+        got = nf.variety_witness_search(scaled, level, seed=1)
+        assert want is not None
+        assert np.array_equal(got.Z.X, want.Z.X)
+        assert np.array_equal(got.y, want.y)
+
+
+def test_witness_search_of_a_huge_polynomial():
+    """1e200 (1 - z1) has the witness Z = 1, which the search finds on
+    2^-k f, with no overflow on the way; its residual, that of f, is
+    roundoff relative to 1e200."""
+    f = nf.NCPolynomial(1, {(): 1e200, (1,): -1e200})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = nf.variety_witness_search(f, 1)
+    assert w is not None
+    assert abs(w.Z.X[0, 0, 0] - 1.0) <= 1e-12
+    assert 0 <= w.residual <= 1e-14 * 1e200
 
 
 def test_sigma0_on_boundary_of_shift_spectrum(z1):

@@ -175,6 +175,18 @@ COMMANDS = _per_expression() + [
       for command in ("member", "norm", "kernel", "inner-test")),
     ["spectrum-scan", "-d", "2", NEAR_EDGE, "--rect=-1,3,-2,2", "--res",
      "0.25", "--out", "{run}/scan"],
+    # factor and the witness search run on p and f scaled by a power of
+    # two: 2^300 (2 + z1) and 2^-300 (2 + z1) factor as 2 + z1 does, and
+    # the witness of 1e200 (1 - z1) is z1 = 1
+    *(["factor", "-d", "1", f"{scale!r}*(2 + z1)"]
+      for scale in (2.0 ** 300, 2.0 ** -300)),
+    ["factor", "-d", "2", "0"],
+    ["variety-search", "-d", "1", "1e200*(1-z1)", "--level", "1"],
+    # the witness polish of a realization read from a file
+    ["realize", "-d", "2", f"{FIXTURE} - 2", "--minimize",
+     "--out", "inputs/fixture-minus-2-min.json"],
+    ["variety-search", "--realization", "inputs/fixture-minus-2-min.json",
+     "--level", "2"],
 ]
 
 
