@@ -36,7 +36,7 @@ from .realization import (
 )
 from .spectral import _ABOVE, _EDGE, spr_below, stein_solve
 from .spectrum import _Resolvent
-from .words import NCPolynomial, _pow2_normalized, suffixes, words_up_to
+from .words import NCPolynomial, suffixes, words_up_to
 
 _RESIDUAL_TOL = 1e-8   # autocorrelation residual of an outer_factor root
 _INNER_TOL = 1e-7      # is_inner tolerance of its quotient
@@ -275,8 +275,8 @@ def outer_factor(p, n_starts=8, seed=0):
     solutions, candidates are taken in decreasing q(0) and the first one
     certified outer with an isometric quotient wins.
 
-    Everything runs on 2^-k p, with 2^k the power of two that brings the
-    largest coefficient modulus of p into [1/2, 1]; the result is 2^k q,
+    Everything runs on the mantissa 2^-k p of ``NCPolynomial.pow2``, whose
+    largest coefficient modulus lies in [1/2, 1]; the result is 2^k q,
     2^k q(0) and the residual times 2^2k, and the inner factor is that of
     2^-k p.  The scaling is exact, so 2^j p gives bitwise 2^j q.  Raises
     ``ZeroPolynomialError`` for p = 0 and ``NumericalFailureError`` where
@@ -288,7 +288,7 @@ def outer_factor(p, n_starts=8, seed=0):
     if not math.isfinite(norm_p * norm_p):
         raise NumericalFailureError(
             f"the autocorrelations of p overflow: ||p||_2 = {norm_p:.6g}")
-    p, k = _pow2_normalized(p)
+    p, k = p.pow2
     d, deg = p.d, p.degree
     words = [w for w in words_up_to(d, deg) if w != ()]
     norm_p = p.l2_norm()

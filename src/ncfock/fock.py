@@ -19,7 +19,6 @@ from .errors import DimensionMismatchError, NumericalFailureError
 from .realization import (
     MatrixTuple,
     Realization,
-    _pow2_scaled,
     as_matrix_tuple,
     taylor_coeff,
     taylor_table,
@@ -102,17 +101,16 @@ def kernel_from_realization(r):
 # ---------------------------------------------------------------------------
 
 def h2_norm(r):
-    """Fock-space norm sqrt(b* P b) with P - sum A_j P A_j* = c c*.  b and
-    c enter scaled by powers of two (``_pow2_scaled``), which the norm
-    takes back exactly, so neither c c* nor b* P b over- or underflows."""
+    """Fock-space norm sqrt(b* P b) with P - sum A_j P A_j* = c c*.  It is
+    2^e times that of the mantissa m of ``Realization.pow2``, so neither
+    c c* nor b* P b over- or underflows."""
     spr_below(r.cpmap, "not in Fock space: spr(A) = {s:.12g} is not < 1")
-    b, e_b = _pow2_scaled(r.b)
-    c, e_c = _pow2_scaled(r.c)
-    P = stein_solve(r.cpmap, np.outer(c, np.conj(c)), side="right")
-    value = float(np.real(np.conj(b) @ P @ b))
+    m, e = r.pow2
+    P = stein_solve(r.cpmap, np.outer(m.c, np.conj(m.c)), side="right")
+    value = float(np.real(np.conj(m.b) @ P @ m.b))
     if np.isfinite(value):
         try:
-            return ldexp(float(np.sqrt(max(value, 0.0))), e_b + e_c)
+            return ldexp(float(np.sqrt(max(value, 0.0))), e)
         except OverflowError:
             pass
     raise NumericalFailureError("the Fock norm overflows")

@@ -138,21 +138,28 @@ class Realization:
         return complex(np.vdot(self.b, self.c))
 
     @cached_property
-    def _value_and_scale(self):
+    def pow2(self):
+        """(m, e) with m = (A, 2^-e_b b, 2^-e_c c) by ``_pow2_scaled`` and
+        e = e_b + e_c: r = 2^e m exactly, 2^j b and 2^l c give the same m
+        and e + j + l, and no Taylor coefficient of m over- or underflows."""
         b, e_b = _pow2_scaled(self.b)
         c, e_c = _pow2_scaled(self.c)
-        try:
-            scale = math.ldexp(float(np.linalg.norm(b) * np.linalg.norm(c)),
-                               e_b + e_c)
-        except OverflowError:
-            scale = math.inf
-        return self.value_at_zero(), scale
+        return Realization(self.A, b, c), e_b + e_c
+
+    @cached_property
+    def _value_and_scale(self):
+        """r(0), |b| |c| and 2^-e, the last as two finite factors, in the
+        units of ``pow2``; a scan asks once per cell, so they are kept."""
+        m, e = self.pow2
+        scale = float(np.linalg.norm(m.b) * np.linalg.norm(m.c))
+        return m.value_at_zero(), scale, 2.0 ** -(e // 2), 2.0 ** (e // 2 - e)
 
     def vanishes_at_zero(self, shift=0.0):
-        """r(0) = shift relative to max(|b| |c|, |shift|), with no floor;
-        a scan asks once per cell, so r(0) and |b| |c| are kept."""
-        gamma, scale = self._value_and_scale
-        return abs(gamma - shift) <= 1e-14 * max(scale, abs(shift))
+        """r(0) = shift relative to max(|b| |c|, |shift|), with no floor, in
+        the units of ``pow2``, where a shift that overflows is no zero of r."""
+        gamma, scale, h1, h2 = self._value_and_scale
+        shift = shift * h1 * h2
+        return abs(gamma - shift) <= 1e-14 * max(scale, abs(shift)) < math.inf
 
     @cached_property
     def cpmap(self):
@@ -345,6 +352,7 @@ def _krylov_basis(A, seed, tol):
     n = A.shape[1]
     seed = _pow2_scaled(seed)[0]
     norm_seed = np.linalg.norm(seed)
+    # finite for any finite seed; a compressed b can overflow
     if not np.isfinite(norm_seed):
         raise NumericalFailureError("the norm of b or c overflows")
     if norm_seed == 0:

@@ -26,7 +26,7 @@ real arithmetic, at a half to a third of the cost of the complex one:
   backward error ||q - K x|| / (||K|| ||x|| + ||q||) exceeds 16 eps
   (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12), so a
   well-conditioned solve factors once.  ``similarity_to_contraction``
-  solves with R / tau^2 of the same ``CPMap``.
+  solves with R / (4^-k tau^2), R that of the mantissa of the ``CPMap``.
 
 ``spr`` has two methods: ``matrized`` (the spectral radius of Ad) and
 ``iterate`` (scaling-normalized repeated squaring of the complex M, which
@@ -59,7 +59,10 @@ calls); ``band(spr)`` decides where that cannot tell, within roundoff of
 O(d n^3) per Arnoldi step.  spr is the printed estimate.
 
 One ``CPMap`` (a realization's is ``Realization.cpmap``) holds a tuple's
-spr, band, Perron pair and real form, each computed once; ``spr``,
+spr, band, Perron pair and real form, each computed once on the mantissa
+2^-k A of ``_pow2_scaled``, where no Ad^m(I) or R overflows: rho(Ad) and R
+are 4^-k times those of A, spr is 2^-k times, and 2^j A has the same
+mantissa.  In range every result is bitwise what A itself gives.  ``spr``,
 ``stein_solve``, ``similarity_to_contraction`` and ``boundary_singularity``
 take it in place of the tuple, so the last reuses the Perron pair that
 ``spr`` read.  It certifies its point by an upper bound on sigma_min of the
@@ -67,6 +70,7 @@ n^2 x n^2 pencil, the relative residual of the pencil's known null vector
 P^(1/2), at O(d n^3) instead of an O(n^6) SVD.
 """
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -78,7 +82,7 @@ from .errors import (
     NumericalFailureError,
     SpectralRadiusError,
 )
-from .realization import MatrixTuple, Realization, _kron
+from .realization import MatrixTuple, Realization, _kron, _pow2_scaled
 
 SPR_BOUNDARY_TOL = 1e-9
 
@@ -178,42 +182,38 @@ class CPMap:
     """The CP map Ad_{A,A*} of a tuple A, with the analysis of A: its spr,
     its band, its Perron pair (rho(Ad) and its eigenmatrix, the one source
     of rho that spr reads) and the real form R of its matrization.  Each is
-    computed at most once, when first needed."""
+    computed at most once, when first needed, on the mantissa 2^-k A."""
 
     def __init__(self, A):
         self.A = _as_tuple_array(A)
-        self.A_star = np.conj(np.swapaxes(self.A, 1, 2))
+        self.mantissa, self.k = _pow2_scaled(self.A)
+        self._mantissa_star = np.conj(np.swapaxes(self.mantissa, 1, 2))
+        # 4^-k, as two factors that are each a finite double
+        self._rho_scale = 2.0 ** -self.k * 2.0 ** -self.k
 
     @property
     def n(self):
         return self.A.shape[1]
 
     def __call__(self, P):
-        P = np.asarray(P, dtype=complex)
-        return ((self.A @ P) @ self.A_star).sum(axis=0)
+        return self._mantissa_ad(P) / self._rho_scale
 
-    def adjoint(self, P):
-        """The dual map P -> sum_j A_j* P A_j."""
-        P = np.asarray(P, dtype=complex)
-        return ((self.A_star @ P) @ self.A).sum(axis=0)
+    def _mantissa_ad(self, P):
+        return ((self.mantissa @ P) @ self._mantissa_star).sum(axis=0)
 
     @property
     def matrization(self):
-        """The complex matrization sum_j conj(A_j) kron A_j, built anew on
-        each access: only real_matrization and spr(method="iterate") use
-        it."""
-        return matrize([(Aj, np.conj(Aj).T) for Aj in self.A])
+        """The complex matrization sum_j conj(M_j) kron M_j of the mantissa
+        M, 4^-k times that of A, built anew on each access: only
+        real_matrization and spr(method="iterate") use it."""
+        return matrize([(Mj, np.conj(Mj).T) for Mj in self.mantissa])
 
     @cached_property
     def real_matrization(self):
-        """R, the matrix of Ad in the coordinates hermitian_coords; R^T is
-        that of the adjoint map.  The complex matrization it is built from
-        is not kept."""
-        R = real_form(self.matrization)
-        # the entries of R are sums of products of two entries of A
-        if not np.isfinite(R).all():
-            raise NumericalFailureError("the matrization of A overflows")
-        return R
+        """R, the matrix of Ad of the mantissa in the coordinates
+        hermitian_coords, 4^-k times that of A; R^T is that of the adjoint
+        map.  The complex matrization it is built from is not kept."""
+        return real_form(self.matrization)
 
     @cached_property
     def spr(self):
@@ -225,7 +225,9 @@ class CPMap:
         ``band(spr)`` from MATRIX_FREE_MIN_N up and where that cannot tell."""
         where = None
         if self.n < MATRIX_FREE_MIN_N:
-            where = _stein_bands(self.real_matrization[None], self.n)[0]
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                where = _stein_bands(self.real_matrization[None], self.n,
+                                     self._rho_scale)[0]
         return band(self.spr) if where is None else where
 
     @cached_property
@@ -271,8 +273,6 @@ def _squared_power_estimate(M, squarings, n):
         s = float(np.linalg.norm(B))
         if s == 0:
             return 0.0
-        if not np.isfinite(s):
-            raise NumericalFailureError("power estimate lost finiteness")
         B /= s
         log_acc = 2.0 * log_acc + float(np.log(s))
     K = float(2 ** squarings)
@@ -283,33 +283,30 @@ def _squared_power_estimate(M, squarings, n):
 
 
 def _power_bound(cp):
-    """||Ad^n(I)||^(1/n) for the CP map of an n-tuple, with per-step
-    normalization: an upper bound on rho(Ad), exactly 0 when the tuple is
-    jointly nilpotent.  Each step divides by the largest entry modulus, which
-    squares nothing, so the bound, the product of those scales and the final
-    2-norm, is finite whenever every Ad^k(I) is."""
+    """||Ad^n(I)||^(1/n) for the CP map of the mantissa of an n-tuple, with
+    per-step normalization: an upper bound on its rho(Ad), exactly 0 when
+    the tuple is jointly nilpotent.  Each step divides by the largest entry
+    modulus, which squares nothing, so no step overflows."""
     P = np.eye(cp.n, dtype=complex)
     log_acc = 0.0
     for _ in range(cp.n):
-        P = cp(P)
+        P = cp._mantissa_ad(P)
         s = float(np.abs(P).max())
         if s == 0:
             return 0.0
-        if not np.isfinite(s):
-            raise NumericalFailureError("Ad^k(I) overflows")
         P /= s
         log_acc += float(np.log(s))
     return float(np.exp((log_acc + np.log(np.linalg.norm(P, 2))) / cp.n))
 
 
 def _arnoldi_eigs(cp, k):
-    """The k largest-modulus eigenpairs of the CP map cp by implicitly
-    restarted Arnoldi (ARPACK), with unit-norm eigenvectors."""
+    """The k largest-modulus eigenpairs of the CP map of the mantissa of cp
+    by implicitly restarted Arnoldi (ARPACK), with unit-norm eigenvectors."""
     from scipy.sparse.linalg import LinearOperator, eigs
 
     n = cp.n
     op = LinearOperator((n * n, n * n), dtype=complex,
-                        matvec=lambda x: vec(cp(unvec(x, n))))
+                        matvec=lambda x: vec(cp._mantissa_ad(unvec(x, n))))
     # a fixed start keeps results deterministic; I is never orthogonal to
     # the Perron eigenvector, since the dual Perron matrix Q >= 0 has tr Q > 0.
     # Random tuples up to n = 30 converge within 200 restarts; a tuple that
@@ -319,8 +316,8 @@ def _arnoldi_eigs(cp, k):
 
 
 def _arnoldi_perron(cp):
-    """rho(Ad) of the CP map cp and its Hermitian Perron eigenmatrix by
-    Arnoldi, never forming the matrization.
+    """rho(Ad) of the mantissa of cp and its Hermitian Perron eigenmatrix
+    by Arnoldi, never forming the matrization.
 
     A positive definite Perron eigenmatrix P makes Ad/rho similar to a
     unital CP map, which is power bounded, so rho is semisimple and the top
@@ -344,9 +341,9 @@ def _arnoldi_perron(cp):
 
 
 def _dense_perron(cp):
-    """rho(Ad) and the Hermitian Perron eigenmatrix from the eigensolve of
-    R: the real and imaginary parts of an eigenvector of the real
-    eigenvalue rho are eigenvectors themselves; the larger is taken."""
+    """rho(Ad) of the mantissa and the Hermitian Perron eigenmatrix from the
+    eigensolve of R: the real and imaginary parts of an eigenvector of the
+    real eigenvalue rho are eigenvectors themselves; the larger is taken."""
     w, V = np.linalg.eig(cp.real_matrization)
     x = V[:, _perron_index(w)]
     P = _perron_matrix((from_hermitian_coords(x.real, cp.n),
@@ -362,18 +359,21 @@ def spr(A, method="matrized"):
     map from it up), capped by the guard ||Ad^n(I)||^(1/n).  method
     "iterate": sqrt of the norm-limit estimate from repeated squaring of
     the complex matrization.  Jointly nilpotent tuples return 0.  A may be
-    a CPMap, whose cached Perron pair is used.
+    a CPMap, whose cached Perron pair is used.  Both take 2^k times the spr
+    of the mantissa, and fail only where that overflows.
     """
     cp = _cp_map(A)
     if method == "iterate":
-        return float(np.sqrt(_squared_power_estimate(cp.matrization, 48,
-                                                     cp.n)))
-    if method != "matrized":
+        rho = _squared_power_estimate(cp.matrization, 48, cp.n)
+    elif method == "matrized":
+        bound = _power_bound(cp)
+        rho = 0.0 if bound == 0 else min(cp.perron[0], bound)
+    else:
         raise ValueError(f"unknown spr method {method!r}")
-    bound = _power_bound(cp)
-    if bound == 0:
-        return 0.0
-    return float(np.sqrt(min(cp.perron[0], bound)))
+    try:
+        return math.ldexp(float(np.sqrt(rho)), cp.k)
+    except OverflowError:
+        raise NumericalFailureError("spr(A) overflows") from None
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +392,7 @@ def stein_solve(A, Q0, side="right"):
     part Q0 - H = i H2 as a second right-hand side of the same LU.
     Refinement steps follow only while the normwise backward error is
     above 16 eps, at most two.  A Hermitian Q0 gives an exactly Hermitian
-    solution.  Requires spr(A) < 1 - 1e-9.
+    solution.  Requires spr(A) < 1 - 1e-9 and a finite I - R / 4^-k.
     """
     cp = _cp_map(A)
     Q0 = np.asarray(Q0, dtype=complex)
@@ -401,7 +401,7 @@ def stein_solve(A, Q0, side="right"):
     if side not in ("right", "left"):
         raise ValueError(f"unknown side {side!r}")
     spr_below(cp, "Stein equation needs spr(A) < 1 (got spr = {s:.12g})")
-    return _stein_real(cp.real_matrization, Q0, side)
+    return _stein_real(cp.real_matrization, Q0, side, cp._rho_scale)
 
 
 # refinement runs while the normwise backward error of a Stein solve is
@@ -410,11 +410,14 @@ def stein_solve(A, Q0, side="right"):
 _REFINE_ABOVE = 16 * np.finfo(float).eps
 
 
-def _stein_real(R, Q0, side="right"):
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _stein_real(R, Q0, side, s):
     """P with P - Ad(P) = Q0 (side "right", or the adjoint on the left),
-    where R is the real form of Ad."""
+    where R / s is the real form of Ad; fails where I - R / s overflows."""
     n = Q0.shape[0]
-    K = -(R.T if side == "left" else R)
+    K = (R.T if side == "left" else R) / -s     # bitwise -(R / s)
+    if not np.isfinite(K).all():
+        raise NumericalFailureError("the Stein system overflows")
     K.flat[::n * n + 1] += 1.0
     H = (Q0 + Q0.conj().T) / 2.0
     H2 = (Q0 - Q0.conj().T) / 2.0j
@@ -434,20 +437,21 @@ def _stein_real(R, Q0, side="right"):
     return P
 
 
-def _stein_bands(R, n):
-    """``band`` of spr(B) for each real form R[k] of Ad_B in a stack, by the
-    Stein certificate (Popescu, J. reine angew. Math. 561, 2003) at
-    t = 1 - 1e-9, then at t = 1 + 1e-9 on the cells still open; None where
-    it cannot tell.  The solve of (I - R/t^2) x = coords(I) gives P with
-    P - Ad_{B/t}(P) = I + E, E the residual in these isometric coordinates.
-    Its norm plus the rounding bound gamma_{n^2+2} ||I - R/t^2||_F ||x||
-    (Higham, ch. 3) below 1 makes I + E > 0.  Then lambda_min(P) > mu
-    proves spr(B) < t (Ad_{B/t}(P) < P with P > 0), and lambda_min(P) < -mu
-    proves spr(B) >= t (for spr(B) < t, P = sum_k Ad_{B/t}^k(I + E) > 0);
-    mu = 8 n eps max|lambda(P)| covers the error of eigvalsh.  Each t costs
-    one stacked solve and eigvalsh, bitwise the per-matrix calls; a
-    LinAlgError or a non-finite solution in a stack of more than one cell
-    sends that stack back to one certificate per cell."""
+def _stein_bands(R, n, s=1.0):
+    """``band`` of spr(B) for each R[k] / s, the real form of Ad_B, in a
+    stack, by the Stein certificate (Popescu, J. reine angew. Math. 561,
+    2003) at t = 1 - 1e-9, then at t = 1 + 1e-9 on the cells still open;
+    None where it cannot tell or R / (s t^2) overflows.  The solve of
+    (I - R/t^2) x = coords(I) gives P with P - Ad_{B/t}(P) = I + E, E the
+    residual in these isometric coordinates.  Its norm plus the rounding
+    bound gamma_{n^2+2} ||I - R/t^2||_F ||x|| (Higham, ch. 3) below 1 makes
+    I + E > 0.  Then lambda_min(P) > mu proves spr(B) < t (Ad_{B/t}(P) < P
+    with P > 0), and lambda_min(P) < -mu proves spr(B) >= t (for
+    spr(B) < t, P = sum_k Ad_{B/t}^k(I + E) > 0); mu = 8 n eps
+    max|lambda(P)| covers the error of eigvalsh.  Each t costs one stacked
+    solve and eigvalsh, bitwise the per-matrix calls; a LinAlgError or a
+    non-finite solution in a stack of more than one cell sends that stack
+    back to one certificate per cell."""
     bands = np.full(len(R), None)
     open_ = np.arange(len(R))
     diagonal = np.arange(n * n)
@@ -456,14 +460,14 @@ def _stein_bands(R, n):
     u = (n * n + 2) * eps / 2
     # gamma_{n^2+2} ||I - R/t^2||_F at either t
     slack = u / (1.0 - u) * (n + np.sqrt(np.einsum("kij,kij->k", R, R))
-                             / (1.0 - SPR_BOUNDARY_TOL) ** 2)
+                             / ((1.0 - SPR_BOUNDARY_TOL) ** 2 * s))
     for t, below_t in ((1.0 - SPR_BOUNDARY_TOL, _BELOW),
                        (1.0 + SPR_BOUNDARY_TOL, _EDGE)):
         if open_.size == 0:
             return bands.tolist()
         # I - R / t^2, bitwise: a 0 - x that keeps +0, then 1 on the diagonal
         K = R[open_]
-        K /= t * t
+        K /= t * t * s
         np.subtract(0.0, K, out=K)
         K[:, diagonal, diagonal] += 1.0
         try:
@@ -475,7 +479,7 @@ def _stein_bands(R, n):
             if len(R) == 1:
                 return bands.tolist()
             return [band for k in range(len(R))
-                    for band in _stein_bands(R[k:k + 1], n)]
+                    for band in _stein_bands(R[k:k + 1], n, s)]
         resid = np.matmul(K, x[:, :, None])[:, :, 0] - coords_I
         positive = (np.sqrt(np.einsum("ki,ki->k", resid, resid))
                     + slack[open_] * np.sqrt(np.einsum("ki,ki->k", x, x))
@@ -493,8 +497,7 @@ def _stein_bands(R, n):
 # ---------------------------------------------------------------------------
 
 def row_norm(A):
-    A = _as_tuple_array(A)
-    return float(np.linalg.norm(np.hstack(list(A)), 2))
+    return MatrixTuple(_as_tuple_array(A)).row_norm()
 
 
 def similarity_to_contraction(A, margin):
@@ -513,8 +516,8 @@ def similarity_to_contraction(A, margin):
     if not (0.0 < margin < 1.0 - s):
         raise ValueError("margin must lie in (0, 1 - spr(A))")
     tau = s + margin
-    G = _stein_real(cp.real_matrization / (tau * tau),
-                    np.eye(cp.n, dtype=complex))
+    G = _stein_real(cp.real_matrization, np.eye(cp.n, dtype=complex),
+                    "right", cp._rho_scale * (tau * tau))
     w, V = np.linalg.eigh(G)
     w = np.maximum(w, 1e-300)
     S = (V * np.sqrt(w)) @ V.conj().T
@@ -595,7 +598,9 @@ def _boundary_singularity(cp, tol):
         if w[0] > threshold:
             sqrtP = (V * np.sqrt(w)) @ V.conj().T
             inv_sqrtP = (V / np.sqrt(w)) @ V.conj().T
-            Y = np.stack([inv_sqrtP @ (Aj / s) @ sqrtP for Aj in sub.A])
+            # A/s as the mantissa over its spr: bitwise the same in range
+            Y = np.stack([inv_sqrtP @ (Mj / math.ldexp(s, -sub.k)) @ sqrtP
+                          for Mj in sub.mantissa])
             return np.conj(Y) / s, sqrtP
         keep = V[:, w > threshold]
         if keep.shape[1] == 0:

@@ -60,12 +60,7 @@ from .spectral import (
     row_norm,
     spr_below,
 )
-from .words import (
-    NCPolynomial,
-    _pow2_normalized,
-    _pow2_scaled,
-    words_up_to,
-)
+from .words import NCPolynomial, words_up_to
 
 CLASS_RESOLVENT = "resolvent"
 CLASS_SIGMAPM = "sigma_pm"
@@ -103,26 +98,33 @@ def _is_constant(r_min):
 class _Resolvent:
     """B(lambda) of a minimal r, compressed to O with orthonormal basis U:
     U* A_j U - U* c b* A_j U / (b* c - lambda), from products made once.
-    As r is observable, O is the joint range of the A_j*."""
+    As r is observable, O is the joint range of the A_j*.  b and c enter as
+    the mantissas of ``Realization.pow2``, lambda as lambda 2^-e: bitwise
+    the same in range, and no overflow at any scale of b and c; ``at``,
+    ``gamma`` and ``bands`` take lambda in the caller's units."""
 
     def __init__(self, r):
         Q, s, _ = np.linalg.svd(np.hstack(np.conj(np.swapaxes(r.A, 1, 2))),
                                 full_matrices=False)
         U = Q[:, s > DEFAULT_RANK_TOL * s[0]]
         self.r = r
-        self.d = r.d
         self.gamma = r.value_at_zero()
         self.A = U.conj().T @ r.A @ U
-        self.c = U.conj().T @ r.c
-        self.b_A = np.conj(r.b) @ r.A @ U         # row j: b* A_j U
+        self.c = U.conj().T @ r.pow2[0].c
+        self.b_A = np.conj(r.pow2[0].b) @ r.A @ U     # row j: b'* A_j U
         self.cb = self.c[:, None] * self.b_A[:, None, :]
 
     @property
     def n(self):
         return self.A.shape[1]
 
+    def _gap(self, lam):
+        """(r(0) - lambda) 2^-e, in the units of the mantissa."""
+        gamma, _, h1, h2 = self.r._value_and_scale
+        return gamma - lam * h1 * h2
+
     def at(self, lam):
-        return self.A - self.cb / (self.gamma - lam)
+        return self.A - self.cb / self._gap(lam)
 
     def inverse_cpmap(self, lam):
         """The ``CPMap`` of a realization of 1/(r - lambda), whose spr is
@@ -130,8 +132,8 @@ class _Resolvent:
         as r - lambda = gamma - lambda + b* L_A^-1 (sum z_j A_j) c.  As in
         minimize, a polynomial 1/(r - lambda) comes out structurally
         nilpotent, so its spr is exactly 0, not roundoff^(1/n)."""
-        n, g = self.n, 1.0 / (self.gamma - lam)
-        A = np.zeros((self.d, n + 1, n + 1), dtype=complex)
+        n, g = self.n, 1.0 / self._gap(lam)
+        A = np.zeros((self.r.d, n + 1, n + 1), dtype=complex)
         A[:, 0, 1:], A[:, 1:, 1:] = self.b_A, self.at(lam)
         inverse = Realization(A, np.eye(n + 1)[0],
                               np.append(g, -g * g * self.c))
@@ -165,7 +167,7 @@ class _Resolvent:
         if self.n >= MATRIX_FREE_MIN_N:
             return bands
         cells = [k for k, where in enumerate(bands) if where is None]
-        alpha = 1.0 / (self.gamma - np.array([lams[k] for k in cells]))
+        alpha = 1.0 / self._gap(np.array(lams)[cells])
         a, b, s = (v[:, None, None] for v in
                    (alpha.real, alpha.imag, np.abs(alpha) ** 2))
         R0, Y1, Y2, R3 = self._real_terms
@@ -190,7 +192,7 @@ def _membership(resolvent, lam, want_witness=False):
     lam = complex(lam)
     if resolvent.r.vanishes_at_zero(lam):
         return SpectrumMembership(verdict="spectrum", zero_level=True,
-                                  witness=MatrixTuple.zeros(resolvent.d, 1)
+                                  witness=MatrixTuple.zeros(resolvent.r.d, 1)
                                   if want_witness else None)
     cp = resolvent.inverse_cpmap(lam)
     s, where = cp.spr, cp.band
@@ -407,12 +409,12 @@ def _eval_any(f, Z):
 
 def witness_residual(f, Z, y):
     """||y* f(Z)|| for a unit-normalized left vector y, inf where it
-    overflows: the norm is taken of 2^-k f (``_pow2_normalized_function``)
-    and scaled back by 2^k, so it neither over- nor underflows on the way."""
+    overflows: the norm is taken of the mantissa 2^-k f of ``f.pow2`` and
+    scaled back by 2^k, so it neither over- nor underflows on the way."""
     Z = as_matrix_tuple(Z)
     y = np.asarray(y, dtype=complex).reshape(-1)
     y = y / np.linalg.norm(y)
-    g, k = _pow2_normalized_function(f)
+    g, k = f.pow2
     try:
         return math.ldexp(float(np.linalg.norm(np.conj(y) @ _eval_any(g, Z))),
                           k)
@@ -442,23 +444,11 @@ def _project_ball(X):
     return X if norm <= 1.0 else X / norm
 
 
-def _pow2_normalized_function(f):
-    """(2^-k f, k) for the power of two 2^k that brings the largest
-    coefficient modulus of a polynomial f, or those of b and of c of a
-    realization f, into [1/2, 1].  The scaling is exact and keeps the zero
-    set of f."""
-    if isinstance(f, NCPolynomial):
-        return _pow2_normalized(f)
-    b, e_b = _pow2_scaled(f.b)
-    c, e_c = _pow2_scaled(f.c)
-    return Realization(f.A, b, c), e_b + e_c
-
-
 def variety_witness_search(f, level, attempts=8, seed=0, tol=1e-8):
     """Best-effort search for (Z, y) with y* f(Z) = 0 at a fixed level.
 
-    The search runs on g = 2^-k f of ``_pow2_normalized_function``, which
-    has the zero set of f, so 2^j f gives bitwise the Z and y of f.  Each
+    The search runs on the mantissa g = 2^-k f of ``f.pow2``, which has
+    the zero set of f, so 2^j f gives bitwise the Z and y of f.  Each
     attempt draws a random point of the closed row ball and polishes (Z, y)
     jointly by least squares on [y* g(Z), |y|^2 - 1] (``_polish_witness``),
     keeping Z in the ball; the search stops at the first attempt with
@@ -466,7 +456,7 @@ def variety_witness_search(f, level, attempts=8, seed=0, tol=1e-8):
     returned is that of f, ||y* f(Z)||.  Failure to find a witness is not a
     proof of emptiness; the certified negative route is the outerness test.
     """
-    g, _ = _pow2_normalized_function(f)
+    g = f.pow2[0]
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(max(attempts, 1)):

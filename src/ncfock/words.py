@@ -55,15 +55,6 @@ def _pow2_scaled(v):
     return v * 2.0 ** -e, e
 
 
-def _pow2_normalized(p):
-    """(p 2^-e, e) with the largest coefficient modulus of p 2^-e in
-    [1/2, 1], as ``_pow2_scaled`` gives it; the scaling is exact."""
-    support = list(p.coeffs)
-    values, e = _pow2_scaled(np.array([p.coeffs[w] for w in support],
-                                      dtype=complex))
-    return NCPolynomial(p.d, dict(zip(support, values.tolist()))), e
-
-
 def suffixes(word):
     """All suffixes of a word, the empty word included."""
     return [tuple(word[i:]) for i in range(len(word) + 1)]
@@ -181,13 +172,21 @@ class NCPolynomial:
             self.d, {w: np.conj(v) for w, v in self.coeffs.items()}
         )
 
-    def l2_norm(self):
-        """The l2 norm of the coefficients, inf where it overflows; the
-        coefficients are summed scaled by a power of two, so no square
-        over- or underflows on its own."""
+    @property
+    def pow2(self):
+        """(2^-e p, e) with the largest coefficient modulus of 2^-e p in
+        [1/2, 1], as ``_pow2_scaled`` gives it: exact, so 2^j p has the
+        mantissa 2^-e p of p and the exponent e + j."""
         values, e = _pow2_scaled(np.array(list(self.coeffs.values()),
                                           dtype=complex))
-        norm = math.sqrt(sum(abs(v) ** 2 for v in values.tolist()))
+        return NCPolynomial(self.d, dict(zip(self.coeffs, values.tolist()))), e
+
+    def l2_norm(self):
+        """The l2 norm of the coefficients, inf where it overflows; the
+        coefficients of the mantissa ``pow2`` are summed, so no square
+        over- or underflows on its own."""
+        mantissa, e = self.pow2
+        norm = math.sqrt(sum(abs(v) ** 2 for v in mantissa.coeffs.values()))
         try:
             return math.ldexp(norm, e)
         except OverflowError:

@@ -585,13 +585,82 @@ def test_scaled_factor_and_witness_runs_warn_nothing(capsys, argv):
         assert json.loads(out)["found"] is True
 
 
-def test_artifact_script_covers_every_subcommand():
+def _artifact_script():
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_artifacts.py"
     spec = importlib.util.spec_from_file_location("cli_artifacts", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_artifact_script_covers_every_subcommand():
+    module = _artifact_script()
     parser = build_parser()
     subparsers = next(action for action in parser._actions
                       if isinstance(action, argparse._SubParsersAction))
     covered = {argv[0] for argv in module.COMMANDS}
     assert set(subparsers.choices) <= covered
+
+
+# the artifact runs on 1/(1 - z/2) scaled through c to 1e-170 and through
+# b to 1e160, and on the tuple A = 1e160, whose Ad(I) overflows
+_SCALED_RUNS = [
+    ["outer-test", "--realization", "inputs/tiny-c.json"],
+    ["outer-test", "--realization", "inputs/huge-b.json"],
+    ["spectrum-scan", "--realization", "inputs/tiny-c.json",
+     "--rect=1e-170,2e-170,-5e-171,5e-171", "--res", "1.25e-171",
+     "--out", "{run}/scan"],
+    ["spectrum-scan", "--realization", "inputs/huge-b.json",
+     "--rect=1e160,2e160,-5e159,5e159", "--res", "1.25e159",
+     "--out", "{run}/scan"],
+    ["spr", "--realization", "inputs/huge-a.json"],
+    ["spr", "--method", "iterate", "--realization", "inputs/huge-a.json"],
+    ["member", "--realization", "inputs/huge-a.json"],
+    ["boundary-sing", "--realization", "inputs/huge-a.json"],
+]
+
+
+def test_scaled_artifact_runs_answer_as_their_mantissa(capsys, tmp_path,
+                                                       monkeypatch):
+    """Each run exits 0 with nothing on stderr and no RuntimeWarning, and
+    gives the exactly rescaled answer: outer-test and the two scans answer
+    as inv(1 - 0.5*z1) does over the unscaled rectangle, the 1e160 tuple
+    has spr 1e160, radius 1e-160, a witness and a boundary point."""
+    script = _artifact_script()
+    (tmp_path / "inputs").mkdir()
+    for name, obj in script.INPUTS.items():
+        (tmp_path / "inputs" / name).write_text(json.dumps(obj) + "\n")
+    (tmp_path / "run").mkdir()
+    monkeypatch.chdir(tmp_path)
+    reference = nf.grid_scan(nf.from_expression("inv(1 - 0.5*z1)", 1),
+                             (1.0, 2.0, -0.5, 0.5), 0.125)
+    assert reference.member.sum() == 60
+    want_cells = [f"{int(m)},{c}" for m, c in
+                  zip(reference.member.ravel(), reference.classes.ravel())]
+    for argv in _SCALED_RUNS:
+        assert argv in script.COMMANDS, argv
+        argv = [a.replace("{run}", "run") for a in argv]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 0 and err == "", argv
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)], argv
+        obj = json.loads(out)
+        if argv[0] == "outer-test":
+            assert obj["outer"] is True and obj["spr_inverse"] == 0.0
+            assert obj["indeterminate"] is False
+        elif argv[0] == "spectrum-scan":
+            rows = Path("run/scan.csv").read_text().splitlines()[1:]
+            assert [row.split(",", 2)[2] for row in rows] == want_cells
+        elif argv[0] == "spr":
+            assert obj["spr"] == pytest.approx(1e160, rel=1e-12)
+        elif argv[0] == "member":
+            assert obj["verdict"] == "not_in_H2" and obj["spr"] == 1e160
+            assert obj["radius"] == pytest.approx(1e-160, rel=1e-12)
+            assert obj["witness_sigma_min"] <= 1e-8
+        else:
+            assert obj["one_over_spr"] == pytest.approx(1e-160, rel=1e-12)
+            assert obj["Z"]["X"][0][0][0][0] == pytest.approx(1e-160,
+                                                              rel=1e-12)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncfock as nf
 from ncfock import expr as ex
@@ -80,6 +82,30 @@ def test_format_round_trip_random():
         ast = random_ast(rng, d=2, depth=3)
         text = nf.format_expr(ast)
         assert nf.parse(text, 2) == nf.normalize(ast), text
+
+
+# raw ASTs over z1, z2 built from the node classes, so nested sums,
+# products, negations and scalars of every sign reach normalize unfolded
+_SCALARS = st.builds(complex, st.floats(-1e6, 1e6),
+                     st.floats(-1e6, 1e6)).map(ex.Scalar)
+_ASTS = st.recursive(
+    st.builds(ex.Variable, st.integers(1, 2)) | _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, min_size=2, max_size=3).map(
+            lambda terms: ex.Sum(tuple(terms))),
+        st.lists(children, min_size=2, max_size=3).map(
+            lambda factors: ex.Product(tuple(factors))),
+        children.map(ex.Inverse),
+        children.map(ex.Negate)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ASTS)
+def test_format_parse_round_trip_of_any_ast(ast):
+    """Reparsing the formatted text of any AST gives its normal form."""
+    text = nf.format_expr(ast)
+    assert nf.parse(text, 2) == nf.normalize(ast), text
 
 
 def test_whitespace_insignificant():

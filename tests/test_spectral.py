@@ -1,3 +1,5 @@
+import math
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -40,11 +42,17 @@ def test_cpmap_matrization_consistency():
     A = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
     cp = nf.CPMap(A)
     P = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert np.allclose(cp.matrization @ nf.vec(P), nf.vec(cp(P)), atol=1e-12)
-    # R^T, the transpose of the real form, is the adjoint map on Hermitian P
+    # the matrization and the real form are those of the mantissa 2^-k A,
+    # 4^-k times those of A
+    assert np.allclose(cp.matrization @ nf.vec(P) * 4.0 ** cp.k,
+                       nf.vec(cp(P)), atol=1e-12)
+    # R^T, the transpose of the real form, is the adjoint map on Hermitian P,
+    # the CP map of the tuple of the A_j*
     H = P + P.conj().T
-    assert np.allclose(cp.real_matrization.T @ hermitian_coords(H),
-                       hermitian_coords(cp.adjoint(H)), atol=1e-12)
+    adjoint = nf.CPMap(np.conj(np.swapaxes(A, 1, 2)))
+    assert np.allclose(cp.real_matrization.T @ hermitian_coords(H)
+                       * 4.0 ** cp.k, hermitian_coords(adjoint(H)),
+                       atol=1e-12)
     # complete positivity on a PSD input
     G = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     psd = G @ G.conj().T
@@ -70,16 +78,22 @@ def test_spr_of_a_matrization_near_overflow(n):
     assert out.radius == pytest.approx(1.0 / expected, rel=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("n", [1, 3, MATRIX_FREE_MIN_N])
-def test_spr_of_an_overflowing_matrization_is_a_numerical_failure(n):
-    # entries 1e160 overflow Ad(I) itself; an overflow must never become
-    # spr = 0, and an in-verdict
+def test_spr_of_an_overflowing_matrization_is_its_exact_rescaling(n):
+    # entries 1e160 overflow Ad(I) itself, but not spr: both methods run on
+    # the mantissa 2^-k A, so spr(A) is bitwise 2^k spr(2^-k A), on the
+    # dense route and on Arnoldi (n = 12), with no warning on the way
     A = 1e160 * (1 + 1j) * np.ones((1, n, n))
-    with pytest.raises(nf.NumericalFailureError):
-        nf.spr(A)
-    with pytest.raises(nf.NumericalFailureError):
-        nf.is_in_fock(nf.Realization(A, np.ones(n), np.ones(n)))
+    k = math.frexp(1e160)[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for method in ("iterate", "matrized"):
+            s = nf.spr(A, method=method)
+            assert s == math.ldexp(nf.spr(A * 2.0 ** -k, method=method), k)
+            assert s == pytest.approx(np.sqrt(2.0) * 1e160 * n, rel=1e-9)
+        out = nf.is_in_fock(nf.Realization(A, np.ones(n), np.ones(n)))
+    assert out.verdict == "not_in" and out.spr == s
+    assert out.witness_sigma_min <= 1e-8
 
 
 def test_spr_fixture(fixture_tuple):
@@ -268,9 +282,10 @@ def test_stein_residual_and_positivity():
         G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         Q0 = G @ G.conj().T
         cp = nf.CPMap(A)
+        adjoint = nf.CPMap(np.conj(np.swapaxes(A, 1, 2)))
         for side in ("right", "left"):
             sol = nf.stein_solve(A, Q0, side=side)
-            image = cp(sol) if side == "right" else cp.adjoint(sol)
+            image = cp(sol) if side == "right" else adjoint(sol)
             residual = np.linalg.norm(sol - image - Q0)
             assert residual <= 1e-10 * np.linalg.norm(Q0)
             evals = np.linalg.eigvalsh(sol)
@@ -421,7 +436,9 @@ def test_hermitian_coords_round_trip_and_isometry():
 def test_real_form_is_ad_in_hermitian_coordinates(case):
     A, rng = case
     cp = nf.CPMap(A)
-    R = cp.real_matrization
+    R = real_form(nf.matrize([(Aj, Aj.conj().T) for Aj in A]))
+    # the cached real form is that of the mantissa 2^-k A: 4^-k R, bitwise
+    assert np.array_equal(cp.real_matrization, R * 4.0 ** -cp.k)
     scale = sum(np.linalg.norm(Aj, 2) ** 2 for Aj in A)
     P = _hermitian(rng, cp.n)
     assert np.linalg.norm(R @ hermitian_coords(P)
@@ -429,9 +446,11 @@ def test_real_form_is_ad_in_hermitian_coordinates(case):
     # R^T is the real form of the adjoint map
     adjoint = real_form(nf.matrize([(Aj.conj().T, Aj) for Aj in A]))
     assert np.max(np.abs(R.T - adjoint)) <= 1e-13 * scale
-    # R and the complex matrization have one spectrum, with multiplicities
+    # R and the complex matrization have one spectrum, with multiplicities;
+    # both of the mantissa here
     M = cp.matrization
-    w_real, w_complex = np.linalg.eigvals(R), np.linalg.eigvals(M)
+    w_real = np.linalg.eigvals(cp.real_matrization)
+    w_complex = np.linalg.eigvals(M)
     gaps = np.abs(w_real[:, None] - w_complex[None, :])
     rows, cols = linear_sum_assignment(gaps)
     assert np.max(gaps[rows, cols]) <= 1e-9 * np.linalg.norm(M, 2)

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 import warnings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import ncfock as nf
 from conftest import count_calls, random_polynomial, src_env
 from ncfock import spectrum
-from ncfock.spectral import SPR_BOUNDARY_TOL, band
+from ncfock.spectral import SPR_BOUNDARY_TOL, band, real_form
 from ncfock.spectrum import (
     _ABOVE,
     _BELOW,
@@ -347,7 +348,7 @@ def test_stein_certificate_at_the_knife_edge(n, d, seed):
         # plain eigenvalues of the matrization, cheaper than the guarded
         # spr, place lambda; the band is then read from spr itself
         lam = resolvent.gamma + rho * direction
-        M = nf.CPMap(resolvent.at(lam)).matrization
+        M = nf.matrize([(Bj, Bj.conj().T) for Bj in resolvent.at(lam)])
         return float(np.sqrt(np.max(np.abs(np.linalg.eigvals(M)))))
 
     lo = hi = 1.0
@@ -410,7 +411,7 @@ def _knife_edge_real_form(rng, d, n, offset):
     scaled to spr 1 + offset."""
     B = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
     B *= (1.0 + offset) / nf.spr(B)
-    return nf.CPMap(B).real_matrization
+    return real_form(nf.matrize([(Bj, Bj.conj().T) for Bj in B]))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -459,8 +460,11 @@ def test_stein_bands_decide_within_roundoff_of_the_band(n, d, seed):
     for t in (1.0 - SPR_BOUNDARY_TOL, 1.0 + SPR_BOUNDARY_TOL):
         for delta in (1e-9, 1e-11, 1e-13):
             for s in (t * (1.0 + delta), t * (1.0 - delta)):
-                where = _stein_bands(nf.CPMap(s * B).real_matrization[None],
-                                     n)[0]
+                # the R of the mantissa 2^-k sB and 4^-k, as CPMap.band
+                # passes them
+                cp = nf.CPMap(s * B)
+                where = _stein_bands(cp.real_matrization[None], n,
+                                     cp._rho_scale)[0]
                 want = band(s)
                 if delta == 1e-13:
                     assert where in (want, None), (t, s)
@@ -872,3 +876,62 @@ def test_value_at_zero_test_does_not_depend_on_scale(s):
                                                  [5, 5]]
     outer = nf.is_outer_rational(r)
     assert outer.indeterminate and outer.spr_inverse == pytest.approx(1.0)
+
+
+@st.composite
+def _scaled_minimal_realizations(draw):
+    """A random minimal realization r with spr(A) < 1 (n <= 6, entries in
+    the normal range) and exponents k, m, p in [-900, 900]."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    A = gaussian(d, n, n)
+    A *= rng.uniform(0.2, 0.9) / np.linalg.norm(np.hstack(list(A)), 2)
+    r = nf.minimize(nf.Realization(A, gaussian(n), gaussian(n)))
+    # the ends of the range, where r(0) = b* c leaves the doubles, as often
+    # as the rest
+    exponents = st.sampled_from([-900, 900]) | st.integers(-900, 900)
+    k, m, p = (draw(exponents) for _ in range(3))
+    return r, k, m, p
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_scaled_minimal_realizations())
+def test_verdicts_are_bitwise_scale_equivariant(case):
+    """spr(2^k A) is 2^k spr(A) by both methods; (A, 2^m b, 2^p c) has
+    h2_norm 2^(m + p) h2_norm(r) and the outerness of r, and its scan over
+    the rectangle scaled by 2^(m + p) marks the cells of r's scan, all to
+    the bit.  A numerical failure is allowed only where the answer or the
+    scaled r(0) overflows."""
+    r, k, m, p = case
+    j = m + p
+    for method in ("matrized", "iterate"):
+        assert nf.spr(r.A * 2.0 ** k, method=method) == \
+            math.ldexp(nf.spr(r.A, method=method), k)
+    scaled = nf.Realization(r.A, r.b * 2.0 ** m, r.c * 2.0 ** p)
+    try:
+        want_norm = math.ldexp(nf.h2_norm(r), j)
+    except OverflowError:
+        with pytest.raises(nf.NumericalFailureError):
+            nf.h2_norm(scaled)
+    else:
+        assert nf.h2_norm(scaled) == want_norm
+    if not np.isfinite(np.vdot(scaled.b, scaled.c)):
+        # minimize refuses a realization whose r(0) overflows
+        with pytest.raises(nf.NumericalFailureError):
+            nf.is_outer_rational(scaled)
+        return
+    want, got = nf.is_outer_rational(r), nf.is_outer_rational(scaled)
+    assert (got.outer, got.indeterminate, got.spr_inverse) == \
+        (want.outer, want.indeterminate, want.spr_inverse)
+    if abs(j) <= 1000:
+        g = r.value_at_zero()
+        rect = (g.real - 2.0, g.real + 2.0, g.imag - 2.0, g.imag + 2.0)
+        base = nf.grid_scan(r, rect, 0.5)
+        rescaled = nf.grid_scan(scaled, [x * 2.0 ** j for x in rect],
+                                0.5 * 2.0 ** j)
+        assert np.array_equal(rescaled.member, base.member)
+        assert np.array_equal(rescaled.classes, base.classes)

@@ -73,6 +73,10 @@ INPUTS = {
     "huge-b.json": {
         "d": 1, "n": 1, "A": [[[[0.5, 0.0]]]], "b": [[1e160, 0.0]],
         "c": [[1.0, 0.0]]},
+    # A = 1e160: Ad(I) overflows, spr = 1e160 does not
+    "huge-a.json": {
+        "d": 1, "n": 1, "A": [[[[1e160, 0.0]]]], "b": [[1.0, 0.0]],
+        "c": [[1.0, 0.0]]},
 }
 
 
@@ -187,6 +191,19 @@ COMMANDS = _per_expression() + [
      "--out", "inputs/fixture-minus-2-min.json"],
     ["variety-search", "--realization", "inputs/fixture-minus-2-min.json",
      "--level", "2"],
+    # the scaled files answer as 1/(1 - z/2) does, over the rescaled disk
+    *(["outer-test", "--realization", f"inputs/{name}"]
+      for name in ("tiny-c.json", "huge-b.json")),
+    ["spectrum-scan", "--realization", "inputs/tiny-c.json",
+     "--rect=1e-170,2e-170,-5e-171,5e-171", "--res", "1.25e-171",
+     "--out", "{run}/scan"],
+    ["spectrum-scan", "--realization", "inputs/huge-b.json",
+     "--rect=1e160,2e160,-5e159,5e159", "--res", "1.25e159",
+     "--out", "{run}/scan"],
+    # a tuple whose Ad(I) overflows: spr 1e160, radius 1e-160
+    *([*command, "--realization", "inputs/huge-a.json"]
+      for command in (["spr"], ["spr", "--method", "iterate"], ["member"],
+                      ["boundary-sing"])),
 ]
 
 
