@@ -35,10 +35,11 @@ def _round15(obj):
         return float(f"{obj:.15g}")
     if isinstance(obj, complex):
         return {"re": _round15(obj.real), "im": _round15(obj.imag)}
+    # map, not a comprehension: one frame a level of a deep AST
     if isinstance(obj, dict):
-        return {k: _round15(v) for k, v in obj.items()}
+        return dict(zip(obj, map(_round15, obj.values())))
     if isinstance(obj, (list, tuple)):
-        return [_round15(v) for v in obj]
+        return list(map(_round15, obj))
     return obj
 
 
@@ -76,19 +77,12 @@ def _load_realization(args):
 
 
 def _ast_json(node):
-    if isinstance(node, ex.Scalar):
-        return {"scalar": {"re": node.value.real, "im": node.value.imag}}
-    if isinstance(node, ex.Variable):
-        return {"variable": node.index}
-    if isinstance(node, ex.Sum):
-        return {"sum": [_ast_json(t) for t in node.terms]}
-    if isinstance(node, ex.Product):
-        return {"product": [_ast_json(f) for f in node.factors]}
-    if isinstance(node, ex.Inverse):
-        return {"inverse": _ast_json(node.operand)}
-    if isinstance(node, ex.Negate):
-        return {"negate": _ast_json(node.operand)}
-    raise TypeError(f"not an AST node: {node!r}")
+    return ex.fold(node, lambda value: {"scalar": {"re": value.real,
+                                                   "im": value.imag}},
+                   lambda index: {"variable": index},
+                   lambda terms: {"sum": terms},
+                   lambda factors: {"product": factors},
+                   lambda x: {"negate": x}, lambda x: {"inverse": x})
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +333,9 @@ def _cmd_continuity_probe(args):
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_source_args(sub, expression=True):
-    if expression:
-        sub.add_argument("expression", nargs="?", default=None,
-                         help="NC rational expression over z1..zd")
+def _add_source_args(sub):
+    sub.add_argument("expression", nargs="?", default=None,
+                     help="NC rational expression over z1..zd")
     sub.add_argument("-d", "--vars", dest="d", type=int, default=None,
                      help="number of NC variables")
     sub.add_argument("--realization", default=None,

@@ -17,11 +17,18 @@ are hoisted out of products and folded on scalars, scalar constants carry a
 canonical sign (real part positive, or zero real part and nonnegative
 imaginary part).  ``parse(format(a))`` reproduces ``normalize(a)`` exactly.
 
+Every walk of the tree, here and in the realization compiler and the CLI,
+is one ``fold`` with its own operations, so only this module knows the node
+classes; the formatter alone recurses by hand, as its parentheses depend on
+the parent.
+
 An expression here is a single syntactic object; equality of the NC rational
 *functions* two expressions may represent is decided numerically through
 their realizations, not here.
 """
 
+import functools
+import math
 import re
 from dataclasses import dataclass
 
@@ -104,7 +111,7 @@ def make_sum(terms):
         return flat[0]
     if all(isinstance(t, (Scalar, Negate)) and _scalar_value(t) is not None
            for t in flat):
-        return scalar(sum(_scalar_value(t) for t in flat))
+        return _folded_scalar(sum(_scalar_value(t) for t in flat))
     return Sum(tuple(flat))
 
 
@@ -125,9 +132,16 @@ def make_product(factors):
         value = sign
         for f in flat:
             value *= f.value
-        return scalar(value)
+        return _folded_scalar(value)
     node = flat[0] if len(flat) == 1 else Product(tuple(flat))
     return negate(node) if sign < 0 else node
+
+
+def _folded_scalar(value):
+    """A folded constant that overflows is a parse error, as a literal is."""
+    if not np.isfinite(value):
+        raise ParseError(f"constant overflow: the folded value is {value}")
+    return scalar(value)
 
 
 def make_inverse(node):
@@ -142,21 +156,33 @@ def _scalar_value(node):
     return None
 
 
+def fold(node, scalar, variable, sum, product, negate, inverse):
+    """Bottom-up fold of an AST, children left to right: ``sum`` and
+    ``product`` take the list of child values, the other operations the
+    node's value, index or one child value.  One frame a tree level; the
+    parser takes four a nesting level, which adds at most four levels."""
+    def rec(a):
+        if isinstance(a, Scalar):
+            return scalar(a.value)
+        if isinstance(a, Variable):
+            return variable(a.index)
+        if isinstance(a, Sum):
+            return sum(list(map(rec, a.terms)))
+        if isinstance(a, Product):
+            return product(list(map(rec, a.factors)))
+        if isinstance(a, Negate):
+            return negate(rec(a.operand))
+        if isinstance(a, Inverse):
+            return inverse(rec(a.operand))
+        raise TypeError(f"not an AST node: {a!r}")
+
+    return rec(node)
+
+
 def normalize(node):
     """Rebuild an arbitrary AST through the normalizing constructors."""
-    if isinstance(node, Scalar):
-        return scalar(node.value)
-    if isinstance(node, Variable):
-        return node
-    if isinstance(node, Sum):
-        return make_sum([normalize(t) for t in node.terms])
-    if isinstance(node, Product):
-        return make_product([normalize(f) for f in node.factors])
-    if isinstance(node, Inverse):
-        return Inverse(normalize(node.operand))
-    if isinstance(node, Negate):
-        return negate(normalize(node.operand))
-    raise TypeError(f"not an AST node: {node!r}")
+    return fold(node, scalar, Variable, make_sum, make_product, negate,
+                Inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +333,10 @@ def parse(text, d):
     if d < 1:
         raise ParseError("need at least one variable")
     parser = _Parser(tokenize(text), d)
-    node = parser.parse_expr()
+    try:
+        node = parser.parse_expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
     kind, _, pos = parser.peek()
     if kind != "end":
         raise ParseError("trailing input", pos)
@@ -334,18 +363,23 @@ def _format_scalar(value):
 
 
 def _fmt(node, level):
-    """level: 0 = expr, 1 = term, 2 = factor/base."""
+    """level: 0 = expr, 1 = term, 2 = factor/base.  One frame a tree
+    level, as in ``fold``."""
     if isinstance(node, Sum):
-        parts = [_fmt_signed(node.terms[0], head=True)]
-        for term in node.terms[1:]:
-            parts.append(_fmt_signed(term, head=False))
-        text = "".join(parts)
+        text = ""
+        for term in node.terms:
+            if isinstance(term, Negate):
+                text += " - " + _fmt(term.operand, 1)
+            else:
+                text += " + " + _fmt(term, 1)
+        # the head term keeps only a minus sign, without spaces
+        text = text[3:] if text[1] == "+" else "-" + text[3:]
         return f"({text})" if level >= 1 else text
     if isinstance(node, Negate):
         text = "-" + _fmt(node.operand, 1)
         return f"({text})" if level >= 1 else text
     if isinstance(node, Product):
-        text = "*".join(_fmt(f, 2) for f in node.factors)
+        text = "*".join(map(_fmt, node.factors, [2] * len(node.factors)))
         return f"({text})" if level >= 2 else text
     if isinstance(node, Inverse):
         return f"inv({_fmt(node.operand, 0)})"
@@ -354,14 +388,6 @@ def _fmt(node, level):
     if isinstance(node, Scalar):
         return _format_scalar(node.value)
     raise TypeError(f"not an AST node: {node!r}")
-
-
-def _fmt_signed(term, head):
-    if isinstance(term, Negate):
-        body = _fmt(term.operand, 1)
-        return f"-{body}" if head else f" - {body}"
-    body = _fmt(term, 1)
-    return body if head else f" + {body}"
 
 
 def format_expr(node):
@@ -374,17 +400,8 @@ def format_expr(node):
 # ---------------------------------------------------------------------------
 
 def max_variable_index(node):
-    if isinstance(node, Variable):
-        return node.index
-    if isinstance(node, Scalar):
-        return 0
-    if isinstance(node, Sum):
-        return max(max_variable_index(t) for t in node.terms)
-    if isinstance(node, Product):
-        return max(max_variable_index(f) for f in node.factors)
-    if isinstance(node, (Inverse, Negate)):
-        return max_variable_index(node.operand)
-    raise TypeError(f"not an AST node: {node!r}")
+    return fold(node, lambda value: 0, lambda index: index, max, max,
+                lambda x: x, lambda x: x)
 
 
 def as_polynomial(node, d=None):
@@ -396,33 +413,18 @@ def as_polynomial(node, d=None):
     if d is None:
         d = max(max_variable_index(node), 1)
 
-    def rec(a):
-        if isinstance(a, Scalar):
-            return NCPolynomial.constant(d, a.value)
-        if isinstance(a, Variable):
-            return NCPolynomial.variable(d, a.index)
-        if isinstance(a, Sum):
-            out = NCPolynomial.zero(d)
-            for t in a.terms:
-                out = out + rec(t)
-            return out
-        if isinstance(a, Product):
-            out = NCPolynomial.one(d)
-            for f in a.factors:
-                out = out * rec(f)
-            return out
-        if isinstance(a, Negate):
-            return -rec(a.operand)
-        if isinstance(a, Inverse):
-            inner = rec(a.operand)
-            if inner.degree == 0 and not inner.is_zero():
-                return NCPolynomial.constant(d, 1.0 / inner.coeff(()))
-            raise NotPolynomialError(
-                "not a polynomial: expression contains an inverse of a "
-                "non-scalar subexpression")
-        raise TypeError(f"not an AST node: {a!r}")
+    def inverse(p):
+        if p.degree == 0 and not p.is_zero():
+            return NCPolynomial.constant(d, 1.0 / p.coeff(()))
+        raise NotPolynomialError(
+            "not a polynomial: expression contains an inverse of a "
+            "non-scalar subexpression")
 
-    return rec(node)
+    return fold(node, lambda value: NCPolynomial.constant(d, value),
+                lambda index: NCPolynomial.variable(d, index),
+                lambda terms: sum(terms, NCPolynomial.zero(d)),
+                lambda factors: math.prod(factors, start=NCPolynomial.one(d)),
+                lambda p: -p, inverse)
 
 
 def eval_ast(node, X):
@@ -438,33 +440,20 @@ def eval_ast(node, X):
             raise DimensionMismatchError("point components must be square and equal-sized")
     eye = np.eye(n, dtype=complex)
 
-    def rec(a):
-        if isinstance(a, Scalar):
-            return a.value * eye
-        if isinstance(a, Variable):
-            if a.index > len(mats):
-                raise DimensionMismatchError(
-                    f"expression uses z{a.index} but the point has "
-                    f"{len(mats)} components")
-            return mats[a.index - 1]
-        if isinstance(a, Sum):
-            out = np.zeros((n, n), dtype=complex)
-            for t in a.terms:
-                out = out + rec(t)
-            return out
-        if isinstance(a, Product):
-            out = eye
-            for f in a.factors:
-                out = out @ rec(f)
-            return out
-        if isinstance(a, Negate):
-            return -rec(a.operand)
-        if isinstance(a, Inverse):
-            inner = rec(a.operand)
-            sing = np.linalg.svd(inner, compute_uv=False)
-            if sing[0] == 0 or sing[-1] / sing[0] < SINGULARITY_RCOND:
-                raise DomainError("not in domain of expression: singular inverse")
-            return np.linalg.inv(inner)
-        raise TypeError(f"not an AST node: {a!r}")
+    def variable(index):
+        if index > len(mats):
+            raise DimensionMismatchError(
+                f"expression uses z{index} but the point has "
+                f"{len(mats)} components")
+        return mats[index - 1]
 
-    return rec(node)
+    def inverse(M):
+        sing = np.linalg.svd(M, compute_uv=False)
+        if sing[0] == 0 or sing[-1] / sing[0] < SINGULARITY_RCOND:
+            raise DomainError("not in domain of expression: singular inverse")
+        return np.linalg.inv(M)
+
+    return fold(node, lambda value: value * eye, variable,
+                lambda terms: sum(terms, np.zeros((n, n), dtype=complex)),
+                lambda factors: functools.reduce(np.matmul, factors, eye),
+                lambda M: -M, inverse)

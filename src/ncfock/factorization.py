@@ -124,10 +124,15 @@ class InnerResult:
 
 
 def is_inner(r, tol=1e-7):
+    """Solved on the mantissa ``Realization.pow2``: c* Q c is scaled back by
+    a power of two, inf where it overflows; the other defect is scale-free."""
     spr_below(r.cpmap, "not a bounded multiplier: spr(A) = {s:.12g}")
-    Q = stein_solve(r.cpmap, np.outer(r.b, np.conj(r.b)), side="left")
-    Qc = Q @ r.c
-    unit = complex(np.conj(r.c) @ Qc)
+    m, e = r.pow2
+    Q = stein_solve(r.cpmap, np.outer(m.b, np.conj(m.b)), side="left")
+    Qc = Q @ m.c
+    gram = np.conj(m.c) @ Qc
+    with np.errstate(over="ignore"):
+        unit = complex(*np.ldexp([gram.real, gram.imag], 2 * e))
     unit_defect = abs(unit - 1.0)
     # orthonormal basis of span{A^g c : |g| >= 1} = span_j A_j K,
     # K the controllability space

@@ -12,7 +12,7 @@ Fock and innerness certificates take a realization as given.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -496,45 +496,32 @@ def _nilpotent_cleanup(r):
 # ---------------------------------------------------------------------------
 
 def from_ast(node, d=None):
-    """Compile an expression AST into a realization by structural recursion.
+    """Compile an expression AST into a realization by one ``expr.fold``.
 
     The expression must be regular at 0: every inverse node's operand has a
-    nonzero value at the zero tuple.
+    nonzero value at the zero tuple.  Raises NumericalFailureError where
+    the realization's entries overflow.
     """
     if d is None:
         d = max(ex.max_variable_index(node), 1)
 
-    def rec(a):
-        if isinstance(a, ex.Scalar):
-            return const(a.value, d)
-        if isinstance(a, ex.Variable):
-            if a.index > d:
-                raise DimensionMismatchError(
-                    f"expression uses z{a.index} but d = {d}")
-            return variable(a.index, d)
-        if isinstance(a, ex.Sum):
-            out = rec(a.terms[0])
-            for t in a.terms[1:]:
-                out = add(out, rec(t))
-            return out
-        if isinstance(a, ex.Product):
-            out = rec(a.factors[0])
-            for f in a.factors[1:]:
-                out = mul(out, rec(f))
-            return out
-        if isinstance(a, ex.Negate):
-            return scale(rec(a.operand), -1.0)
-        if isinstance(a, ex.Inverse):
-            inner = rec(a.operand)
-            try:
-                return invert(inner)
-            except ZeroAtZeroError as err:
-                raise NotRegularAtZeroError(
-                    "expression is not regular at 0: an inverted "
-                    "subexpression vanishes at the zero tuple") from err
-        raise TypeError(f"not an AST node: {a!r}")
+    def inverse(r):
+        try:
+            return invert(r)
+        except ZeroAtZeroError as err:
+            raise NotRegularAtZeroError(
+                "expression is not regular at 0: an inverted "
+                "subexpression vanishes at the zero tuple") from err
 
-    return rec(node)
+    with np.errstate(all="ignore"):
+        r = ex.fold(node, lambda value: const(value, d),
+                    lambda index: variable(index, d),
+                    lambda terms: reduce(add, terms),
+                    lambda factors: reduce(mul, factors),
+                    lambda x: scale(x, -1.0), inverse)
+    if not all(np.isfinite(M).all() for M in (r.A, r.b, r.c)):
+        raise NumericalFailureError("the entries of the realization overflow")
+    return r
 
 
 def from_expression(text, d):

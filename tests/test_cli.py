@@ -664,3 +664,42 @@ def test_scaled_artifact_runs_answer_as_their_mantissa(capsys, tmp_path,
             assert obj["one_over_spr"] == pytest.approx(1e-160, rel=1e-12)
             assert obj["Z"]["X"][0][0][0][0] == pytest.approx(1e-160,
                                                               rel=1e-12)
+
+
+# the artifact runs of constants past the double range, of nesting deeper
+# than the parser's recursion and of the isometry test on the scaled files,
+# with the error code or the defects each must answer
+_RANGE_RUNS = [
+    (["parse", "-d", "1", "1e200*1e200"], "parse-error"),
+    (["parse", "-d", "1", "1e308+1e308"], "parse-error"),
+    (["realize", "-d", "1", "1e200*1e200*z1"], "numerical-failure"),
+    (["parse", "-d", "1", "(" * 400 + "z1" + ")" * 400], "parse-error"),
+    (["inner-test", "--realization", "inputs/huge-b.json"], ("inf", 1.0)),
+    (["inner-test", "--realization", "inputs/tiny-c.json"], (1.0, 1.0)),
+]
+
+
+def test_out_of_range_artifact_runs_answer_with_codes(capsys, tmp_path,
+                                                      monkeypatch):
+    """Each run prints a coded error (exit 1) or finite or inf defects
+    (exit 0), with nothing on stderr and no RuntimeWarning."""
+    script = _artifact_script()
+    (tmp_path / "inputs").mkdir()
+    for name, obj in script.INPUTS.items():
+        (tmp_path / "inputs" / name).write_text(json.dumps(obj) + "\n")
+    monkeypatch.chdir(tmp_path)
+    for argv, want in _RANGE_RUNS:
+        assert argv in script.COMMANDS, argv
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        out, err = capsys.readouterr()
+        assert err == "", argv
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)], argv
+        obj = json.loads(out)
+        if argv[0] == "inner-test":
+            assert code == 0 and obj["inner"] is False
+            assert (obj["unit_defect"], obj["orthogonality_defect"]) == want
+        else:
+            assert code == 1 and obj["error"]["code"] == want, argv

@@ -85,9 +85,10 @@ def test_format_round_trip_random():
 
 
 # raw ASTs over z1, z2 built from the node classes, so nested sums,
-# products, negations and scalars of every sign reach normalize unfolded
-_SCALARS = st.builds(complex, st.floats(-1e6, 1e6),
-                     st.floats(-1e6, 1e6)).map(ex.Scalar)
+# products, negations and scalars of every sign and finite size reach
+# normalize unfolded
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SCALARS = st.builds(complex, _FINITE, _FINITE).map(ex.Scalar)
 _ASTS = st.recursive(
     st.builds(ex.Variable, st.integers(1, 2)) | _SCALARS,
     lambda children: st.one_of(
@@ -103,9 +104,64 @@ _ASTS = st.recursive(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_ASTS)
 def test_format_parse_round_trip_of_any_ast(ast):
-    """Reparsing the formatted text of any AST gives its normal form."""
+    """Reparsing the formatted text of any AST gives its normal form, or
+    folding its constants overflows, which is a parse error."""
+    try:
+        normal = nf.normalize(ast)
+    except nf.ParseError as err:
+        assert "constant overflow" in str(err)
+        return
     text = nf.format_expr(ast)
-    assert nf.parse(text, 2) == nf.normalize(ast), text
+    assert nf.parse(text, 2) == normal, text
+
+
+@pytest.mark.parametrize("text", ["1e200*1e200", "1e308+1e308",
+                                  "-1e308 - 1e308", "(1e200+1e200i)*1e200"])
+def test_folded_constant_overflow_is_a_parse_error(text):
+    with pytest.raises(nf.ParseError, match="constant overflow"):
+        nf.parse(text, 1)
+
+
+def test_fold_rejects_a_non_node():
+    with pytest.raises(TypeError, match="not an AST node"):
+        nf.normalize(ex.Sum((ex.Variable(1), 2.0)))
+
+
+def _parses(text):
+    try:
+        nf.parse(text, 1)
+    except nf.ParseError:
+        return False
+    return True
+
+
+def test_deep_nesting_is_a_parse_error_and_any_parsed_depth_folds():
+    """Nesting past the parser's recursion is a parse error.  The parser
+    takes four frames a nesting level, z1*(1 + ...) adds two tree levels
+    and each walk takes one frame a tree level, so every walk of the
+    deepest such AST that parses returns."""
+    with pytest.raises(nf.ParseError, match="nested too deeply"):
+        nf.parse("(" * 400 + "z1" + ")" * 400, 1)
+
+    def nested(k):
+        return "z1*(1 + " * k + "z1" + ")" * k
+
+    depth = next(k for k in range(400, 0, -10) if _parses(nested(k)))
+    assert depth >= 100
+    ast = nf.parse(nested(depth), 1)
+    # compared as text: dataclass equality takes three frames a level
+    text = nf.format_expr(ast)
+    assert nf.format_expr(nf.parse(text, 1)) == text
+    assert ex.max_variable_index(ast) == 1
+    poly = nf.as_polynomial(ast, 1)
+    assert poly.degree == depth + 1
+    assert poly.allclose(nf.NCPolynomial(1, {(1,) * k: 1.0
+                                             for k in range(1, depth + 2)}),
+                         tol=0)
+    X = [np.array([[0.5]])]
+    value = 1.0 - 0.5 ** (depth + 1)
+    assert nf.eval_ast(ast, X)[0, 0] == pytest.approx(value)
+    assert nf.evaluate(nf.from_ast(ast, 1), X)[0, 0] == pytest.approx(value)
 
 
 def test_whitespace_insignificant():

@@ -162,6 +162,24 @@ def test_is_inner_examples():
         nf.from_expression("1 + z1", 2)))
 
 
+@pytest.mark.parametrize("k", [-600, -40, 0, 40, 600])
+def test_is_inner_on_the_mantissa(k):
+    """Scaling b of an inner function by 2^k scales c* Q c by 4^k, to inf
+    where that overflows, and leaves the orthogonality defect to the bit;
+    no RuntimeWarning on the way."""
+    r = nf.minimize(nf.scale(
+        nf.add(nf.variable(1, 2), nf.variable(2, 2)), 2 ** -0.5))
+    scaled = nf.Realization(r.A, math.ldexp(1.0, k) * r.b, r.c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base, cert = nf.is_inner(r), nf.is_inner(scaled)
+    assert cert.orthogonality_defect == base.orthogonality_defect <= 1e-12
+    assert bool(cert) is (k == 0)
+    want = {-600: 1.0, 600: math.inf}[k] if abs(k) == 600 \
+        else abs(4.0 ** k - 1.0)
+    assert cert.unit_defect == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 def test_is_inner_rejects_unbounded():
     geo = nf.minimize(nf.from_expression("inv(1 - z1)", 1))
     with pytest.raises(nf.SpectralRadiusError):

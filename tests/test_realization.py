@@ -1,9 +1,13 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ncfock as nf
+from ncfock import expr as ex
 from ncfock import realization as rz
 from conftest import random_ast, random_point
 
@@ -361,6 +365,57 @@ def test_minimize_properties(r):
 def test_minimize_keeps_a_scaled_product():
     r = nf.from_expression("1e8*(1 + z1)", 1)
     assert _same_table(nf.minimize(r), r)
+
+
+def test_from_ast_of_an_overflowing_product_is_a_numerical_failure():
+    """1e200*1e200*z1 compiles to an infinite entry, which is refused
+    without a RuntimeWarning; 1e200*z1*1e200*z1 keeps its entries finite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(nf.NumericalFailureError, match="overflow"):
+            nf.from_expression("1e200*1e200*z1", 1)
+        r = nf.from_expression("1e200*z1*1e200*z1", 1)
+    assert all(np.isfinite(M).all() for M in (r.A, r.b, r.c))
+    assert r.value_at_zero() == 0.0
+
+
+# raw polynomial ASTs over z1, z2 with constants +-m 2^k, m in [1/2, 1]
+# and |k| <= 40, so products of constants span many orders of magnitude
+_POWER_SCALARS = st.builds(
+    lambda sign, m, k: ex.Scalar(complex(sign * math.ldexp(m, k))),
+    st.sampled_from((1, -1)), st.floats(0.5, 1.0), st.integers(-40, 40))
+_POLYNOMIAL_ASTS = st.recursive(
+    st.builds(ex.Variable, st.integers(1, 2)) | _POWER_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, min_size=2, max_size=3).map(
+            lambda terms: ex.Sum(tuple(terms))),
+        st.lists(children, min_size=2, max_size=3).map(
+            lambda factors: ex.Product(tuple(factors))),
+        children.map(ex.Negate)),
+    max_leaves=8)
+
+
+def _modulus_ast(a):
+    """a with every constant replaced by its modulus and no negation: its
+    expansion bounds the roundoff of each coefficient of a."""
+    return ex.fold(a, lambda value: ex.Scalar(complex(abs(value))),
+                   ex.Variable, lambda terms: ex.Sum(tuple(terms)),
+                   lambda factors: ex.Product(tuple(factors)),
+                   lambda x: x, ex.Inverse)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_POLYNOMIAL_ASTS)
+def test_compiled_and_expanded_folds_agree(a):
+    """The Taylor table of from_ast(a) (not minimized) is the expansion
+    as_polynomial(a), coefficient by coefficient, up to 1e-13 of the
+    expansion of the modulus AST."""
+    bound = nf.as_polynomial(_modulus_ast(a), 2)
+    want = nf.as_polynomial(a, 2)
+    got = nf.taylor_table(nf.from_ast(a, 2), bound.degree)
+    for word in set(got.coeffs) | set(want.coeffs) | set(bound.coeffs):
+        assert abs(got.coeff(word) - want.coeff(word)) \
+            <= 1e-13 * abs(bound.coeff(word)), word
 
 
 # longest word of a random polynomial in d variables

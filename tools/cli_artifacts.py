@@ -204,6 +204,15 @@ COMMANDS = _per_expression() + [
     *([*command, "--realization", "inputs/huge-a.json"]
       for command in (["spr"], ["spr", "--method", "iterate"], ["member"],
                       ["boundary-sing"])),
+    # constants that fold or compile past the double range, and nesting
+    # deeper than the parser's recursion: coded errors
+    ["parse", "-d", "1", "1e200*1e200"],
+    ["parse", "-d", "1", "1e308+1e308"],
+    ["realize", "-d", "1", "1e200*1e200*z1"],
+    ["parse", "-d", "1", "(" * 400 + "z1" + ")" * 400],
+    # the isometry test on the mantissa: c* Q c = 1e320 overflows to inf
+    *(["inner-test", "--realization", f"inputs/{name}"]
+      for name in ("huge-b.json", "tiny-c.json")),
 ]
 
 
