@@ -25,7 +25,8 @@ from . import fock
 from . import realization as rz
 from . import spectral
 from . import spectrum as sp
-from .errors import MalformedJSONError, NCFockError
+from .errors import (MalformedJSONError, NCFockError, NotPolynomialError,
+                     ParseError)
 
 
 def _round15(obj):
@@ -91,14 +92,19 @@ def _ast_json(node):
 
 def _cmd_parse(args):
     node = ex.parse(args.expression, args.d)
-    out = {"formatted": ex.format_expr(node), "ast": _ast_json(node)}
     try:
-        poly = ex.as_polynomial(node, args.d)
-        out["polynomial"] = poly.to_json_obj()
-        out["degree"] = poly.degree
-    except NCFockError:
-        out["polynomial"] = None
-    _emit(out, args.out)
+        out = {"formatted": ex.format_expr(node), "ast": _ast_json(node)}
+        try:
+            poly = ex.as_polynomial(node, args.d)
+            out["polynomial"] = poly.to_json_obj()
+            out["degree"] = poly.degree
+        except NotPolynomialError:
+            out["polynomial"] = None
+        # the formatter, _round15 and json.dumps recurse once or more a
+        # tree level, so a tree the parser accepts can still be too deep
+        _emit(out, args.out)
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
     return 0
 
 

@@ -160,7 +160,9 @@ def fold(node, scalar, variable, sum, product, negate, inverse):
     """Bottom-up fold of an AST, children left to right: ``sum`` and
     ``product`` take the list of child values, the other operations the
     node's value, index or one child value.  One frame a tree level; the
-    parser takes four a nesting level, which adds at most four levels."""
+    parser takes four a nesting level, which adds at most four levels, so
+    a tree at the parser's limit can still exhaust the stack below the
+    fold: that is a ParseError, as it is in the parser."""
     def rec(a):
         if isinstance(a, Scalar):
             return scalar(a.value)
@@ -176,7 +178,10 @@ def fold(node, scalar, variable, sum, product, negate, inverse):
             return inverse(rec(a.operand))
         raise TypeError(f"not an AST node: {a!r}")
 
-    return rec(node)
+    try:
+        return rec(node)
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
 
 
 def normalize(node):

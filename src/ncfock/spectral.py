@@ -25,7 +25,9 @@ real arithmetic, at a half to a third of the cost of the complex one:
   right-hand side of the same LU.  It refines only when the normwise
   backward error ||q - K x|| / (||K|| ||x|| + ||q||) exceeds 16 eps
   (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12), so a
-  well-conditioned solve factors once.  ``similarity_to_contraction``
+  well-conditioned solve factors once.  From MATRIX_FREE_MIN_N up, a
+  jointly nilpotent tuple instead takes the finite sum of the powers of Ad
+  (or of its adjoint), which needs no R.  ``similarity_to_contraction``
   solves with R / (4^-k tau^2), R that of the mantissa of the ``CPMap``.
 
 ``spr`` has two methods: ``matrized`` (the spectral radius of Ad) and
@@ -34,19 +36,26 @@ evaluates the defining norm limit at K = 2^48 applications and serves as
 the independent reference).  ``matrized`` reads rho(Ad) from the one
 Perron pair ``CPMap.perron``, whose route the state size n picks: below
 MATRIX_FREE_MIN_N the dense eigensolve above, from it up implicitly
-restarted Arnoldi (ARPACK, through scipy.sparse.linalg.eigs) on Ad itself,
-at O(d n^3) per product, so no n^2 x n^2 matrix is formed for spr; if
-ARPACK fails, the dense eigensolve.  One matrix-free guard serves both
-routes: a jointly nilpotent n-tuple has Ad^n(I) = 0, which n products
-detect, and spr is then exactly 0; for any other tuple ||Ad^n(I)||^(1/n)
-bounds rho(Ad) from above, since a positive map attains its norm at I, and
-spr is the square root of the smaller of rho and that bound, which caps
-the spuriously large eigenvalues of a tuple nilpotent up to roundoff.
+restarted Arnoldi (ARPACK, through scipy.sparse.linalg.eigs) on Ad itself
+in the same coordinates, the real operator x -> hermitian_coords(Ad(P))
+with P = from_hermitian_coords(x), at O(d n^3) per product, so no
+n^2 x n^2 matrix is formed for spr; if ARPACK fails, the dense
+eigensolve.  Both routes take as the Perron root the eigenvalue of
+largest real part (``_perron_matrix``), which for a positive map is
+rho(Ad) also where rho times roots of unity share its modulus, as for an
+imprimitive tuple, and map its eigenvector to the Perron eigenmatrix
+through from_hermitian_coords.  One matrix-free guard serves both routes:
+a jointly nilpotent n-tuple has Ad^n(I) = 0, which n products detect, and
+spr is then exactly 0; for any other tuple ||Ad^n(I)||^(1/n) bounds
+rho(Ad) from above, since a positive map attains its norm at I, and spr
+is the square root of the smaller of rho and that bound, which caps the
+spuriously large eigenvalues of a tuple nilpotent up to roundoff.
 
-With the real eigensolve the dense route and the Arnoldi run cost about
-the same near n = 10 (random d = 2 tuples, one BLAS thread, best of 15
-calls: 3.4 against 4.2 ms at n = 8, 4.6 against 5.1 ms at n = 9, 14
-against 5.6 ms at n = 11, 78 against 12 ms at n = 16).  The switch stays
+The Perron pair of a fresh CPMap costs about the same by both routes
+near n = 9 (random d = 2 tuples at spr 0.9, one BLAS thread, 2 shared
+cores, best of 15 calls on 3 tuples: 1.7 against 2.5 ms at n = 8, 3.4
+against 2.6-3.5 ms at n = 9, 5.7 against 2.6 ms at n = 10, 8.0 against
+3.0 ms at n = 11, 38 against 3.9 ms at n = 16).  The switch stays
 at n = 12, so that membership verdicts of n <= 11 and
 factorizations (n <= 4) keep the dense route; the two routes differ by up
 to about 4e-15 at n = 9..11.
@@ -198,7 +207,11 @@ class CPMap:
     def __call__(self, P):
         return self._mantissa_ad(P) / self._rho_scale
 
-    def _mantissa_ad(self, P):
+    def _mantissa_ad(self, P, side="right"):
+        """Ad of the mantissa at P, or on the left its adjoint
+        sum_j M_j* P M_j."""
+        if side == "left":
+            return ((self._mantissa_star @ P) @ self.mantissa).sum(axis=0)
         return ((self.mantissa @ P) @ self._mantissa_star).sum(axis=0)
 
     @property
@@ -299,19 +312,26 @@ def _power_bound(cp):
     return float(np.exp((log_acc + np.log(np.linalg.norm(P, 2))) / cp.n))
 
 
-def _arnoldi_eigs(cp, k):
-    """The k largest-modulus eigenpairs of the CP map of the mantissa of cp
-    by implicitly restarted Arnoldi (ARPACK), with unit-norm eigenvectors."""
+def _arnoldi_eigs(cp, k, which="LM"):
+    """The k eigenpairs of largest modulus (which="LM") or real part ("LR")
+    of the CP map of the mantissa of cp, by implicitly restarted Arnoldi
+    (ARPACK) on its real form in the coordinates hermitian_coords, without
+    forming it; the eigenvectors have unit norm."""
     from scipy.sparse.linalg import LinearOperator, eigs
 
     n = cp.n
-    op = LinearOperator((n * n, n * n), dtype=complex,
-                        matvec=lambda x: vec(cp._mantissa_ad(unvec(x, n))))
-    # a fixed start keeps results deterministic; I is never orthogonal to
-    # the Perron eigenvector, since the dual Perron matrix Q >= 0 has tr Q > 0.
-    # Random tuples up to n = 30 converge within 200 restarts; a tuple that
-    # is nilpotent up to roundoff never does and is given up on.
-    w, V = eigs(op, k=k, ncv=20, tol=0, v0=vec(np.eye(n)), maxiter=300)
+    op = LinearOperator(
+        (n * n, n * n), dtype=float,
+        matvec=lambda x: hermitian_coords(
+            cp._mantissa_ad(from_hermitian_coords(x, n))))
+    # a fixed start keeps results deterministic; the coordinates of I are
+    # never orthogonal to the dual Perron eigenvector, the coordinates of
+    # the Perron eigenmatrix Q >= 0 of the adjoint map (R^T), since their
+    # inner product is tr Q > 0.  Random tuples up to n = 30 converge
+    # within 200 restarts; a tuple that is nilpotent up to roundoff never
+    # does and is given up on.
+    w, V = eigs(op, k=k, which=which, ncv=20, tol=0,
+                v0=hermitian_coords(np.eye(n)), maxiter=300)
     return w, V / np.linalg.norm(V, axis=0)
 
 
@@ -319,36 +339,51 @@ def _arnoldi_perron(cp):
     """rho(Ad) of the mantissa of cp and its Hermitian Perron eigenmatrix
     by Arnoldi, never forming the matrization.
 
-    A positive definite Perron eigenmatrix P makes Ad/rho similar to a
-    unital CP map, which is power bounded, so rho is semisimple and the top
-    Ritz value alone is accurate.  A singular P allows a defective rho: it
-    comes back as a star of Ritz values around rho, spread by
-    roundoff^(1/m) for a Jordan block of size m, whose Ritz vectors are
-    almost parallel; the mean of that star is rho to roundoff.
+    The largest-modulus pass finds rho unless the tuple is imprimitive,
+    when rho times roots of unity share its modulus (Evans and
+    Hoegh-Krohn, J. London Math. Soc. 17, 1978); if its top Ritz value is
+    not real positive, a largest-real-part pass follows.  A positive
+    definite Perron eigenmatrix P makes Ad/rho similar to a unital CP map,
+    which is power bounded, so rho is semisimple and the top Ritz pair
+    alone is accurate.  A singular P allows a defective rho: it comes back
+    as a star of Ritz values around rho, spread by roundoff^(1/m) for a
+    Jordan block of size m, whose Ritz vectors are almost parallel.  The
+    mean of that star is rho to roundoff, and the mean of its vectors,
+    each in the phase of the top one, cancels their spread the same way.
     """
     w, V = _arnoldi_eigs(cp, 1)
-    P = _hermitian_eigenmatrix(w, V, cp.n)
+    if not (w[0].imag == 0 and w[0].real > 0):
+        w, V = _arnoldi_eigs(cp, 1, which="LR")
+    P = _perron_matrix(V[:, 0], cp.n)
     evals = np.linalg.eigvalsh(P)
     if evals[0] > 1e-9 * evals[-1]:
-        rho = float(abs(w[0]))
-    else:
-        w, V = _arnoldi_eigs(cp, 6)
-        top = int(np.argmax(np.abs(w)))
-        star = np.abs(V.conj().T @ V[:, top]) >= 1.0 - 1e-6
-        rho = float(abs(np.mean(w[star])))
-        P = _hermitian_eigenmatrix(w, V, cp.n)
-    return rho, P
+        return float(abs(w[0])), P
+    w, V = _arnoldi_eigs(cp, 6)
+    overlap = V.conj().T @ V[:, np.argmax(w.real)]
+    star = np.abs(overlap) >= 1.0 - 1e-6
+    x = V[:, star] @ (overlap[star] / np.abs(overlap[star]))
+    return float(abs(np.mean(w[star]))), _perron_matrix(x, cp.n)
 
 
 def _dense_perron(cp):
     """rho(Ad) of the mantissa and the Hermitian Perron eigenmatrix from the
-    eigensolve of R: the real and imaginary parts of an eigenvector of the
-    real eigenvalue rho are eigenvectors themselves; the larger is taken."""
+    eigensolve of R."""
     w, V = np.linalg.eig(cp.real_matrization)
-    x = V[:, _perron_index(w)]
-    P = _perron_matrix((from_hermitian_coords(x.real, cp.n),
-                        from_hermitian_coords(x.imag, cp.n)))
-    return float(np.max(np.abs(w))), P
+    return (float(np.max(np.abs(w))),
+            _perron_matrix(V[:, np.argmax(w.real)], cp.n))
+
+
+def _perron_matrix(x, n):
+    """The Hermitian Perron eigenmatrix, sign-normalized and of unit
+    Frobenius norm, from an eigenvector x of R of rho, the eigenvalue of
+    largest real part: R is real, so the real and imaginary parts of x are
+    eigenvectors themselves; the larger is taken."""
+    P = max((from_hermitian_coords(x.real, n),
+             from_hermitian_coords(x.imag, n)), key=np.linalg.norm)
+    evals = np.linalg.eigvalsh(P)
+    if evals[np.argmax(np.abs(evals))] < 0:
+        P = -P
+    return P / np.linalg.norm(P)
 
 
 def spr(A, method="matrized"):
@@ -392,7 +427,10 @@ def stein_solve(A, Q0, side="right"):
     part Q0 - H = i H2 as a second right-hand side of the same LU.
     Refinement steps follow only while the normwise backward error is
     above 16 eps, at most two.  A Hermitian Q0 gives an exactly Hermitian
-    solution.  Requires spr(A) < 1 - 1e-9 and a finite I - R / 4^-k.
+    solution.  From MATRIX_FREE_MIN_N up, a jointly nilpotent tuple (spr
+    exactly 0) takes the finite sum sum_{m<n} Ad^m(Q0) instead, which forms
+    no n^2 x n^2 matrix.  Requires spr(A) < 1 - 1e-9 and a finite
+    I - R / 4^-k or sum.
     """
     cp = _cp_map(A)
     Q0 = np.asarray(Q0, dtype=complex)
@@ -401,7 +439,25 @@ def stein_solve(A, Q0, side="right"):
     if side not in ("right", "left"):
         raise ValueError(f"unknown side {side!r}")
     spr_below(cp, "Stein equation needs spr(A) < 1 (got spr = {s:.12g})")
+    # from the switch up the gate has read spr, which is exactly 0 for a
+    # jointly nilpotent tuple
+    if cp.n >= MATRIX_FREE_MIN_N and cp.spr == 0.0:
+        return _nilpotent_stein(cp, Q0, side)
     return _stein_real(cp.real_matrization, Q0, side, cp._rho_scale)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _nilpotent_stein(cp, Q0, side):
+    """The exact solution sum_{m<n} Ad^m(Q0) (the adjoint's powers on the
+    left) of the Stein equation of a jointly nilpotent n-tuple, whose Ad^n
+    is 0, at O(d n^4) with no n^2 x n^2 matrix; fails where it overflows."""
+    P = term = Q0
+    for _ in range(cp.n - 1):
+        term = cp._mantissa_ad(term, side) / cp._rho_scale
+        P = P + term
+    if not np.isfinite(P).all():
+        raise NumericalFailureError("the Stein sum overflows")
+    return P
 
 
 # refinement runs while the normwise backward error of a Stein solve is
@@ -530,31 +586,6 @@ def similarity_to_contraction(A, margin):
 # Boundary singular points
 # ---------------------------------------------------------------------------
 
-def _perron_index(w):
-    """Index of the Perron eigenvalue among eigenvalues w of the CP map that
-    include its top ones."""
-    rho = np.max(np.abs(w))
-    candidates = np.where(np.abs(w) >= (1.0 - 1e-6) * rho)[0]
-    return candidates[np.argmax(w[candidates].real)]
-
-
-def _perron_matrix(parts):
-    """The larger of two Hermitian eigenmatrix candidates, sign-normalized
-    and scaled to unit Frobenius norm."""
-    P = max(parts, key=np.linalg.norm)
-    evals = np.linalg.eigvalsh(P)
-    if evals[np.argmax(np.abs(evals))] < 0:
-        P = -P
-    return P / np.linalg.norm(P)
-
-
-def _hermitian_eigenmatrix(w, V, n):
-    """Hermitian Perron eigenmatrix from eigenpairs (w, V) of the CP map on
-    vec, that include its top ones."""
-    P = unvec(V[:, _perron_index(w)], n)
-    return _perron_matrix(((P + P.conj().T) / 2.0, (P - P.conj().T) / 2.0j))
-
-
 def boundary_singularity(r, tol=1e-8):
     """A point Z with ||Z|| = 1/spr(A) where the minimal pencil is singular.
 
@@ -592,6 +623,10 @@ def _boundary_singularity(cp, tol):
         """The point of the tuple of sub and the null vector of its
         pencil."""
         s = sub.spr
+        if s == 0.0:
+            raise BoundarySingularityError(
+                "boundary singularity recursion reached a jointly nilpotent "
+                "block")
         P = sub.perron[1]
         w, V = np.linalg.eigh(P)
         threshold = 1e-9 * max(float(np.trace(P).real), float(w[-1]))
@@ -618,7 +653,10 @@ def _boundary_singularity(cp, tol):
         null[:, :m] = keep @ inner_null
         return Z, null
 
-    Z, null = build(cp, A.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z, null = build(cp, A.shape[1])
+    if not (np.isfinite(Z).all() and np.isfinite(null).all()):
+        raise BoundarySingularityError("boundary singularity is not finite")
     point = MatrixTuple(Z)
     image = null - (A @ null @ np.swapaxes(Z, 1, 2)).sum(axis=0)
     sigma_min = float(np.linalg.norm(image) / np.linalg.norm(null))

@@ -703,3 +703,39 @@ def test_out_of_range_artifact_runs_answer_with_codes(capsys, tmp_path,
             assert (obj["unit_defect"], obj["orthogonality_defect"]) == want
         else:
             assert code == 1 and obj["error"]["code"] == want, argv
+
+
+def test_imprimitive_artifact_runs_answer(capsys):
+    """The 13-state tuple of a cyclic word has spr^2 times the 13th roots
+    of unity as its peripheral spectrum; each run reads the one that is
+    real positive and certifies its boundary point."""
+    script = _artifact_script()
+    spr = 2.0 ** (1.0 / 13)
+    for command in ("spr", "member", "boundary-sing"):
+        argv = [command, "-d", "2", script.CYCLIC13]
+        assert argv in script.COMMANDS
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 0 and err == "", command
+        obj = json.loads(out)
+        if command == "boundary-sing":
+            assert obj["one_over_spr"] == pytest.approx(1.0 / spr, rel=1e-12)
+            assert obj["sigma_min"] <= 1e-8
+        else:
+            assert obj["spr"] == pytest.approx(spr, rel=1e-12)
+        if command == "member":
+            assert obj["verdict"] == "not_in_H2"
+            assert obj["witness_sigma_min"] <= 1e-8
+
+
+def test_deep_nesting_artifact_runs_are_parse_errors():
+    """In a fresh process, as the artifacts run, both nestings parse, but
+    the output of parse and the expansion of factor are too deep."""
+    script = _artifact_script()
+    for argv in (["parse", "-d", "1", script.nested_inverse(200)],
+                 ["factor", "-d", "1", script.nested_inverse(246)]):
+        assert argv in script.COMMANDS
+        proc = subprocess.run([sys.executable, "-m", "ncfock", *argv],
+                              env=src_env(), capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stderr == "", argv[0]
+        assert json.loads(proc.stdout)["error"]["code"] == "parse-error"

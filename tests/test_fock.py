@@ -341,6 +341,20 @@ def test_gates_below_the_switch_compute_no_spr(monkeypatch, n):
     assert calls == []
 
 
+def test_a_long_polynomial_is_solved_without_the_matrization(monkeypatch):
+    # z1 + z1^2 + ... + z1^60 has 61 states and a jointly nilpotent tuple:
+    # both Stein solves are finite sums, with no n^2 x n^2 matrix
+    from ncfock import spectral
+
+    r = nf.minimize(nf.from_expression(
+        "z1*(1 + " * 59 + "z1" + ")" * 59, 1))
+    assert r.n == 61
+    calls = count_calls(monkeypatch, spectral, "matrize")
+    assert nf.h2_norm(r) == pytest.approx(math.sqrt(60), rel=1e-13)
+    assert nf.is_inner(r).unit_defect == pytest.approx(59, rel=1e-13)
+    assert calls == []
+
+
 @pytest.mark.parametrize("n", [16, 21])
 def test_not_in_verdict_runs_arnoldi_once(monkeypatch, n):
     # spr and the Perron eigenmatrix of the witness share one Arnoldi run

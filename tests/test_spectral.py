@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import ncfock as nf
-from conftest import DEGREE9_POLY, padded
+from conftest import DEGREE9_POLY, count_calls, padded
 from ncfock import spectral
 from ncfock.spectral import (
     MATRIX_FREE_MIN_N,
@@ -192,6 +192,71 @@ def test_perron_fallback_serves_spr_and_the_boundary_point(monkeypatch,
     assert Z.row_norm() == pytest.approx(2 ** 0.25, rel=1e-8)
 
 
+def _perron_cross_check_cases():
+    """Random tuples at spr 0.9 and 1.2 on the Arnoldi side of the switch,
+    and the defective tuple of the test above."""
+    cases = []
+    for n in (MATRIX_FREE_MIN_N, 16, 21):
+        for d in (2, 3):
+            for s in (0.9, 1.2):
+                rng = np.random.default_rng(100 * n + d)
+                A = rng.standard_normal((d, n, n)) \
+                    + 1j * rng.standard_normal((d, n, n))
+                cases.append(pytest.param(s / nf.spr(A) * A,
+                                          id=f"n{n}-d{d}-spr{s}"))
+    cases.append(pytest.param(padded([[[0.5, 1.0], [0.0, 0.5]]], 21),
+                              id="defective"))
+    return cases
+
+
+@pytest.mark.parametrize("A", _perron_cross_check_cases())
+def test_arnoldi_and_dense_perron_pairs_agree(A):
+    # the two routes of CPMap.perron on one CPMap: the same rho and the
+    # same unit, sign-fixed Perron eigenmatrix
+    cp = nf.CPMap(A)
+    rho, P = spectral._arnoldi_perron(cp)
+    rho_dense, P_dense = spectral._dense_perron(cp)
+    assert rho == pytest.approx(rho_dense, rel=1e-13)
+    assert np.linalg.norm(P - P_dense) <= 1e-8
+
+
+def _cyclic_word_functions():
+    """inv(1 - c w) for c = 0.5 and 2 and words w of L letters: z1^L and a
+    seeded word over 2 and over 3 letters.  The minimal tuple is
+    imprimitive, its peripheral spectrum spr^2 times the L-th roots of
+    unity."""
+    cases = []
+    for L in (12, 13, 16, 20):
+        rng = np.random.default_rng(L)
+        words = [(1, [1] * L)] + [(d, rng.integers(1, d + 1, L).tolist())
+                                  for d in (2, 3)]
+        for d, word in words:
+            w = "*".join(f"z{i}" for i in word)
+            for c in (0.5, 2.0):
+                cases.append((f"inv(1 - {c}*{w})", d, c, L))
+    return cases
+
+
+@pytest.mark.parametrize("text, d, c, L", _cyclic_word_functions())
+def test_imprimitive_tuples_get_a_boundary_point(text, d, c, L):
+    r = nf.minimize(nf.from_expression(text, d))
+    assert r.n == L >= MATRIX_FREE_MIN_N
+    assert r.cpmap.spr == pytest.approx(c ** (1.0 / L), rel=1e-12)
+    _, sigma_min = spectral._boundary_singularity(r.cpmap, 1e-8)
+    assert sigma_min <= 1e-8
+    if c > 1:
+        out = nf.is_in_fock(r)
+        assert out.verdict == "not_in" and out.witness is not None
+
+
+@pytest.mark.parametrize("n", [MATRIX_FREE_MIN_N, 16, 21, 30])
+def test_padded_fixture_gets_a_boundary_point(fixture_tuple, n):
+    cp = nf.CPMap(padded(fixture_tuple, n, seed=n))
+    Z, sigma_min = spectral._boundary_singularity(cp, 1e-8)
+    assert sigma_min <= 1e-8
+    assert Z.row_norm() == pytest.approx(2 ** 0.25, rel=1e-8)
+
+
 @st.composite
 def _similar_tuples(draw):
     """A random tuple on either side of the dense/Arnoldi switch, a
@@ -290,6 +355,27 @@ def test_stein_residual_and_positivity():
             assert residual <= 1e-10 * np.linalg.norm(Q0)
             evals = np.linalg.eigvalsh(sol)
             assert evals.min() >= -1e-10 * max(evals.max(), 1.0)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_stein_solve_of_a_nilpotent_tuple_is_its_finite_sum(monkeypatch,
+                                                            side):
+    # from the switch up, spr 0 takes sum_{m<n} Ad^m(Q0) and forms no
+    # matrization: its residual is at roundoff, and the complex route, whose
+    # LU solve is less accurate here, agrees
+    rng = np.random.default_rng(7)
+    n = MATRIX_FREE_MIN_N + 1
+    A = np.triu(rng.standard_normal((2, n, n))
+                + 1j * rng.standard_normal((2, n, n)), 1)
+    Q0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    reference = complex_stein_reference(A, Q0, side)
+    calls = count_calls(monkeypatch, spectral, "matrize")
+    P = nf.stein_solve(A, Q0, side=side)
+    assert calls == []
+    B = A if side == "right" else A.conj().swapaxes(1, 2)
+    resid = P - (B @ P @ B.conj().swapaxes(1, 2)).sum(axis=0) - Q0
+    assert np.linalg.norm(resid) <= 1e-14 * np.linalg.norm(P)
+    assert np.linalg.norm(P - reference) <= 1e-8 * np.linalg.norm(reference)
 
 
 def test_stein_rejects_large_spr():
@@ -549,6 +635,28 @@ def test_null_vector_bound_certifies_sigma_min(n, kind):
 def test_a_nan_tolerance_certifies_no_boundary_point(fixture_tuple):
     with pytest.raises(nf.BoundarySingularityError):
         spectral._boundary_singularity(nf.CPMap(fixture_tuple), np.nan)
+
+
+def test_a_non_perron_eigenmatrix_is_a_boundary_singularity_error(
+        monkeypatch):
+    # a wrong eigenmatrix compresses to a nilpotent block, spr 0, and a
+    # tiny spr makes the point overflow: coded errors, never a LinAlgError
+    A = np.zeros((1, 3, 3), dtype=complex)
+    A[0, 0, 0], A[0, 1, 2] = 0.5, 1.0
+    dense_perron = spectral._dense_perron
+
+    def nilpotent_part(cp):
+        if cp.n == 3:
+            return 0.25, np.diag([0.0, 1.0, 1.0]).astype(complex) / 2 ** 0.5
+        return dense_perron(cp)
+
+    monkeypatch.setattr(spectral, "_dense_perron", nilpotent_part)
+    with pytest.raises(nf.BoundarySingularityError, match="nilpotent"):
+        spectral._boundary_singularity(nf.CPMap(A), 1e-8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(nf.BoundarySingularityError, match="not finite"):
+            nf.boundary_singularity(np.array([[[1e-310]]]))
 
 
 # the doubles fl(1 -+ 1e-9) and their neighbours one ulp away, with the

@@ -41,12 +41,21 @@ DEGREE9 = (
 POLY_D4 = "1 + 0.5*z3*z4*z4 + 1.7*z4*z1*z2*z4 + 0.2*z2*z2*z3"
 POLY_D3 = ("1 + 1.7*z3*z1*z3*z3 + 1.5*z2*z1 + 0.7*z1*z1*z3*z1*z2"
            " + 0.4*z2*z2*z1")
+# inv(1 - 2w) for a word w of 13 letters: an imprimitive 13-state tuple,
+# whose peripheral spectrum is spr^2 = 2^(2/13) times the 13th roots of unity
+CYCLIC13 = "inv(1 - 2*z1*z2*z1*z1*z2*z2*z1*z2*z2*z2*z1*z1*z2)"
 EDGE = "inv(1 - 0.9999999995*z1)"
 NEAR_EDGE = "inv(1 - 0.999999997*z1)"
 EXPRESSIONS = {"fixture": FIXTURE, "poly": POLY, "rational41": RATIONAL41,
                "inv4": INV4}
 
 RECT = "-1.5,1.5,-1.5,1.5"
+
+
+def nested_inverse(k):
+    """inv(1 - z1*inv(1 - z1*...)) nested k deep, around z1."""
+    return "inv(1 - z1*" * k + "z1" + ")" * k
+
 
 # fixed inputs, written to OUT_DIR/inputs
 INPUTS = {
@@ -213,6 +222,14 @@ COMMANDS = _per_expression() + [
     # the isometry test on the mantissa: c* Q c = 1e320 overflows to inf
     *(["inner-test", "--realization", f"inputs/{name}"]
       for name in ("huge-b.json", "tiny-c.json")),
+    # the first runs on the Arnoldi route with spr > 0: its Perron root is
+    # the one peripheral eigenvalue that is real positive
+    *([command, "-d", "2", CYCLIC13]
+      for command in ("spr", "member", "boundary-sing")),
+    # nesting that parses but is too deep to print or to expand: coded
+    # errors
+    ["parse", "-d", "1", nested_inverse(200)],
+    ["factor", "-d", "1", nested_inverse(246)],
 ]
 
 
