@@ -2,11 +2,14 @@
 
 The outer factor q of a polynomial p is the polynomial with deg q <= deg p,
 q(0) > 0 maximal, whose multiplier autocorrelations match those of p
-(q(L)* q(L) = p(L)* p(L)).  The solver is a multistart Levenberg-Marquardt
-on the autocorrelation equations with their exact Jacobian; correctness is
-carried by the certificates, not by the solver: every returned q passes the
-rational outerness test and the quotient p q^{-1} passes the isometry
-(innerness) test.
+(q(L)* q(L) = p(L)* p(L)).  It is solved on the shift realization
+(A, b, c) of p, whose states are the hereditary tree of p: q = (A, x, c),
+and the autocorrelation equations are n quadratic forms in x in C^n, whose
+matrices are n right Stein solutions of A.  The solver is a multistart
+Levenberg-Marquardt on these equations with their exact Jacobian;
+correctness is carried by the certificates, not by the solver: every
+returned q passes the rational outerness test and the quotient p q^{-1}
+passes the isometry (innerness) test.
 
 Outerness of a rational r is decided by the radius of convergence of the
 series of r^{-1} at 0: r is outer iff the minimal realization of r^{-1},
@@ -36,7 +39,7 @@ from .realization import (
 )
 from .spectral import _ABOVE, _EDGE, spr_below, stein_solve
 from .spectrum import _Resolvent
-from .words import NCPolynomial, suffixes, words_up_to
+from .words import NCPolynomial, suffix_closure
 
 _RESIDUAL_TOL = 1e-8   # autocorrelation residual of an outer_factor root
 _INNER_TOL = 1e-7      # is_inner tolerance of its quotient
@@ -60,10 +63,7 @@ def hereditary_tree(p):
     """All suffixes of support words of p; |T_p| bounds the variety level."""
     if p.is_zero():
         raise ZeroPolynomialError("hereditary tree of the zero polynomial")
-    tree = set()
-    for word in p.coeffs:
-        tree.update(suffixes(word))
-    return tree
+    return set(suffix_closure(p.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -167,96 +167,66 @@ class FactorizationResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _pack(words, q0, coeffs):
-    x = [q0]
-    for w in words:
-        x.extend((coeffs[w].real, coeffs[w].imag))
-    return np.array(x)
+class _SteinSystem:
+    """The autocorrelation equations of q = (A, x, c) against those of a
+    realization r = (A, b, c) with spr(A) < 1, and their exact Jacobian, in
+    the real coordinates (Re x_0, Im x_0, Re x_1, ...) of x in C^n; x may
+    carry leading batch axes, one point per start.
 
-
-def _unpack(d, words, x):
-    table = {(): complex(x[0])}
-    for k, w in enumerate(words):
-        table[w] = complex(x[1 + 2 * k], x[2 + 2 * k])
-    return NCPolynomial(d, table)
-
-
-def _sum_into(slots, values, size):
-    """Sums of values[..., t] into slot slots[t] of a last axis of length
-    size, by one bincount over the leading (batch) axes."""
-    lead = values.shape[:-1]
-    count = math.prod(lead)
-    flat = (np.arange(count)[:, None] * size + slots).ravel()
-    return np.bincount(flat, values.ravel(),
-                       count * size).reshape(lead + (size,))
-
-
-def _real_coords(j):
-    """(real coordinate, weight) pairs of complex coefficients j in the
-    coordinates of ``_pack``: c_0 = x_0 and c_j = x_{2j-1} + i x_{2j}; the
-    imaginary coordinate of c_0 gets weight 0."""
-    return ((np.where(j == 0, 0, 2 * j - 1), np.ones(j.shape)),
-            (2 * j, np.where(j == 0, 0, 1j)))
-
-
-class _AutocorrelationSystem:
-    """autocorrelations(q) - target over the words of length <= deg, and its
-    exact Jacobian, in the coordinates x of ``_pack``; x may carry leading
-    batch axes, one point per start.
-
-    Each pair of words (w, w gamma) with |w gamma| <= deg adds
-    conj(c_w) c_{w gamma} to the L^gamma autocorrelation.  Split into the
-    real coordinates of c_w and c_{w gamma}, and into the real rows of
-    gamma (the real part at the empty word, then the real and imaginary
-    parts of each further gamma in turn), the system is the real quadratic
-    form f_r(x) = sum W[r, a, b] x_a x_b - t_r, stored as its nonzero
-    entries (r, a, b, W).  The residual and the Jacobian
-    df_r/dx_a = sum_b (W[r, a, b] + W[r, b, a]) x_b are then one
-    ``np.bincount`` each over the whole batch.
+    With Q(x) the left Stein solution Q - sum A_j* Q A_j = x x*, the
+    autocorrelations of q are c* Q(x) A^g c, so where (A, c) is
+    controllable they match those of r iff T(x) = T(b) for
+    T_i(x) = c* Q(x) e_i.  By the duality of the left and the right Stein
+    equation, T_i(x) = x* H_i x with H_i the right Stein solution of
+    H - sum A_j H A_j* = e_i c*: n solves, once per system.  The rows are
+    Re and Im of T_i(x) - T_i(b), state by state, then the phase gauge
+    Im(x* c) = Im q(0).  The derivative of T_i in the direction h is
+    h* H_i x + x* H_i h.  For r = ``from_polynomial(p)`` the state of a
+    word g of the hereditary tree is e_g = A^g c, so T_g(x) is the L^g
+    autocorrelation of q; at g outside the tree both tables vanish.
     """
 
-    def __init__(self, d, deg, target):
-        words = list(words_up_to(d, deg))
-        index = {w: k for k, w in enumerate(words)}
-        iw, iwg, ig = np.array([(index[w], index[w + g], index[g])
-                                for w in words
-                                for g in words_up_to(d, deg - len(w))]).T
-        rows, left, right, weights = [], [], [], []
-        for a, wa in _real_coords(iw):
-            for b, wb in _real_coords(iwg):
-                weight = np.conj(wa) * wb
-                for row, part in ((np.where(ig == 0, 0, 2 * ig - 1),
-                                   weight.real),
-                                  (2 * ig, np.where(ig == 0, 0, weight.imag))):
-                    rows.append(row)
-                    left.append(a)
-                    right.append(b)
-                    weights.append(part)
-        rows, left, right, weights = map(np.concatenate,
-                                         (rows, left, right, weights))
-        keep = weights != 0
-        self.rows, self.left, self.right, self.weights = (
-            rows[keep], left[keep], right[keep], weights[keep])
-        self.size = 2 * len(words) - 1          # rows and unknowns
-        target = np.array([target.get(w, 0.0) for w in words], dtype=complex)
-        self.target = np.empty(self.size)
-        self.target[0] = target[0].real
-        self.target[1::2] = target[1:].real
-        self.target[2::2] = target[1:].imag
-        # Jacobian entries, flat in (r, a): W x_b at (r, a), W x_a at (r, b)
-        self._jac_at = np.concatenate((self.rows * self.size + self.left,
-                                       self.rows * self.size + self.right))
-        self._jac_by = np.concatenate((self.right, self.left))
-        self._jac_weights = np.concatenate((self.weights, self.weights))
+    def __init__(self, r):
+        n = r.n
+        H = np.stack([stein_solve(r.cpmap, np.outer(e, np.conj(r.c)))
+                      for e in np.eye(n)])
+        # z @ right is (H_i z)_k at i n + k, conj(z) @ left (z* H_i)_l at
+        # i n + l
+        self._right = H.reshape(n * n, n).T
+        self._left = H.transpose(1, 0, 2).reshape(n, n * n)
+        # Im(x* c) is linear in x: x @ gauge_row
+        self._gauge_row = (-1j * r.c).view(float)
+        self.target = self._autocorrelations(r.b)[0]
+
+    @staticmethod
+    def _complex(x):
+        return x[..., 0::2] + 1j * x[..., 1::2]
+
+    def _autocorrelations(self, z):
+        """T(z) and the vectors H_i z, stacked over i."""
+        Hz = (z @ self._right).reshape(z.shape + (-1,))
+        return (Hz @ np.conj(z)[..., None])[..., 0], Hz
 
     def residual(self, x):
-        products = self.weights * x[..., self.left] * x[..., self.right]
-        return _sum_into(self.rows, products, self.size) - self.target
+        z = self._complex(x)
+        T = self._autocorrelations(z)[0] - self.target
+        rows = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+        rows[..., :-1:2] = T.real
+        rows[..., 1:-1:2] = T.imag
+        rows[..., -1] = x @ self._gauge_row
+        return rows
 
     def jacobian(self, x):
-        J = _sum_into(self._jac_at, self._jac_weights * x[..., self._jac_by],
-                      self.size * self.size)
-        return J.reshape(x.shape[:-1] + (self.size, self.size))
+        z = self._complex(x)
+        Hz = self._autocorrelations(z)[1]
+        zH = (np.conj(z) @ self._left).reshape(Hz.shape)
+        # dT_i along Re x_k and along Im x_k, as the last axis
+        D = np.stack((Hz + zH, 1j * (zH - Hz)), axis=-1)
+        J = np.stack((D.real, D.imag), axis=-3)
+        J = J.reshape(x.shape[:-1] + (x.shape[-1], x.shape[-1]))
+        gauge = np.broadcast_to(self._gauge_row,
+                                x.shape[:-1] + (1, x.shape[-1]))
+        return np.concatenate((J, gauge), axis=-2)
 
 
 def autocorrelation_mismatch(p, q):
@@ -270,15 +240,20 @@ def autocorrelation_mismatch(p, q):
 def outer_factor(p, n_starts=8, seed=0):
     """Spectral factorization p = (inner) * q with q an NC outer polynomial.
 
-    Solves autocorrelations(q) = autocorrelations(p) over the full support
-    of words of length <= deg p with q(0) real, by the Levenberg-Marquardt
-    of ``least_squares`` with the exact Jacobian of
-    ``_AutocorrelationSystem``, on all starts in one batch: 4 deterministic
-    points (q = p with q(0) = |p(0)|, and three with mass on the empty
-    word: q(0) = ||p||_2 and the other coefficients 0.05, 0.2 and 0.5 times
-    p's) plus ``n_starts`` randomized ones.  Among residual-feasible
-    solutions, candidates are taken in decreasing q(0) and the first one
-    certified outer with an isometric quotient wins.
+    Solves q(L)* q(L) = p(L)* p(L) on the shift realization
+    r = (A, b, c) = ``from_polynomial(p)``, whose n states are the words of
+    ``hereditary_tree(p)``: the outer factor is q = (A, x, c) for an x in
+    C^n, because q = theta(L)* p, theta(L) an isometry, lies in the span of
+    the backward shifts L^{w*} p, which is {x* A^v c} (NC Beurling: Arias &
+    Popescu, IEOT 23, 1995).  The equations are those of ``_SteinSystem``
+    with q(0) real, solved by the Levenberg-Marquardt of ``least_squares``
+    with their exact Jacobian, on all starts in one batch: 4 deterministic
+    points (x = b, q = p, with q(0) = |p(0)|, and three with mass on the
+    empty word: q(0) = ||p||_2 and the other coefficients 0.05, 0.2 and 0.5
+    times p's) plus ``n_starts`` randomized ones.  Each solution is read
+    off as the Taylor table of (A, x, c) through deg p.  Among
+    residual-feasible solutions, candidates are taken in decreasing q(0)
+    and the first one certified outer with an isometric quotient wins.
 
     Everything runs on the mantissa 2^-k p of ``NCPolynomial.pow2``, whose
     largest coefficient modulus lies in [1/2, 1]; the result is 2^k q,
@@ -294,35 +269,33 @@ def outer_factor(p, n_starts=8, seed=0):
         raise NumericalFailureError(
             f"the autocorrelations of p overflow: ||p||_2 = {norm_p:.6g}")
     p, k = p.pow2
-    d, deg = p.d, p.degree
-    words = [w for w in words_up_to(d, deg) if w != ()]
     norm_p = p.l2_norm()
-    system = _AutocorrelationSystem(d, deg, autocorrelations(p))
+    p_real = from_polynomial(p)
+    system = _SteinSystem(p_real)
 
+    # state 0 is the empty word: q(0) = conj(x_0)
+    b = p_real.b
     rng = np.random.default_rng(seed)
-    p0 = abs(p.coeff(()))
-    starts = [_pack(words, p0 if p0 > 0 else norm_p / 2,
-                    {w: p.coeff(w) for w in words})]
+    p0 = abs(b[0])
+    starts = [np.r_[p0 if p0 > 0 else norm_p / 2, b[1:]]]
     # outer factors maximize the constant term, so bias deterministic
     # starts toward mass on the empty word
     for frac in (0.05, 0.2, 0.5):
-        starts.append(_pack(words, norm_p,
-                            {w: frac * p.coeff(w) for w in words}))
+        starts.append(np.r_[norm_p, frac * b[1:]])
     for _ in range(n_starts):
-        jitter = {w: p.coeff(w)
-                  + norm_p * 0.5 * (rng.standard_normal()
-                                    + 1j * rng.standard_normal())
-                  for w in words}
-        starts.append(_pack(words, norm_p * rng.uniform(0.3, 1.2), jitter))
+        noise = rng.standard_normal((b.size - 1, 2)) @ [1, -1j]
+        starts.append(np.r_[norm_p * rng.uniform(0.3, 1.2),
+                            b[1:] + 0.5 * norm_p * noise])
+    starts = np.array(starts, dtype=complex)
 
-    fit = least_squares(system.residual, np.array(starts),
+    fit = least_squares(system.residual, starts.view(float),
                         jac=system.jacobian, max_nfev=4000)
     residuals = np.linalg.norm(system.residual(fit.x), np.inf, axis=-1)
     solutions = []
-    for x, res in zip(fit.x, residuals.tolist()):
+    for x, res in zip(system._complex(fit.x), residuals.tolist()):
         if res > max(_RESIDUAL_TOL, 1e-10 * norm_p ** 2):
             continue
-        q = _unpack(d, words, x)
+        q = taylor_table(Realization(p_real.A, x, p_real.c), p.degree)
         if q.coeff(()).real < 0:
             q = q * (-1.0)
         solutions.append((float(q.coeff(()).real), res, q))
@@ -335,7 +308,6 @@ def outer_factor(p, n_starts=8, seed=0):
             continue
         unique.append((q0, res, q))
 
-    p_real = from_polynomial(p)
     diagnostics = {"solutions": len(unique), "starts": len(starts)}
     for q0, res, q in unique:
         if q0 <= 0:

@@ -86,14 +86,23 @@ def kernel_from_realization(r):
 
     Applies the similarity to a row contraction W = S^{-1} A S of row norm
     <= spr(A) + min((1 - spr(A)) / 2, 0.1) and returns {conj(W), conj(S* b),
-    conj(S^{-1} c)}, whose coefficients are the b* A^w c.
+    conj(S^{-1} c)}, whose coefficients are the b* A^w c.  Raises
+    ``NumericalFailureError`` where W is not finite or not a strict row
+    contraction, as where the Gram matrix of the similarity is too
+    ill-conditioned to give one.
     """
     spr_below(r.cpmap, "not in Fock space: spr(A) = {s:.12g} is not < 1")
     s = r.cpmap.spr
     S, W = similarity_to_contraction(r.cpmap, min(0.5 * (1.0 - s), 0.1))
     x = S.conj().T @ r.b
     u = np.linalg.solve(S, r.c)
-    return KernelVector(W.conjugate(), np.conj(x), np.conj(u))
+    failed = "the similarity to a row contraction failed"
+    if not np.isfinite(W.X).all():
+        raise NumericalFailureError(f"{failed}: W is not finite")
+    try:
+        return KernelVector(W.conjugate(), np.conj(x), np.conj(u))
+    except ValueError as exc:     # W is not a strict row contraction
+        raise NumericalFailureError(f"{failed}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Levenberg-Marquardt least squares in numpy, batched over starts.
 
-One routine serves both least-squares problems of the package: the square
-autocorrelation system of ``factorization.outer_factor``, run on all its
-starts at once, and the underdetermined witness polish of
+One routine serves both least-squares problems of the package: the
+autocorrelation system of ``factorization.outer_factor`` on the hereditary
+tree of p, 2n + 1 rows (n Stein forms and the phase gauge) in 2n unknowns,
+run on all its starts at once, and the underdetermined witness polish of
 ``spectrum.variety_witness_search``.  The damping is Nielsen's (Madsen,
 Nielsen & Tingleff, *Methods for non-linear least squares problems*, 2004,
 Algorithm 3.16); each step solves the damped Gram system of the smaller

@@ -26,7 +26,7 @@ from .errors import (
     ToleranceError,
     ZeroAtZeroError,
 )
-from .words import NCPolynomial, _pow2_scaled
+from .words import NCPolynomial, _pow2_scaled, suffix_closure
 
 DEFAULT_RANK_TOL = 1e-10
 PENCIL_RCOND = 1e-12
@@ -317,8 +317,14 @@ def taylor_table(r, max_len):
     """NCPolynomial of all coefficients with word length <= max_len."""
     coeffs = {}
     bstar = np.conj(r.b)
+    # a word whose A^w c is exactly zero has the coefficient 0, and so
+    # have all its extensions, wherever A and b are finite; so a
+    # polynomial's shift realization visits its hereditary tree only
+    finite = np.isfinite(r.A).all() and np.isfinite(r.b).all()
     level = {(): r.c}
     for length in range(max_len + 1):
+        if finite:
+            level = {word: vec for word, vec in level.items() if vec.any()}
         for word, vec in level.items():
             coeffs[word] = complex(bstar @ vec)
         if length == max_len:
@@ -535,15 +541,10 @@ def from_polynomial(p):
     the result is controllable by construction and exact, but not always
     observable, so callers wanting minimality should minimize.
     """
-    from .words import suffixes
-
     d = p.d
-    states = set()
-    for word in p.coeffs:
-        states.update(suffixes(word))
-    if not states:
+    order = suffix_closure(p.coeffs)
+    if not order:
         return const(0.0, d)
-    order = sorted(states, key=lambda w: (len(w), w))
     index = {w: k for k, w in enumerate(order)}
     n = len(order)
     A = np.zeros((d, n, n), dtype=complex)

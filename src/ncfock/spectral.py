@@ -175,16 +175,13 @@ def real_form(M):
 
 
 def _as_tuple_array(A):
+    """The d x n x n array of a Realization, CPMap, MatrixTuple or array,
+    validated as ``MatrixTuple`` does."""
     if isinstance(A, (Realization, CPMap)):
-        A = A.A
-    elif isinstance(A, MatrixTuple):
-        A = A.X
-    A = np.asarray(A, dtype=complex)
-    if A.ndim == 2:
-        A = A[None, :, :]
-    if A.ndim != 3 or A.shape[1] != A.shape[2]:
-        raise DimensionMismatchError("expected a d x n x n tuple of matrices")
-    return A
+        return A.A
+    if isinstance(A, MatrixTuple):
+        return A.X
+    return MatrixTuple(A).X
 
 
 class CPMap:

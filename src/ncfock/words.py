@@ -60,6 +60,14 @@ def suffixes(word):
     return [tuple(word[i:]) for i in range(len(word) + 1)]
 
 
+def suffix_closure(words):
+    """The hereditary (suffix-closed) set of words generated by ``words``,
+    the empty word included unless ``words`` is empty, in
+    length-then-lex order."""
+    closure = {suffix for word in words for suffix in suffixes(word)}
+    return sorted(closure, key=lambda w: (len(w), w))
+
+
 class NCPolynomial:
     """Finitely supported map word -> complex coefficient in d NC variables.
 

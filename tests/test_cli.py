@@ -520,6 +520,16 @@ def test_overflowing_realization_is_a_numerical_failure(capsys, tmp_path,
     assert json.loads(out)["error"]["code"] == "numerical-failure"
 
 
+def test_kernel_of_a_long_power_sum_is_a_numerical_failure(capsys):
+    """z1 + ... + z1^40: the similarity to a row contraction fails, which
+    is a coded error on stdout with nothing on stderr."""
+    text = " + ".join("*".join(["z1"] * k) for k in range(1, 41))
+    code = main(["kernel", "-d", "1", text])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert json.loads(out)["error"]["code"] == "numerical-failure"
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_failed_inverse_self_check_is_a_numerical_failure(capsys):
     code, out = run_cli(capsys, "member", "-d", "1", "inv(1 - 1e200*z1)")

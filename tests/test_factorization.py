@@ -13,28 +13,28 @@ import ncfock as nf
 from conftest import count_calls, src_env
 from ncfock import factorization
 from ncfock.factorization import (
-    _AutocorrelationSystem,
+    _SteinSystem,
     autocorrelation_mismatch,
     factor_identity_table,
-    _pack,
-    _unpack,
 )
 from ncfock.lsq import LeastSquaresResult, least_squares
-from ncfock.words import words_up_to
+from ncfock.words import suffix_closure, words_up_to
+
+
+def _polynomial(d, words, x):
+    """The polynomial q with q_w = conj(x_w) on the given words, x in the
+    real coordinates (Re x_0, Im x_0, Re x_1, ...) of ``_SteinSystem``."""
+    z = x[0::2] + 1j * x[1::2]
+    return nf.NCPolynomial(d, dict(zip(words, np.conj(z))))
 
 
 def _autocorr_residual(q, target, gammas):
-    """Reference residual from the autocorrelation tables: the real part at
-    the empty word, then real and imaginary parts of each further gamma."""
+    """Reference rows of ``_SteinSystem`` from the autocorrelation tables:
+    the real and imaginary parts of each gamma, then the gauge Im q(0)."""
     auto = nf.autocorrelations(q)
-    out = []
-    for g in gammas:
-        diff = auto.get(g, 0.0) - target.get(g, 0.0)
-        if g == ():
-            out.append(diff.real)
-        else:
-            out.extend((diff.real, diff.imag))
-    return np.array(out)
+    diffs = [auto.get(g, 0.0) - target.get(g, 0.0) for g in gammas]
+    return np.array([part for v in diffs for part in (v.real, v.imag)]
+                    + [q.coeff(()).imag])
 
 
 def test_autocorrelations_examples(poly_p5, poly_P6):
@@ -232,17 +232,17 @@ def _blaschke_flip(coeffs):
 
 
 def test_maximality_probe(poly_p5):
-    """Feasible-direction perturbations cannot push the constant term up."""
+    """Feasible-direction perturbations cannot push the constant term up,
+    over every word of length <= deg p, not only the hereditary tree."""
     res = nf.outer_factor(poly_p5, seed=0)
     q = res.outer
     d, deg = 2, 2
-    words = [w for w in words_up_to(d, deg) if w != ()]
-    gammas = list(words_up_to(d, deg))
+    words = list(words_up_to(d, deg))
     target = nf.autocorrelations(poly_p5)
-    x_star = _pack(words, q.coeff(()).real, {w: q.coeff(w) for w in words})
+    x_star = np.conj([q.coeff(w) for w in words]).view(float)
 
     def residual(x):
-        return _autocorr_residual(_unpack(d, words, x), target, gammas)
+        return _autocorr_residual(_polynomial(d, words, x), target, words)
 
     # tangent directions of the constraint manifold via the Jacobian
     h = 1e-7
@@ -271,30 +271,32 @@ def test_maximality_probe(poly_p5):
 
 @st.composite
 def _system_and_point(draw):
-    """A random polynomial p (d <= 3, deg <= 3), the reference residual of
-    the autocorrelation equations of p, its index-triple system and a
-    random point x."""
+    """A random polynomial p (d <= 3, deg <= 3), the Stein system of its
+    shift realization, the reference residual of the autocorrelation
+    equations of p on its hereditary tree and a random point x."""
     d = draw(st.integers(1, 3))
     deg = draw(st.integers(0, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     gammas = list(words_up_to(d, deg))
-    words = gammas[1:]
     support = rng.random(len(gammas)) < 0.6
     support[-1] = True
     p = nf.NCPolynomial(d, {w: complex(*rng.standard_normal(2))
                             for w, keep in zip(gammas, support) if keep})
     target = nf.autocorrelations(p)
-    x = draw(st.floats(0.1, 3.0)) * rng.standard_normal(1 + 2 * len(words))
+    tree = suffix_closure(p.coeffs)
+    x = draw(st.floats(0.1, 3.0)) * rng.standard_normal(2 * len(tree))
 
     def reference(x):
-        return _autocorr_residual(_unpack(d, words, x), target, gammas)
+        return _autocorr_residual(_polynomial(d, tree, x), target, tree)
 
-    return _AutocorrelationSystem(d, deg, target), reference, x
+    return _SteinSystem(nf.from_polynomial(p)), reference, x
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(case=_system_and_point())
 def test_index_triple_residual_matches_reference(case):
+    """The Stein system's residual is the autocorrelation difference on the
+    hereditary tree, and a batch of starts gives each start's rows."""
     system, reference, x = case
     got, want = system.residual(x), reference(x)
     assert got.shape == want.shape
@@ -333,18 +335,18 @@ def _record_calls(monkeypatch, module, name):
 
 def test_outer_factor_uses_exact_jacobian(monkeypatch, poly_p5, poly_P6):
     """All starts go to the least-squares helper in one batched call with
-    the analytic Jacobian, and the only autocorrelation table built is the
-    target's, that of p scaled by a power of two."""
+    the analytic Jacobian, one point of 2n real coordinates per start, n
+    the size of the hereditary tree; no autocorrelation table is built."""
     auto_calls = _record_calls(monkeypatch, factorization, "autocorrelations")
     lsq_calls = _record_calls(monkeypatch, factorization, "least_squares")
     for p in (poly_p5, poly_P6):
         del auto_calls[:], lsq_calls[:]
         res = nf.outer_factor(p, seed=0)
         assert res.outer_certificate and res.inner_certificate
-        [(target,)] = [args for args, _ in auto_calls]
-        assert target.coeffs == (p * 0.5).coeffs
+        assert auto_calls == []
         [((_, x0), kwargs)] = lsq_calls
-        assert x0.shape[0] == res.diagnostics["starts"]
+        assert x0.shape == (res.diagnostics["starts"],
+                            2 * len(nf.hereditary_tree(p)))
         assert callable(kwargs.get("jac"))
 
 
@@ -421,6 +423,36 @@ def test_outer_factor_at_extreme_scales():
             res = nf.outer_factor(nf.NCPolynomial(1, {(): 2 * s, (1,): s}))
             assert res.q0 == pytest.approx(2 * s, rel=1e-12)
             assert res.outer_certificate and res.inner_certificate
+
+
+def test_outer_factor_of_a_long_chain():
+    """1 + (z1 + z1 z2 + ... + z1 z2^9) / 2 has 2047 words of length <= 10
+    but a hereditary tree of 20: it certifies at the q0 of the Stein
+    system."""
+    p = nf.NCPolynomial(2, {(): 1.0, **{(1,) + (2,) * k: 0.5
+                                        for k in range(10)}})
+    res = nf.outer_factor(p, seed=0)
+    assert res.outer_certificate and res.inner_certificate
+    assert res.q0 == pytest.approx(1.14581884908474, rel=1e-10)
+    assert set(res.outer.coeffs) <= nf.hereditary_tree(p)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(d=st.integers(1, 3), deg=st.integers(0, 3), size=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_outer_factor_certifies_sparse_polynomials(d, deg, size, seed):
+    """A sparse polynomial factors with both certificates, and its outer
+    factor, which lives on the hereditary tree, matches all of p's
+    autocorrelations."""
+    rng = np.random.default_rng(seed)
+    words = list(words_up_to(d, deg))
+    support = rng.choice(len(words), min(size, len(words)), replace=False)
+    p = nf.NCPolynomial(d, {words[k]: complex(*rng.standard_normal(2))
+                            for k in support})
+    res = nf.outer_factor(p, seed=0)
+    assert res.outer_certificate and res.inner_certificate
+    assert (autocorrelation_mismatch(p, res.outer)
+            <= 1e-10 * max(1.0, p.l2_norm() ** 2))
 
 
 def test_import_leaves_scipy_optimize_unloaded():

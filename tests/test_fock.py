@@ -80,6 +80,30 @@ def test_kernel_from_realization_rejects_boundary():
         nf.kernel_from_realization(geo)
 
 
+def _power_sum(length):
+    """z1 + z1^2 + ... + z1^length."""
+    return " + ".join("*".join(["z1"] * k) for k in range(1, length + 1))
+
+
+def test_kernel_of_an_ill_conditioned_similarity_is_a_numerical_failure():
+    """For z1 + ... + z1^40 the Gram matrix of the similarity at
+    tau = 0.1 has condition about 0.1^-80, and its W has row norm 1e169:
+    a coded error, not a KernelVector's ValueError."""
+    r = nf.minimize(nf.from_expression(_power_sum(40), 1))
+    with pytest.raises(nf.NumericalFailureError, match="row norm"):
+        nf.kernel_from_realization(r)
+
+
+@pytest.mark.xfail(strict=True, reason="tau = spr + 0.1 leaves the Gram "
+                   "matrix of a spr-0 tuple at condition 0.1^-2(n-1)")
+def test_kernel_row_norm_meets_its_bound_on_a_long_power_sum():
+    """The documented bound row norm <= spr + min((1 - spr)/2, 0.1), here
+    0.1 at n = 31; the similarity returns 0.1112."""
+    r = nf.minimize(nf.from_expression(_power_sum(30), 1))
+    k = nf.kernel_from_realization(r)
+    assert k.Z.row_norm() <= r.cpmap.spr + 0.1
+
+
 def test_h2_norm_examples(poly_p5, fixture_realization):
     assert nf.h2_norm(nf.minimize(nf.from_polynomial(poly_p5))) == \
         pytest.approx(np.sqrt(3.0), abs=1e-10)

@@ -57,6 +57,17 @@ def nested_inverse(k):
     return "inv(1 - z1*" * k + "z1" + ")" * k
 
 
+def chain(length):
+    """1 + 0.5*(z1 + z1*z2 + ... + z1*z2^(length - 1))."""
+    return "1 + 0.5*(" + " + ".join(
+        "*".join(["z1"] + ["z2"] * k) for k in range(length)) + ")"
+
+
+def power_sum(length):
+    """z1 + z1*z1 + ... + z1^length."""
+    return " + ".join("*".join(["z1"] * k) for k in range(1, length + 1))
+
+
 # fixed inputs, written to OUT_DIR/inputs
 INPUTS = {
     "point.json": {
@@ -230,6 +241,11 @@ COMMANDS = _per_expression() + [
     # errors
     ["parse", "-d", "1", nested_inverse(200)],
     ["factor", "-d", "1", nested_inverse(246)],
+    # 2047 words of length <= 10 but a hereditary tree of 20: factored on
+    # its shift realization
+    ["factor", "-d", "2", chain(10)],
+    # a similarity to a row contraction of row norm 1e169: a coded error
+    ["kernel", "-d", "1", power_sum(40)],
 ]
 
 
