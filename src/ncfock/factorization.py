@@ -178,7 +178,7 @@ class _SteinSystem:
     controllable they match those of r iff T(x) = T(b) for
     T_i(x) = c* Q(x) e_i.  By the duality of the left and the right Stein
     equation, T_i(x) = x* H_i x with H_i the right Stein solution of
-    H - sum A_j H A_j* = e_i c*: n solves, once per system.  The rows are
+    H - sum A_j H A_j* = e_i c*: one stacked solve per system.  The rows are
     Re and Im of T_i(x) - T_i(b), state by state, then the phase gauge
     Im(x* c) = Im q(0).  The derivative of T_i in the direction h is
     h* H_i x + x* H_i h.  For r = ``from_polynomial(p)`` the state of a
@@ -188,8 +188,7 @@ class _SteinSystem:
 
     def __init__(self, r):
         n = r.n
-        H = np.stack([stein_solve(r.cpmap, np.outer(e, np.conj(r.c)))
-                      for e in np.eye(n)])
+        H = stein_solve(r.cpmap, np.eye(n)[:, :, None] * np.conj(r.c))
         # z @ right is (H_i z)_k at i n + k, conj(z) @ left (z* H_i)_l at
         # i n + l
         self._right = H.reshape(n * n, n).T

@@ -19,16 +19,17 @@ real arithmetic, at a half to a third of the cost of the complex one:
 - ``CPMap.perron`` below MATRIX_FREE_MIN_N takes one eigensolve (with
   vectors) of R, which ``spr`` and the Perron eigenmatrix share: a not-in
   verdict does not solve the same matrix twice.
-- ``stein_solve`` solves (I - R) x = q, or (I - R^T) x = q on the left,
-  with q the coordinates of the Hermitian part of Q0 and, if Q0 is not
-  Hermitian, those of its anti-Hermitian part divided by i as a second
-  right-hand side of the same LU.  It refines only when the normwise
-  backward error ||q - K x|| / (||K|| ||x|| + ||q||) exceeds 16 eps
+- ``_stein`` alone picks how a Stein equation is solved, for
+  ``stein_solve`` and for the Gram matrix of ``similarity_to_contraction``
+  (of Ad / tau^2): from MATRIX_FREE_MIN_N up, a jointly nilpotent tuple
+  takes the finite sum of the powers of Ad (or of its adjoint), which needs
+  no R; otherwise one LU of I - R (I - R^T on the left) serves a stack of
+  right-hand sides Q0, the coordinates of the Hermitian part of each and,
+  if Q0 is not Hermitian, of its anti-Hermitian part divided by i.  A Q0
+  is refined only when the normwise backward error
+  ||q - K x|| / (||K|| ||x|| + ||q||) of its columns exceeds 16 eps
   (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12), so a
-  well-conditioned solve factors once.  From MATRIX_FREE_MIN_N up, a
-  jointly nilpotent tuple instead takes the finite sum of the powers of Ad
-  (or of its adjoint), which needs no R.  ``similarity_to_contraction``
-  solves with R / (4^-k tau^2), R that of the mantissa of the ``CPMap``.
+  well-conditioned stack factors once.
 
 ``spr`` has two methods: ``matrized`` (the spectral radius of Ad) and
 ``iterate`` (scaling-normalized repeated squaring of the complex M, which
@@ -174,16 +175,6 @@ def real_form(M):
     return R
 
 
-def _as_tuple_array(A):
-    """The d x n x n array of a Realization, CPMap, MatrixTuple or array,
-    validated as ``MatrixTuple`` does."""
-    if isinstance(A, (Realization, CPMap)):
-        return A.A
-    if isinstance(A, MatrixTuple):
-        return A.X
-    return MatrixTuple(A).X
-
-
 class CPMap:
     """The CP map Ad_{A,A*} of a tuple A, with the analysis of A: its spr,
     its band, its Perron pair (rho(Ad) and its eigenmatrix, the one source
@@ -191,7 +182,9 @@ class CPMap:
     computed at most once, when first needed, on the mantissa 2^-k A."""
 
     def __init__(self, A):
-        self.A = _as_tuple_array(A)
+        # the d x n x n array of a Realization, CPMap, MatrixTuple or array
+        self.A = (A.A if isinstance(A, (Realization, CPMap)) else A.X
+                  if isinstance(A, MatrixTuple) else MatrixTuple(A).X)
         self.mantissa, self.k = _pow2_scaled(self.A)
         self._mantissa_star = np.conj(np.swapaxes(self.mantissa, 1, 2))
         # 4^-k, as two factors that are each a finite double
@@ -418,40 +411,44 @@ def stein_solve(A, Q0, side="right"):
     side "right": P with P - sum_j A_j P A_j* = Q0  (P = sum_m Ad^(m)(Q0))
     side "left":  Q with Q - sum_j A_j* Q A_j = Q0
 
-    Solved in the real coordinates of the Hermitian matrices: with R the
-    real form of Ad (R^T on the left), (I - R) x = hermitian_coords(H) for
-    the Hermitian part H of Q0 and, unless it is 0, for its anti-Hermitian
-    part Q0 - H = i H2 as a second right-hand side of the same LU.
-    Refinement steps follow only while the normwise backward error is
-    above 16 eps, at most two.  A Hermitian Q0 gives an exactly Hermitian
-    solution.  From MATRIX_FREE_MIN_N up, a jointly nilpotent tuple (spr
-    exactly 0) takes the finite sum sum_{m<n} Ad^m(Q0) instead, which forms
-    no n^2 x n^2 matrix.  Requires spr(A) < 1 - 1e-9 and a finite
-    I - R / 4^-k or sum.
+    Q0 is one n x n matrix or a k x n x n stack, whose solutions come back
+    stacked, as ``_stein`` solves them: by one real LU for the whole stack
+    or, from MATRIX_FREE_MIN_N up for a jointly nilpotent tuple (spr
+    exactly 0), by the finite sum sum_{m<n} Ad^m(Q0), with no n^2 x n^2
+    matrix.  A Hermitian Q0 gives an exactly Hermitian solution.  Requires
+    spr(A) < 1 - 1e-9 and a finite I - R / 4^-k or sum.
     """
     cp = _cp_map(A)
     Q0 = np.asarray(Q0, dtype=complex)
-    if Q0.shape != (cp.n, cp.n):
-        raise DimensionMismatchError("Q0 must be n x n")
+    if Q0.shape[-2:] != (cp.n, cp.n) or Q0.ndim not in (2, 3):
+        raise DimensionMismatchError("Q0 must be n x n or a stack of them")
     if side not in ("right", "left"):
         raise ValueError(f"unknown side {side!r}")
     spr_below(cp, "Stein equation needs spr(A) < 1 (got spr = {s:.12g})")
-    # from the switch up the gate has read spr, which is exactly 0 for a
-    # jointly nilpotent tuple
+    P = _stein(cp, Q0.reshape((-1, cp.n, cp.n)), side, cp._rho_scale)
+    return P.reshape(Q0.shape)
+
+
+def _stein(cp, Q0, side, s):
+    """The stack of P with P - Ad(P) / s = Q0[i], Ad that of the mantissa
+    of cp (its adjoint on the left): the finite sum from MATRIX_FREE_MIN_N
+    up where the spr that the gate read is exactly 0, one LU otherwise."""
     if cp.n >= MATRIX_FREE_MIN_N and cp.spr == 0.0:
-        return _nilpotent_stein(cp, Q0, side)
-    return _stein_real(cp.real_matrization, Q0, side, cp._rho_scale)
+        return _nilpotent_stein(cp, Q0, side, s)
+    return _stein_real(cp.real_matrization, Q0, side, s)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _nilpotent_stein(cp, Q0, side):
-    """The exact solution sum_{m<n} Ad^m(Q0) (the adjoint's powers on the
-    left) of the Stein equation of a jointly nilpotent n-tuple, whose Ad^n
-    is 0, at O(d n^4) with no n^2 x n^2 matrix; fails where it overflows."""
-    P = term = Q0
-    for _ in range(cp.n - 1):
-        term = cp._mantissa_ad(term, side) / cp._rho_scale
-        P = P + term
+def _nilpotent_stein(cp, Q0, side, s):
+    """The exact solutions sum_{m<n} Ad^m(Q0[i]) / s^m (the adjoint's on
+    the left) for a jointly nilpotent n-tuple, whose Ad^n is 0, at O(d n^4)
+    each with no n^2 x n^2 matrix; fails where a sum overflows."""
+    P = Q0.copy()
+    for Pi in P:
+        term = Pi
+        for _ in range(cp.n - 1):
+            term = cp._mantissa_ad(term, side) / s
+            Pi += term
     if not np.isfinite(P).all():
         raise NumericalFailureError("the Stein sum overflows")
     return P
@@ -465,28 +462,37 @@ _REFINE_ABOVE = 16 * np.finfo(float).eps
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _stein_real(R, Q0, side, s):
-    """P with P - Ad(P) = Q0 (side "right", or the adjoint on the left),
-    where R / s is the real form of Ad; fails where I - R / s overflows."""
-    n = Q0.shape[0]
+    """The stack of P with P - Ad(P) = Q0[i] (side "right", or the adjoint
+    on the left), where R / s is the real form of Ad, by one LU of
+    I - R / s; fails where that overflows.  The residual and the
+    refinement of each Q0[i] are those of its own one or two columns."""
+    n = Q0.shape[-1]
     K = (R.T if side == "left" else R) / -s     # bitwise -(R / s)
     if not np.isfinite(K).all():
         raise NumericalFailureError("the Stein system overflows")
     K.flat[::n * n + 1] += 1.0
-    H = (Q0 + Q0.conj().T) / 2.0
-    H2 = (Q0 - Q0.conj().T) / 2.0j
-    parts = [H, H2] if np.any(H2) else [H]
-    q = np.stack([hermitian_coords(part) for part in parts], axis=1)
+    H = (Q0 + Q0.conj().swapaxes(1, 2)) / 2.0
+    H2 = (Q0 - Q0.conj().swapaxes(1, 2)) / 2.0j
+    q, cols = [], []
+    for Hi, H2i in zip(H, H2):
+        parts = [Hi, H2i] if np.any(H2i) else [Hi]
+        cols.append(np.arange(len(q), len(q) + len(parts)))
+        q += [hermitian_coords(part) for part in parts]
+    q = np.stack(q, axis=1)
     x = np.linalg.solve(K, q)
     K_norm = np.abs(K).sum(axis=1).max()
-    for _ in range(2):
-        resid = q - K @ x
-        scale = K_norm * np.abs(x).max(axis=0) + np.abs(q).max(axis=0)
-        if np.all(np.abs(resid).max(axis=0) <= _REFINE_ABOVE * scale):
-            break
-        x += np.linalg.solve(K, resid)
-    P = from_hermitian_coords(x[:, 0], n)
-    if len(parts) == 2:
-        P += 1j * from_hermitian_coords(x[:, 1], n)
+    P = np.empty(Q0.shape, dtype=complex)
+    for Pi, c in zip(P, cols):
+        qc, xc = q[:, c], x[:, c]
+        for _ in range(2):
+            resid = qc - K @ xc
+            scale = K_norm * np.abs(xc).max(axis=0) + np.abs(qc).max(axis=0)
+            if np.all(np.abs(resid).max(axis=0) <= _REFINE_ABOVE * scale):
+                break
+            xc += np.linalg.solve(K, resid)
+        Pi[:] = from_hermitian_coords(xc[:, 0], n)
+        if len(c) == 2:
+            Pi += 1j * from_hermitian_coords(xc[:, 1], n)
     return P
 
 
@@ -549,17 +555,13 @@ def _stein_bands(R, n, s=1.0):
 # Similarity to a strict row contraction (multi-variable Rota-Strang)
 # ---------------------------------------------------------------------------
 
-def row_norm(A):
-    return MatrixTuple(_as_tuple_array(A)).row_norm()
-
-
 def similarity_to_contraction(A, margin):
     """Invertible S and W = S^{-1} A S with row_norm(W) <= spr(A) + margin.
 
     With tau = spr(A) + margin, the Gram matrix G solving
     G - Ad_{A/tau}(G) = I gives S = G^{1/2}; then
-    sum_j W_j W_j* = tau^2 (I - G^{-1}), strictly below tau^2.
-    As margin -> 0 the row norm approaches spr(A).
+    sum_j W_j W_j* = tau^2 (I - G^{-1}), strictly below tau^2, with G
+    solved by ``_stein``.  As margin -> 0 the row norm approaches spr(A).
     """
     cp = _cp_map(A)
     s = cp.spr
@@ -569,8 +571,8 @@ def similarity_to_contraction(A, margin):
     if not (0.0 < margin < 1.0 - s):
         raise ValueError("margin must lie in (0, 1 - spr(A))")
     tau = s + margin
-    G = _stein_real(cp.real_matrization, np.eye(cp.n, dtype=complex),
-                    "right", cp._rho_scale * (tau * tau))
+    G = _stein(cp, np.eye(cp.n, dtype=complex)[None], "right",
+               cp._rho_scale * (tau * tau))[0]
     w, V = np.linalg.eigh(G)
     w = np.maximum(w, 1e-300)
     S = (V * np.sqrt(w)) @ V.conj().T

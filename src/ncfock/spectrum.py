@@ -57,7 +57,6 @@ from .spectral import (
     boundary_singularity,
     matrize,
     real_form,
-    row_norm,
     spr_below,
 )
 from .words import NCPolynomial, words_up_to
@@ -359,7 +358,7 @@ def random_row_contraction(rng, d, n, kind="gaussian"):
         X[j_star] = radius * _haar_unitary(rng, n)
         return MatrixTuple(X)
     X = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
-    return MatrixTuple(X * (radius / row_norm(X)))
+    return MatrixTuple(X * (radius / MatrixTuple(X).row_norm()))
 
 
 _SAMPLE_KINDS = ("co-isometry", "single", "unitary", "gaussian")
@@ -440,7 +439,7 @@ def _project_ball(X):
         # a guard: ``least_squares`` stops a start rather than take a
         # non-finite step
         raise NumericalFailureError("the witness search lost finiteness")
-    norm = row_norm(X)
+    norm = MatrixTuple(X).row_norm()
     return X if norm <= 1.0 else X / norm
 
 

@@ -321,6 +321,21 @@ def test_analytic_jacobian_matches_central_differences(case):
     assert np.max(np.abs(J - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
 
 
+def test_stein_system_solves_one_stack(monkeypatch):
+    # the n right Stein solutions H_i share one LU below the switch
+    r = nf.from_polynomial(
+        nf.NCPolynomial(2, {(): 1.0, (1,): 1.0, (1, 2): 1.0}))
+    assert r.n == 4
+    # the certificate solve of the spr gate is not the Stein solve counted
+    assert r.cpmap.band == "below"
+    calls = count_calls(monkeypatch, np.linalg, "solve")
+    system = _SteinSystem(r)
+    assert len(calls) == 1
+    H = np.stack([nf.stein_solve(r.cpmap, np.outer(e, np.conj(r.c)))
+                  for e in np.eye(r.n)])
+    assert np.array_equal(system._right, H.reshape(r.n * r.n, r.n).T)
+
+
 def _record_calls(monkeypatch, module, name):
     original = getattr(module, name)
     calls = []

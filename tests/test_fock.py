@@ -367,7 +367,8 @@ def test_gates_below_the_switch_compute_no_spr(monkeypatch, n):
 
 def test_a_long_polynomial_is_solved_without_the_matrization(monkeypatch):
     # z1 + z1^2 + ... + z1^60 has 61 states and a jointly nilpotent tuple:
-    # both Stein solves are finite sums, with no n^2 x n^2 matrix
+    # the Stein solves, the Gram matrix of the kernel's similarity among
+    # them, are finite sums, with no n^2 x n^2 matrix
     from ncfock import spectral
 
     r = nf.minimize(nf.from_expression(
@@ -376,6 +377,7 @@ def test_a_long_polynomial_is_solved_without_the_matrization(monkeypatch):
     calls = count_calls(monkeypatch, spectral, "matrize")
     assert nf.h2_norm(r) == pytest.approx(math.sqrt(60), rel=1e-13)
     assert nf.is_inner(r).unit_defect == pytest.approx(59, rel=1e-13)
+    assert nf.kernel_from_realization(r).Z.is_strict_row_contraction()
     assert calls == []
 
 
@@ -427,6 +429,10 @@ def test_well_conditioned_stein_solve_factors_once(monkeypatch, n):
     calls = count_calls(monkeypatch, np.linalg, "solve")
     nf.stein_solve(cp, np.eye(n))
     assert len(calls) == 1
+    # a stack of right-hand sides shares the one LU
+    rng = np.random.default_rng(n)
+    nf.stein_solve(cp, rng.standard_normal((5, n, n)))
+    assert len(calls) == 2
 
 
 def test_stein_solve_refines_a_poor_solve(monkeypatch):

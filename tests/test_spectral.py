@@ -17,7 +17,6 @@ from ncfock.spectral import (
     from_hermitian_coords,
     hermitian_coords,
     real_form,
-    row_norm,
 )
 from ncfock.spectrum import _membership, _Resolvent
 
@@ -378,6 +377,32 @@ def test_stein_solve_of_a_nilpotent_tuple_is_its_finite_sum(monkeypatch,
     assert np.linalg.norm(P - reference) <= 1e-8 * np.linalg.norm(reference)
 
 
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("n, nilpotent", [(3, False), (8, False),
+                                          (16, False), (16, True)])
+def test_stacked_stein_solve_is_the_per_matrix_solves(n, nilpotent, side):
+    # below the switch, or at spr > 0, one LU serves the stack; a
+    # non-Hermitian Q0 takes two columns of it, as alone, and gets the same
+    # bits.  A Hermitian Q0 alone is one column, which OpenBLAS solves with
+    # its matrix-vector kernel, so the stack matches it to roundoff.  The
+    # finite sum of a nilpotent tuple loops over the stack.
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    A = np.triu(A, 1) if nilpotent else 0.7 / nf.spr(A) * A
+    cp = nf.CPMap(A)
+    G = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    Q0 = np.concatenate([G + G.conj().swapaxes(1, 2), G])
+    P = nf.stein_solve(cp, Q0, side=side)
+    assert P.shape == Q0.shape
+    for k, (Pk, Qk) in enumerate(zip(P, Q0)):
+        alone = nf.stein_solve(cp, Qk, side=side)
+        if nilpotent or k >= 3:
+            assert np.array_equal(Pk, alone)
+        else:
+            assert np.array_equal(Pk, Pk.conj().T)
+            assert np.linalg.norm(Pk - alone) <= 1e-14 * np.linalg.norm(alone)
+
+
 def test_stein_rejects_large_spr():
     with pytest.raises(nf.SpectralRadiusError):
         nf.stein_solve(np.array([[[1.0]]]), np.array([[1.0]]))
@@ -387,7 +412,7 @@ def test_similarity_already_contractive_normal_tuple():
     # row co-isometry scaled by 0.7: row norm equals spr exactly
     V = np.array([[0, 1.0], [1.0, 0]], dtype=complex) / np.sqrt(2)
     A = 0.7 * np.stack([V, V @ np.diag([1.0, -1.0])])
-    assert row_norm(A) == pytest.approx(0.7)
+    assert nf.MatrixTuple(A).row_norm() == pytest.approx(0.7)
     S, W = nf.similarity_to_contraction(A, 1e-7)
     assert W.row_norm() == pytest.approx(0.7, abs=1e-6)
     # reconstruct: W = S^-1 A S

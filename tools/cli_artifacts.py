@@ -63,6 +63,12 @@ def chain(length):
         "*".join(["z1"] + ["z2"] * k) for k in range(length)) + ")"
 
 
+def nested_sum(depth):
+    """z1*(1 + z1*(1 + ... z1)) with depth factors z1: the power sum
+    z1 + ... + z1^depth on depth + 1 states."""
+    return "z1*(1 + " * (depth - 1) + "z1" + ")" * (depth - 1)
+
+
 def power_sum(length):
     """z1 + z1*z1 + ... + z1^length."""
     return " + ".join("*".join(["z1"] * k) for k in range(1, length + 1))
@@ -246,6 +252,11 @@ COMMANDS = _per_expression() + [
     ["factor", "-d", "2", chain(10)],
     # a similarity to a row contraction of row norm 1e169: a coded error
     ["kernel", "-d", "1", power_sum(40)],
+    # the kernel of a jointly nilpotent tuple of 151 and of 31 states, from
+    # the finite Stein sum: W of row norm 1.4e167 (a coded error), and a
+    # strict row contraction
+    ["kernel", "-d", "1", nested_sum(150)],
+    ["kernel", "-d", "1", nested_sum(30)],
 ]
 
 
