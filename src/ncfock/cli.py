@@ -303,7 +303,7 @@ def _cmd_spectrum_sample(args):
 
 
 def _cmd_variety_search(args):
-    if args.expression is not None and args.d is not None:
+    if not (args.realization or args.expression is None or args.d is None):
         node = ex.parse(args.expression, args.d)
         try:
             f = ex.as_polynomial(node, args.d)

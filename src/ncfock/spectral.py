@@ -21,9 +21,9 @@ real arithmetic, at a half to a third of the cost of the complex one:
   verdict does not solve the same matrix twice.
 - ``_stein`` alone picks how a Stein equation is solved, for
   ``stein_solve`` and for the Gram matrix of ``similarity_to_contraction``
-  (of Ad / tau^2): from MATRIX_FREE_MIN_N up, a jointly nilpotent tuple
-  takes the finite sum of the powers of Ad (or of its adjoint), which needs
-  no R; otherwise one LU of I - R (I - R^T on the left) serves a stack of
+  (of Ad / tau^2): a jointly nilpotent tuple, at every state size, takes
+  the finite sum of the powers of Ad (or of its adjoint), which needs no
+  R; otherwise one LU of I - R (I - R^T on the left) serves a stack of
   right-hand sides Q0, the coordinates of the Hermitian part of each and,
   if Q0 is not Hermitian, of its anti-Hermitian part divided by i.  A Q0
   is refined only when the normwise backward error
@@ -45,12 +45,13 @@ eigensolve.  Both routes take as the Perron root the eigenvalue of
 largest real part (``_perron_matrix``), which for a positive map is
 rho(Ad) also where rho times roots of unity share its modulus, as for an
 imprimitive tuple, and map its eigenvector to the Perron eigenmatrix
-through from_hermitian_coords.  One matrix-free guard serves both routes:
-a jointly nilpotent n-tuple has Ad^n(I) = 0, which n products detect, and
-spr is then exactly 0; for any other tuple ||Ad^n(I)||^(1/n) bounds
-rho(Ad) from above, since a positive map attains its norm at I, and spr
-is the square root of the smaller of rho and that bound, which caps the
-spuriously large eigenvalues of a tuple nilpotent up to roundoff.
+through from_hermitian_coords.  One matrix-free guard serves both routes,
+``CPMap.power_bound``: a jointly nilpotent n-tuple has Ad^n(I) = 0, which
+n products detect, and spr is then exactly 0, with no Perron pair or R;
+for any other tuple ||Ad^n(I)||^(1/n) bounds rho(Ad) from above, since a
+positive map attains its norm at I, and spr is the square root of the
+smaller of rho and that bound, which caps the spuriously large eigenvalues
+of a tuple nilpotent up to roundoff.
 
 The Perron pair of a fresh CPMap costs about the same by both routes
 near n = 9 (random d = 2 tuples at spr 0.9, one BLAS thread, 2 shared
@@ -62,22 +63,24 @@ factorizations (n <= 4) keep the dense route; the two routes differ by up
 to about 4e-15 at n = 9..11.
 
 Every verdict reads ``CPMap.band``: "below", "edge" or "above" 1 +- 1e-9.
-Below the switch a residual-checked Stein certificate decides it
-(``_stein_bands``, which takes a whole block of scan cells in stacked
-calls); ``band(spr)`` decides where that cannot tell, within roundoff of
-1 +- 1e-9, and from the switch up, where a solve would cost O(n^6) against
-O(d n^3) per Arnoldi step.  spr is the printed estimate.
+The power bound 0 makes it "below".  Otherwise, below the switch, a
+residual-checked Stein certificate decides it (``_stein_bands``, which
+takes a whole block of scan cells in stacked calls); ``band(spr)`` decides
+where that cannot tell, within roundoff of 1 +- 1e-9, and from the switch
+up, where a solve would cost O(n^6) against O(d n^3) per Arnoldi step.
+spr is the printed estimate.
 
 One ``CPMap`` (a realization's is ``Realization.cpmap``) holds a tuple's
-spr, band, Perron pair and real form, each computed once on the mantissa
-2^-k A of ``_pow2_scaled``, where no Ad^m(I) or R overflows: rho(Ad) and R
-are 4^-k times those of A, spr is 2^-k times, and 2^j A has the same
-mantissa.  In range every result is bitwise what A itself gives.  ``spr``,
-``stein_solve``, ``similarity_to_contraction`` and ``boundary_singularity``
-take it in place of the tuple, so the last reuses the Perron pair that
-``spr`` read.  It certifies its point by an upper bound on sigma_min of the
-n^2 x n^2 pencil, the relative residual of the pencil's known null vector
-P^(1/2), at O(d n^3) instead of an O(n^6) SVD.
+power bound, spr, band, Perron pair and real form, each computed once on
+the mantissa 2^-k A of ``_pow2_scaled``, where no Ad^m(I) or R overflows:
+rho(Ad) and R are 4^-k times those of A, spr is 2^-k times, and 2^j A has
+the same mantissa.  In range every result is bitwise what A itself gives.
+``spr``, ``stein_solve``, ``similarity_to_contraction`` and
+``boundary_singularity`` take it, or read a realization's, in place of the
+tuple, so the last reuses the Perron pair that ``spr`` read.  It certifies
+its point by an upper bound on sigma_min of the n^2 x n^2 pencil, the
+relative residual of the pencil's known null vector P^(1/2), at O(d n^3)
+instead of an O(n^6) SVD.
 """
 
 import math
@@ -176,10 +179,11 @@ def real_form(M):
 
 
 class CPMap:
-    """The CP map Ad_{A,A*} of a tuple A, with the analysis of A: its spr,
-    its band, its Perron pair (rho(Ad) and its eigenmatrix, the one source
-    of rho that spr reads) and the real form R of its matrization.  Each is
-    computed at most once, when first needed, on the mantissa 2^-k A."""
+    """The CP map Ad_{A,A*} of a tuple A, with the analysis of A: its power
+    bound (0 when A is jointly nilpotent), spr and band, its Perron pair
+    (rho(Ad) and its eigenmatrix, the one source of rho that spr reads) and
+    the real form R of its matrization.  Each is computed at most once,
+    when first needed, on the mantissa 2^-k A."""
 
     def __init__(self, A):
         # the d x n x n array of a Realization, CPMap, MatrixTuple or array
@@ -219,15 +223,34 @@ class CPMap:
         return real_form(self.matrization)
 
     @cached_property
+    def power_bound(self):
+        """||Ad^n(I)||^(1/n) for the CP map of the mantissa of an n-tuple,
+        with per-step normalization: an upper bound on its rho(Ad), exactly
+        0 when the tuple is jointly nilpotent.  Each step divides by the
+        largest entry modulus, which squares nothing, so no step overflows."""
+        P = np.eye(self.n, dtype=complex)
+        log_acc = 0.0
+        for _ in range(self.n):
+            P = self._mantissa_ad(P)
+            s = float(np.abs(P).max())
+            if s == 0:
+                return 0.0
+            P /= s
+            log_acc += float(np.log(s))
+        return float(np.exp((log_acc + np.log(np.linalg.norm(P, 2)))
+                            / self.n))
+
+    @cached_property
     def spr(self):
         return spr(self)
 
     @cached_property
     def band(self):
-        """The band every verdict reads: ``_stein_bands`` below the switch,
+        """The band every verdict reads: "below" where ``power_bound`` is 0,
+        with no real form; else ``_stein_bands`` below the switch,
         ``band(spr)`` from MATRIX_FREE_MIN_N up and where that cannot tell."""
-        where = None
-        if self.n < MATRIX_FREE_MIN_N:
+        where = _BELOW if self.power_bound == 0.0 else None
+        if where is None and self.n < MATRIX_FREE_MIN_N:
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 where = _stein_bands(self.real_matrization[None], self.n,
                                      self._rho_scale)[0]
@@ -249,7 +272,8 @@ class CPMap:
 
 
 def _cp_map(A):
-    return A if isinstance(A, CPMap) else CPMap(A)
+    return (A if isinstance(A, CPMap) else A.cpmap
+            if isinstance(A, Realization) else CPMap(A))
 
 
 # ---------------------------------------------------------------------------
@@ -283,23 +307,6 @@ def _squared_power_estimate(M, squarings, n):
     if wnorm == 0:
         return 0.0
     return float(np.exp((log_acc + np.log(wnorm)) / K))
-
-
-def _power_bound(cp):
-    """||Ad^n(I)||^(1/n) for the CP map of the mantissa of an n-tuple, with
-    per-step normalization: an upper bound on its rho(Ad), exactly 0 when
-    the tuple is jointly nilpotent.  Each step divides by the largest entry
-    modulus, which squares nothing, so no step overflows."""
-    P = np.eye(cp.n, dtype=complex)
-    log_acc = 0.0
-    for _ in range(cp.n):
-        P = cp._mantissa_ad(P)
-        s = float(np.abs(P).max())
-        if s == 0:
-            return 0.0
-        P /= s
-        log_acc += float(np.log(s))
-    return float(np.exp((log_acc + np.log(np.linalg.norm(P, 2))) / cp.n))
 
 
 def _arnoldi_eigs(cp, k, which="LM"):
@@ -391,8 +398,7 @@ def spr(A, method="matrized"):
     if method == "iterate":
         rho = _squared_power_estimate(cp.matrization, 48, cp.n)
     elif method == "matrized":
-        bound = _power_bound(cp)
-        rho = 0.0 if bound == 0 else min(cp.perron[0], bound)
+        rho = min(cp.perron[0], cp.power_bound) if cp.power_bound else 0.0
     else:
         raise ValueError(f"unknown spr method {method!r}")
     try:
@@ -412,10 +418,10 @@ def stein_solve(A, Q0, side="right"):
     side "left":  Q with Q - sum_j A_j* Q A_j = Q0
 
     Q0 is one n x n matrix or a k x n x n stack, whose solutions come back
-    stacked, as ``_stein`` solves them: by one real LU for the whole stack
-    or, from MATRIX_FREE_MIN_N up for a jointly nilpotent tuple (spr
-    exactly 0), by the finite sum sum_{m<n} Ad^m(Q0), with no n^2 x n^2
-    matrix.  A Hermitian Q0 gives an exactly Hermitian solution.  Requires
+    stacked, as ``_stein`` solves them: for a jointly nilpotent tuple
+    (power bound exactly 0), at every n, by the finite sum sum_{m<n}
+    Ad^m(Q0), with no n^2 x n^2 matrix, else by one real LU for the whole
+    stack.  A Hermitian Q0 gives an exactly Hermitian solution.  Requires
     spr(A) < 1 - 1e-9 and a finite I - R / 4^-k or sum.
     """
     cp = _cp_map(A)
@@ -431,9 +437,9 @@ def stein_solve(A, Q0, side="right"):
 
 def _stein(cp, Q0, side, s):
     """The stack of P with P - Ad(P) / s = Q0[i], Ad that of the mantissa
-    of cp (its adjoint on the left): the finite sum from MATRIX_FREE_MIN_N
-    up where the spr that the gate read is exactly 0, one LU otherwise."""
-    if cp.n >= MATRIX_FREE_MIN_N and cp.spr == 0.0:
+    of cp (its adjoint on the left): the finite sum where ``power_bound``
+    is exactly 0, at every state size, and one LU otherwise."""
+    if cp.power_bound == 0.0:
         return _nilpotent_stein(cp, Q0, side, s)
     return _stein_real(cp.real_matrization, Q0, side, s)
 

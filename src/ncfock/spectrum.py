@@ -424,11 +424,11 @@ def witness_residual(f, Z, y):
 def certify_witness(f, Z, y, tol=1e-8):
     """Validate a singularity-locus pair (Z, y); raises on failure."""
     Z = as_matrix_tuple(Z)
-    if Z.row_norm() > 1.0 + 1e-9:
-        raise ValueError(f"witness point outside the closed ball "
-                         f"(row norm {Z.row_norm():.6g})")
+    row_norm = Z.row_norm() if np.isfinite(Z.X).all() else math.nan
+    if not row_norm <= 1.0 + 1e-9:
+        raise ValueError(f"witness row norm {row_norm:.6g} exceeds 1")
     res = witness_residual(f, Z, y)
-    if res > tol:
+    if not res <= tol:
         raise ValueError(f"witness residual {res:.3g} exceeds {tol:g}")
     return VarietyWitness(Z=Z, y=np.asarray(y, dtype=complex),
                           residual=res, level=Z.n)

@@ -181,6 +181,44 @@ def test_missing_source_is_module_error(capsys):
     assert "error" in json.loads(out)
 
 
+def _source_subcommands():
+    """The subcommands built with ``_add_source_args``: those that take
+    --realization."""
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return sorted(name for name, sub in subparsers.choices.items()
+                  if any("--realization" in action.option_strings
+                         for action in sub._actions))
+
+
+# the options each of them requires besides its source
+_REQUIRED_OPTIONS = {
+    "eval": ["--point", "pt.json"],
+    "spectrum-scan": ["--rect=-1,1,-1,1", "--res", "0.5"],
+    "continuity-probe": ["--rect=-1,1,-1,1", "--res", "0.5"],
+    "variety-search": ["--level", "1"],
+}
+
+
+@pytest.mark.parametrize("command", _source_subcommands())
+def test_an_expression_and_a_realization_are_refused(tmp_path, capsys,
+                                                      monkeypatch, command):
+    # exactly one input source, for every subcommand: the expression is
+    # not silently preferred
+    monkeypatch.chdir(tmp_path)
+    r = nf.from_expression("inv(1 - 0.5*z1*z2 - 0.5*z2*z1) - 2", 2)
+    (tmp_path / "f.json").write_text(json.dumps(nf.realization_to_json(r)))
+    (tmp_path / "pt.json").write_text(json.dumps(
+        nf.matrix_tuple_to_json(nf.MatrixTuple.zeros(2, 1))))
+    code, out = run_cli(capsys, command, "-d", "2", "1 - z1*z2 - z2*z1",
+                        "--realization", "f.json",
+                        *_REQUIRED_OPTIONS.get(command, []))
+    assert code == 1
+    assert json.loads(out) == {"error": {
+        "code": "error",
+        "message": "give an expression or --realization, not both"}}
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "ncfock", "spr", "-d", "1", "inv(1 - 0.5*z1)"],

@@ -321,14 +321,20 @@ def test_analytic_jacobian_matches_central_differences(case):
     assert np.max(np.abs(J - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
 
 
-def test_stein_system_solves_one_stack(monkeypatch):
-    # the n right Stein solutions H_i share one LU below the switch
-    r = nf.from_polynomial(
+def test_stein_system_solves_one_stack(monkeypatch, fixture_realization):
+    # a shift realization is jointly nilpotent: its Stein solutions H_i are
+    # finite sums, with no LU
+    shift = nf.from_polynomial(
         nf.NCPolynomial(2, {(): 1.0, (1,): 1.0, (1, 2): 1.0}))
-    assert r.n == 4
-    # the certificate solve of the spr gate is not the Stein solve counted
-    assert r.cpmap.band == "below"
+    assert shift.n == 4
     calls = count_calls(monkeypatch, np.linalg, "solve")
+    _SteinSystem(shift)
+    assert calls == []
+    # at spr > 0 the n right Stein solutions share one LU; the certificate
+    # solve of the spr gate is not the Stein solve counted
+    r = fixture_realization
+    assert r.cpmap.spr > 0 and r.cpmap.band == "below"
+    del calls[:]
     system = _SteinSystem(r)
     assert len(calls) == 1
     H = np.stack([nf.stein_solve(r.cpmap, np.outer(e, np.conj(r.c)))

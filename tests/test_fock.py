@@ -366,18 +366,23 @@ def test_gates_below_the_switch_compute_no_spr(monkeypatch, n):
 
 
 def test_a_long_polynomial_is_solved_without_the_matrization(monkeypatch):
-    # z1 + z1^2 + ... + z1^60 has 61 states and a jointly nilpotent tuple:
-    # the Stein solves, the Gram matrix of the kernel's similarity among
-    # them, are finite sums, with no n^2 x n^2 matrix
+    # z1 + z1^2 + ... + z1^depth has depth + 1 states and a jointly
+    # nilpotent tuple, below the switch (n = 6) and above it (n = 61): its
+    # band needs no certificate, and the Stein solves, the Gram matrix of
+    # the kernel's similarity among them, are finite sums, with no
+    # n^2 x n^2 matrix
     from ncfock import spectral
 
-    r = nf.minimize(nf.from_expression(
-        "z1*(1 + " * 59 + "z1" + ")" * 59, 1))
-    assert r.n == 61
     calls = count_calls(monkeypatch, spectral, "matrize")
-    assert nf.h2_norm(r) == pytest.approx(math.sqrt(60), rel=1e-13)
-    assert nf.is_inner(r).unit_defect == pytest.approx(59, rel=1e-13)
-    assert nf.kernel_from_realization(r).Z.is_strict_row_contraction()
+    for depth in (5, 60):
+        r = nf.minimize(nf.from_expression(
+            "z1*(1 + " * (depth - 1) + "z1" + ")" * (depth - 1), 1))
+        assert r.n == depth + 1
+        assert nf.is_in_fock(r).verdict == "in"
+        assert nf.h2_norm(r) == pytest.approx(math.sqrt(depth), rel=1e-13)
+        assert (nf.is_inner(r).unit_defect
+                == pytest.approx(depth - 1, rel=1e-13))
+        assert nf.kernel_from_realization(r).Z.is_strict_row_contraction()
     assert calls == []
 
 
@@ -390,6 +395,20 @@ def test_not_in_verdict_runs_arnoldi_once(monkeypatch, n):
     calls = count_calls(monkeypatch, spectral, "_arnoldi_eigs")
     out = nf.is_in_fock(r)
     assert out.verdict == "not_in" and out.witness is not None
+    assert len(calls) == 1
+
+
+def test_entry_points_reuse_the_verdicts_perron_pair(monkeypatch):
+    # spr and boundary_singularity of a realization read its cpmap, whose
+    # Perron pair the not-in verdict computed
+    from ncfock import spectral
+
+    r = _scaled(8, 1.2, seed=8)
+    calls = count_calls(monkeypatch, spectral, "_dense_perron")
+    assert nf.is_in_fock(r).verdict == "not_in"
+    assert len(calls) == 1
+    nf.spr(r)
+    nf.boundary_singularity(r)
     assert len(calls) == 1
 
 

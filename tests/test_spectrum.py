@@ -565,6 +565,13 @@ def test_variety_witness_paper_point(poly_P6, fixture_W):
     assert res <= 1e-12
     witness = nf.certify_witness(poly_P6, fixture_W, e1, tol=1e-12)
     assert witness.level == 3
+    # a zero or nan y (residual nan) and a nan Z (row norm nan) certify
+    # nothing
+    f = nf.NCPolynomial(1, {(): 1.0, (1,): -1.0})
+    for Z, y in (([[[0.3]]], [0.0]), ([[[0.3]]], [np.nan]),
+                 ([[[np.nan]]], [1.0])):
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            nf.certify_witness(f, Z, y)
 
 
 def test_variety_search_finds_P6(poly_P6):

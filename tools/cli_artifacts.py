@@ -257,6 +257,14 @@ COMMANDS = _per_expression() + [
     # strict row contraction
     ["kernel", "-d", "1", nested_sum(150)],
     ["kernel", "-d", "1", nested_sum(30)],
+    # an expression and --realization together: a coded error, as for
+    # every other subcommand
+    ["variety-search", "-d", "2", "1 - z1*z2 - z2*z1", "--realization",
+     "inputs/fixture-minus-2-min.json", "--level", "1"],
+    # a jointly nilpotent tuple of 11 states, just below the switch: the
+    # Stein solves are finite sums and the band needs no certificate
+    *([command, "-d", "3", POLY_D3]
+      for command in ("norm", "kernel", "inner-test")),
 ]
 
 
