@@ -2,10 +2,11 @@
 artifacts.
 
 Every subcommand takes either ``-d N "expression"`` or ``--realization
-path.json`` (exactly one input source).  Randomized subcommands take
-``--seed`` (default 0) and are byte-deterministic for a fixed seed.  Module
-errors exit 1 with a machine-readable JSON object {"error": {"code",
-"message"}}; usage errors exit 2.
+path.json`` (exactly one input source); ``parse`` and ``factor`` take only
+the expression.  ``factor``, ``spectrum-sample``, ``variety-search`` and
+``continuity-probe`` take ``--seed`` (default 0) and are byte-deterministic
+for a fixed seed.  Module errors exit 1 with a machine-readable JSON object
+{"error": {"code", "message"}}; usage errors exit 2.
 
 Report numbers are printed with 15 significant digits.  Realization JSON
 files keep full float precision so that feeding ``realize`` output back
@@ -347,8 +348,6 @@ def _add_source_args(sub):
     sub.add_argument("--realization", default=None,
                      help="path to a realization JSON file")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for randomized procedures")
 
 
 def build_parser():
@@ -430,6 +429,7 @@ def build_parser():
     _add_source_args(s)
     s.add_argument("--levels", type=_int_at_least(1), default=None)
     s.add_argument("--samples", type=_int_at_least(1), default=1000)
+    s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=_cmd_spectrum_sample)
 
     s = subs.add_parser("variety-search",
@@ -438,6 +438,7 @@ def build_parser():
     s.add_argument("--level", type=_int_at_least(1), required=True)
     s.add_argument("--attempts", type=_int_at_least(1), default=8)
     s.add_argument("--tol", type=_tol, default=1e-8)
+    s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=_cmd_variety_search)
 
     s = subs.add_parser("continuity-probe",
@@ -447,6 +448,7 @@ def build_parser():
                    help="re_min,re_max,im_min,im_max")
     s.add_argument("--res", type=float, required=True)
     s.add_argument("--scales", type=_scales, default="1e-1,1e-2,1e-3")
+    s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=_cmd_continuity_probe)
 
     return parser

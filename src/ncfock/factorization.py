@@ -13,7 +13,8 @@ passes the isometry (innerness) test.
 
 Outerness of a rational r is decided by the radius of convergence of the
 series of r^{-1} at 0: r is outer iff the minimal realization of r^{-1},
-the lambda = 0 cell of r's spectrum scan, has joint spectral radius <= 1.
+the lambda = 0 cell of r's spectrum scan, has joint spectral radius <= 1;
+``spectrum._Resolvent.inverse_cpmap`` owns that cell's rule.
 Innerness is an exact Gram condition computed through one left Stein solve.
 """
 
@@ -94,11 +95,10 @@ def is_outer_rational(r):
     """Outerness of the function of r, which need not be minimal."""
     r_min = minimize(r)
     gamma = r_min.value_at_zero()
-    if r_min.vanishes_at_zero():
-        return OuterResult(outer=False, spr_inverse=float("inf"),
-                           value_at_zero=gamma,
-                           reason="value at zero is zero")
     cp = _Resolvent(r_min).inverse_cpmap(0.0)
+    if cp is None:
+        return OuterResult(outer=False, spr_inverse=float("inf"),
+                           value_at_zero=gamma, reason="value at zero is zero")
     s, where = cp.spr, cp.band
     return OuterResult(outer=where != _ABOVE, spr_inverse=s,
                        indeterminate=where == _EDGE, value_at_zero=gamma,

@@ -229,12 +229,12 @@ def mul(r1, r2):
     return Realization(A, b, c)
 
 
-def invert(r, check=True):
+def invert(r):
     """Size-(n+1) realization of the pointwise inverse.
 
     Requires r(0) = b*c != 0.  A bordered-pencil Schur complement gives the
-    construction; when ``check`` is set the product r * invert(r) is verified
-    to have Taylor table {empty word: 1} through length 4.
+    construction; the product r * invert(r) is verified to have Taylor
+    table {empty word: 1} through length 4.
     """
     if r.vanishes_at_zero():
         raise ZeroAtZeroError("cannot invert: value at zero is zero")
@@ -250,12 +250,11 @@ def invert(r, check=True):
     b[n] = -1.0
     c = np.concatenate([r.c / gamma, [-1.0 / gamma]])
     out = Realization(A, b, c)
-    if check:
-        table = taylor_table(mul(r, out), 4)
-        scale_t = 1.0 + max((abs(v) for v in table.coeffs.values()), default=0.0)
-        if not table.allclose(NCPolynomial.one(d), tol=1e-6 * scale_t):
-            raise NumericalFailureError(
-                "inverse construction failed its self-check (r * r^-1 != 1)")
+    table = taylor_table(mul(r, out), 4)
+    scale_t = 1.0 + max((abs(v) for v in table.coeffs.values()), default=0.0)
+    if not table.allclose(NCPolynomial.one(d), tol=1e-6 * scale_t):
+        raise NumericalFailureError(
+            "inverse construction failed its self-check (r * r^-1 != 1)")
     return out
 
 

@@ -186,9 +186,8 @@ class CPMap:
     when first needed, on the mantissa 2^-k A."""
 
     def __init__(self, A):
-        # the d x n x n array of a Realization, CPMap, MatrixTuple or array
-        self.A = (A.A if isinstance(A, (Realization, CPMap)) else A.X
-                  if isinstance(A, MatrixTuple) else MatrixTuple(A).X)
+        # the d x n x n array of a MatrixTuple or array; see ``_cp_map``
+        self.A = A.X if isinstance(A, MatrixTuple) else MatrixTuple(A).X
         self.mantissa, self.k = _pow2_scaled(self.A)
         self._mantissa_star = np.conj(np.swapaxes(self.mantissa, 1, 2))
         # 4^-k, as two factors that are each a finite double
@@ -564,16 +563,14 @@ def _stein_bands(R, n, s=1.0):
 def similarity_to_contraction(A, margin):
     """Invertible S and W = S^{-1} A S with row_norm(W) <= spr(A) + margin.
 
-    With tau = spr(A) + margin, the Gram matrix G solving
-    G - Ad_{A/tau}(G) = I gives S = G^{1/2}; then
-    sum_j W_j W_j* = tau^2 (I - G^{-1}), strictly below tau^2, with G
+    Requires ``spr_below``, the band "below".  With tau = spr(A) + margin,
+    the Gram matrix G solving G - Ad_{A/tau}(G) = I gives S = G^{1/2};
+    then sum_j W_j W_j* = tau^2 (I - G^{-1}), strictly below tau^2, with G
     solved by ``_stein``.  As margin -> 0 the row norm approaches spr(A).
     """
     cp = _cp_map(A)
+    spr_below(cp, "similarity to a contraction needs spr(A) < 1 (got {s:.12g})")
     s = cp.spr
-    if s >= 1.0:
-        raise SpectralRadiusError(
-            f"similarity to a contraction needs spr(A) < 1 (got {s:.12g})")
     if not (0.0 < margin < 1.0 - s):
         raise ValueError("margin must lie in (0, 1 - spr(A))")
     tau = s + margin

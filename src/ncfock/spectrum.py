@@ -8,12 +8,12 @@ the spr of B(lambda)_j = A_j - c b* A_j / (b* c - lambda) compressed to
 O = span{A*^w b : |w| >= 1} (see ``grid_scan``).  A scan cell needs only
 the band of that spr against 1 +- 1e-9, which the Stein certificate of
 ``spectral._stein_bands`` gives for a block of cells (_STEIN_BLOCK entries
-of real form) in stacked calls; an undecided cell reads the same
-``CPMap.band`` as ``contains_lambda``.  The lambda = 0 cell decides the
-outerness of r (``factorization.is_outer_rational``).  Random finite-level
-eigenvalue sampling provides the complementary lower bound, and sigma_0 /
-sigma_pm classification of spectrum cells follows the outerness of
-r - lambda.
+of real form) in stacked calls.  ``_Resolvent.inverse_cpmap`` owns the rule
+of one lambda: ``contains_lambda``, an undecided cell and the lambda = 0
+cell, the outerness of r (``factorization.is_outer_rational``), read it.
+Random finite-level eigenvalue sampling provides the complementary lower
+bound, and sigma_0 / sigma_pm classification of spectrum cells follows the
+outerness of r - lambda.
 
 For rational multipliers the spectrum coincides with the essential
 spectrum and is connected, so no separate essential-spectrum computation
@@ -90,10 +90,6 @@ def _bounded(r_min):
     return r_min
 
 
-def _is_constant(r_min):
-    return r_min.n == 1 and float(np.max(np.abs(r_min.A))) <= 1e-12
-
-
 class _Resolvent:
     """B(lambda) of a minimal r, compressed to O with orthonormal basis U:
     U* A_j U - U* c b* A_j U / (b* c - lambda), from products made once.
@@ -126,11 +122,13 @@ class _Resolvent:
         return self.A - self.cb / self._gap(lam)
 
     def inverse_cpmap(self, lam):
-        """The ``CPMap`` of a realization of 1/(r - lambda), whose spr is
-        that of the minimal inverse: B(lambda) bordered by the rows b* A_j U,
-        as r - lambda = gamma - lambda + b* L_A^-1 (sum z_j A_j) c.  As in
-        minimize, a polynomial 1/(r - lambda) comes out structurally
-        nilpotent, so its spr is exactly 0, not roundoff^(1/n)."""
+        """None where r(0) = lambda, else the ``CPMap`` of a realization of
+        1/(r - lambda) with the spr of the minimal inverse: B(lambda)
+        bordered by the rows b* A_j U, as r - lambda = gamma - lambda + b*
+        L_A^-1 (sum z_j A_j) c.  As in minimize, a polynomial 1/(r - lambda)
+        comes out structurally nilpotent, so its spr is exactly 0."""
+        if self.r.vanishes_at_zero(lam):
+            return None
         n, g = self.n, 1.0 / self._gap(lam)
         A = np.zeros((self.r.d, n + 1, n + 1), dtype=complex)
         A[:, 0, 1:], A[:, 1:, 1:] = self.b_A, self.at(lam)
@@ -181,19 +179,15 @@ def contains_lambda(r, lam, want_witness=False):
 
     Returns "spectrum" immediately when r(0) = lambda; otherwise returns
     "resolvent" iff the minimal realization of (r - lambda)^{-1} has the
-    ``CPMap.band`` "below", computed as in ``grid_scan``; "edge" keeps the
-    spectrum verdict but sets ``indeterminate``.
+    ``CPMap.band`` "below", both read from ``_Resolvent.inverse_cpmap``;
+    "edge" keeps the spectrum verdict but sets ``indeterminate``.
     """
-    return _membership(_Resolvent(_bounded(minimize(r))), lam, want_witness)
-
-
-def _membership(resolvent, lam, want_witness=False):
-    lam = complex(lam)
-    if resolvent.r.vanishes_at_zero(lam):
+    r_min = _bounded(minimize(r))
+    cp = _Resolvent(r_min).inverse_cpmap(complex(lam))
+    if cp is None:
         return SpectrumMembership(verdict="spectrum", zero_level=True,
-                                  witness=MatrixTuple.zeros(resolvent.r.d, 1)
+                                  witness=MatrixTuple.zeros(r_min.d, 1)
                                   if want_witness else None)
-    cp = resolvent.inverse_cpmap(lam)
     s, where = cp.spr, cp.band
     if where == _BELOW:
         return SpectrumMembership(verdict="resolvent", spr_value=s)
@@ -242,10 +236,11 @@ _STEIN_BLOCK = 2 ** 15
 
 def _cell_decision(resolvent, lam, classify, where):
     """A cell's (member, class) from the band ``where`` of its lambda, or
-    where that is None from the ``CPMap.band`` that ``_membership`` reads."""
+    where that is None from ``inverse_cpmap``, as ``contains_lambda`` reads."""
     if where is None:
         try:
-            where = resolvent.inverse_cpmap(lam).band
+            cp = resolvent.inverse_cpmap(lam)
+            where = _ABOVE if cp is None else cp.band
         except NCFockError:
             return False, CLASS_INDET
     if where == _BELOW:
@@ -298,7 +293,7 @@ def _grid_scan(r_min, rect, resolution, classify):
     classes = np.full((rows, cols), CLASS_RESOLVENT, dtype=object)
 
     _bounded(r_min)
-    if _is_constant(r_min):
+    if r_min.n == 1 and float(np.max(np.abs(r_min.A))) <= 1e-12:
         mu = r_min.value_at_zero()
         col = int(np.floor((mu.real - re_min) / resolution))
         row = int(np.floor((im_max - mu.imag) / resolution))
@@ -407,12 +402,16 @@ def _eval_any(f, Z):
 
 
 def witness_residual(f, Z, y):
-    """||y* f(Z)|| for a unit-normalized left vector y, inf where it
-    overflows: the norm is taken of the mantissa 2^-k f of ``f.pow2`` and
-    scaled back by 2^k, so it neither over- nor underflows on the way."""
+    """||y* f(Z)|| for y scaled to unit norm (ValueError if y is 0 or its
+    norm is not finite), inf where it overflows: the norm is taken of the
+    mantissa 2^-k f of ``f.pow2`` and scaled back by 2^k, so it neither
+    over- nor underflows on the way."""
     Z = as_matrix_tuple(Z)
     y = np.asarray(y, dtype=complex).reshape(-1)
-    y = y / np.linalg.norm(y)
+    norm = np.linalg.norm(y)
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"witness vector y has norm {norm:.6g}")
+    y = y / norm
     g, k = f.pow2
     try:
         return math.ldexp(float(np.linalg.norm(np.conj(y) @ _eval_any(g, Z))),

@@ -641,6 +641,36 @@ def _artifact_script():
     return module
 
 
+_SEEDED = {
+    "factor": [],
+    "spectrum-sample": [],
+    "variety-search": ["--level", "1"],
+    "continuity-probe": ["--rect=-1,1,-1,1", "--res", "1"],
+}
+
+
+def test_only_the_randomized_subcommands_take_a_seed():
+    with pytest.raises(SystemExit) as info:
+        main(["member", "-d", "2", "z1", "--seed", "1"])
+    assert info.value.code == 2
+    parser = build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    required = {"eval": ["--point", "point.json"],
+                "spectrum-scan": ["--rect=-1,1,-1,1", "--res", "1"],
+                **_SEEDED}
+    for command in subparsers.choices:
+        argv = [command, "-d", "2", "z1", *required.get(command, []),
+                "--seed", "7"]
+        if command in _SEEDED:
+            assert parser.parse_args(argv).seed == 7, command
+            continue
+        with pytest.raises(SystemExit) as info, \
+                contextlib.redirect_stderr(io.StringIO()):
+            parser.parse_args(argv)
+        assert info.value.code == 2, command
+
+
 def test_artifact_script_covers_every_subcommand():
     module = _artifact_script()
     parser = build_parser()

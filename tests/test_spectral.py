@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from ncfock.spectral import (
     hermitian_coords,
     real_form,
 )
-from ncfock.spectrum import _membership, _Resolvent
+from ncfock.spectrum import _cell_decision, _Resolvent
 
 
 def test_vec_column_stacking():
@@ -689,6 +690,7 @@ def test_a_non_perron_eigenmatrix_is_a_boundary_singularity_error(
 _BAND_ULP_CASES = [
     (np.nextafter(1.0 - 1e-9, 0.0), "below"),
     (1.0 - 1e-9, "edge"),
+    (1.0 - 5e-10, "edge"),
     (np.nextafter(1.0 - 1e-9, 2.0), "edge"),
     (np.nextafter(1.0 + 1e-9, 0.0), "edge"),
     (1.0 + 1e-9, "edge"),
@@ -698,8 +700,9 @@ _BAND_ULP_CASES = [
 
 @pytest.mark.parametrize("s, where", _BAND_ULP_CASES)
 def test_knife_edge_is_one_decision(s, where):
-    """Membership, a spectrum cell and outerness place an spr of exactly s
-    on the same side of the band."""
+    """Membership, a spectrum cell, outerness and the gate of the similarity
+    to a contraction place an spr of exactly s on the same side of the
+    band."""
     assert spectral.band(s) == where
     A = np.array([[[s]]])
     assert nf.spr(A) == s
@@ -710,10 +713,19 @@ def test_knife_edge_is_one_decision(s, where):
     # and 1/r = 1/(1 - s z1) has spr s
     r = nf.Realization(np.array([[[0.0, 1.0], [0.0, 0.0]]]), [1.0, 0.0],
                        [1.0, -s])
-    cell = _membership(_Resolvent(r), 0.0)
-    assert cell.spr_value == s
-    assert bool(cell) == (where != "below")
-    assert cell.indeterminate == (where == "edge")
+    resolvent = _Resolvent(r)
+    cp = resolvent.inverse_cpmap(0.0)
+    assert cp.spr == s and cp.band == where
+    # the fallback of a scan cell that the stacked certificate left open
+    assert _cell_decision(resolvent, 0.0, True, None) == {
+        "below": (False, "resolvent"), "edge": (True, "indeterminate"),
+        "above": (True, "sigma_pm")}[where]
+    if where == "below":
+        _, W = nf.similarity_to_contraction(A, (1.0 - s) / 2)
+        assert W.row_norm() < 1.0
+    else:
+        with pytest.raises(nf.SpectralRadiusError):
+            nf.similarity_to_contraction(A, 1e-12)
     outer = nf.is_outer_rational(r)
     assert outer.spr_inverse == s
     assert outer.outer == (where != "above")
@@ -726,3 +738,18 @@ def test_only_spectral_reads_the_band_tolerance():
     readers = [path.name for path in sorted(source.glob("*.py"))
                if "SPR_BOUNDARY_TOL" in path.read_text()]
     assert readers == ["spectral.py"]
+
+
+def test_one_owner_of_the_zero_level_and_of_the_spr_gate():
+    # outerness reads the zero level from _Resolvent.inverse_cpmap, and
+    # every spr < 1 gate raises through spectral.spr_below
+    source = Path(spectral.__file__).parent
+    assert "vanishes_at_zero" not in (source / "factorization.py").read_text()
+    raisers = []
+    for path in sorted(source.glob("*.py")):
+        defs = []
+        for line in path.read_text().splitlines():
+            defs += re.findall(r"^\s*def (\w+)", line)
+            if "raise SpectralRadiusError" in line:
+                raisers.append((path.name, defs[-1]))
+    assert raisers == [("spectral.py", "spr_below")]

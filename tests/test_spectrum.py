@@ -21,7 +21,6 @@ from ncfock.spectrum import (
     CLASS_SIGMAPM,
     CLASS_SPECTRUM,
     _cell_decision,
-    _membership,
     _Resolvent,
     _WitnessSystem,
 )
@@ -123,13 +122,13 @@ def test_grid_scan_serial_deterministic(z1):
 def _reference_inverse(r_min, lam):
     """Minimal realization of (r - lam)^{-1}, built the long way."""
     shifted = nf.add(r_min, nf.const(-lam, r_min.d))
-    return nf.minimize(nf.invert(shifted, check=False))
+    return nf.minimize(nf.invert(shifted))
 
 
 def _long_way_outer_spr(r):
     """spr of the minimal realization of 1/r, built by invert and
     minimize: the outerness test without ``is_outer_rational``."""
-    return nf.spr(nf.minimize(nf.invert(r, check=False)).A)
+    return nf.spr(nf.minimize(nf.invert(r)).A)
 
 
 def _reference_cell(r_min, lam, classify):
@@ -265,15 +264,14 @@ def test_outerness_of_a_constant():
 # The Stein certificate of a cell against the band of its spr
 # ---------------------------------------------------------------------------
 
-def _spr_band(membership):
-    """Where the printed spr of a cell tuple lies against 1 +- 1e-9 (a
-    zero-level cell counts as above); the verdict, which reads the
-    certificate of ``CPMap.band``, must say the same."""
-    if membership.zero_level:
+def _spr_band(cp):
+    """Where the printed spr of a cell's ``inverse_cpmap`` lies against
+    1 +- 1e-9 (a zero-level cell, None, counts as above); its
+    ``CPMap.band``, which the verdicts read, must say the same."""
+    if cp is None:
         return _ABOVE
-    where = band(membership.spr_value)
-    assert bool(membership) == (where != _BELOW)
-    assert membership.indeterminate == (where == _EDGE)
+    where = band(cp.spr)
+    assert cp.band == where
     return where
 
 
@@ -289,13 +287,13 @@ def _spr_cell(band, classify):
 def _check_certificate(resolvent, lam):
     """The certificate agrees with the spr band or defers, and defers only
     where spr is within 1e-6 of 1.  Returns the spr band."""
-    membership = _membership(resolvent, lam)
-    want = _spr_band(membership)
+    cp = resolvent.inverse_cpmap(lam)
+    want = _spr_band(cp)
     where = resolvent.bands([lam])[0]
     if where is not None:
         assert where == want, lam
-    elif not membership.zero_level:
-        assert abs(membership.spr_value - 1.0) <= 1e-6, lam
+    elif cp is not None:
+        assert abs(cp.spr - 1.0) <= 1e-6, lam
     return want
 
 
@@ -366,7 +364,7 @@ def test_stein_certificate_at_the_knife_edge(n, d, seed):
         rho = brentq(lambda x: spr_at(x) - (1.0 + offset), lo, hi,
                      xtol=1e-300, rtol=1e-15, maxiter=500)
         lam = resolvent.gamma + rho * direction
-        assert _spr_band(_membership(resolvent, lam)) == band, offset
+        assert _spr_band(resolvent.inverse_cpmap(lam)) == band, offset
         assert resolvent.bands([lam])[0] in (None, band), offset
 
 
@@ -572,6 +570,16 @@ def test_variety_witness_paper_point(poly_P6, fixture_W):
                  ([[[np.nan]]], [1.0])):
         with pytest.raises(ValueError), np.errstate(invalid="ignore"):
             nf.certify_witness(f, Z, y)
+
+
+def test_witness_residual_rejects_a_zero_or_non_finite_y():
+    f = nf.NCPolynomial(1, {(): 1.0, (1,): -1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y in ([0.0], [np.nan], [np.inf], [complex(0.0, np.nan)]):
+            with pytest.raises(ValueError, match="witness vector y"):
+                nf.witness_residual(f, [[[0.3]]], y)
+    assert nf.witness_residual(f, [[[0.3]]], [2.0]) == pytest.approx(0.7)
 
 
 def test_variety_search_finds_P6(poly_P6):
