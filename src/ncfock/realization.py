@@ -467,12 +467,14 @@ def _nilpotent_cleanup(r):
             break
         flags.append(span)
         image = np.hstack([A_j @ span for A_j in r.A])
-    bstar, F = np.conj(r.b), r.c[:, None]
-    levels = [np.linalg.norm(bstar @ F)]
-    for _ in range(n + 1):
-        F = np.hstack([A_j @ F for A_j in r.A])
-        F = np.linalg.qr(F.conj().T, mode="r").conj().T
-        levels.append(np.linalg.norm(bstar @ F))
+    bstar, F, levels = np.conj(r.b), r.c[:, None], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n + 2):
+            if k:
+                F = np.hstack([A_j @ F for A_j in r.A])
+                F = np.linalg.qr(F.conj().T, mode="r").conj().T
+            v, e = _pow2_scaled(bstar @ F)
+            levels.append(np.ldexp(np.linalg.norm(v), e))
     head, tail = max(levels[:n]), max(levels[n:])
     if not np.isfinite([head, tail]).all():
         raise NumericalFailureError(

@@ -32,7 +32,7 @@ real arithmetic, at a half to a third of the cost of the complex one:
   well-conditioned stack factors once.
 
 ``spr`` has two methods: ``matrized`` (the spectral radius of Ad) and
-``iterate`` (scaling-normalized repeated squaring of the complex M, which
+``iterate`` (exactly scaled repeated squaring of the complex M, which
 evaluates the defining norm limit at K = 2^48 applications and serves as
 the independent reference).  ``matrized`` reads rho(Ad) from the one
 Perron pair ``CPMap.perron``, whose route the state size n picks: below
@@ -223,21 +223,19 @@ class CPMap:
 
     @cached_property
     def power_bound(self):
-        """||Ad^n(I)||^(1/n) for the CP map of the mantissa of an n-tuple,
-        with per-step normalization: an upper bound on its rho(Ad), exactly
-        0 when the tuple is jointly nilpotent.  Each step divides by the
-        largest entry modulus, which squares nothing, so no step overflows."""
-        P = np.eye(self.n, dtype=complex)
-        log_acc = 0.0
+        """||Ad^n(I)||^(1/n) for the CP map of the mantissa of an n-tuple:
+        an upper bound on its rho(Ad), exactly 0 when the tuple is jointly
+        nilpotent.  Each step takes the power-of-two mantissa of Ad(P), an
+        exact scaling whose exponents are summed, so no step over- or
+        underflows."""
+        P, e = np.eye(self.n, dtype=complex), 0
         for _ in range(self.n):
-            P = self._mantissa_ad(P)
-            s = float(np.abs(P).max())
-            if s == 0:
+            P, k = _pow2_scaled(self._mantissa_ad(P))
+            if not P.any():
                 return 0.0
-            P /= s
-            log_acc += float(np.log(s))
-        return float(np.exp((log_acc + np.log(np.linalg.norm(P, 2)))
-                            / self.n))
+            e += k
+        return (float(np.linalg.norm(P, 2)) ** (1.0 / self.n)
+                * 2.0 ** (e / self.n))
 
     @cached_property
     def spr(self):
@@ -281,31 +279,23 @@ def _cp_map(A):
 
 def _squared_power_estimate(M, squarings, n):
     """rho(M) estimate from || M^K || at K = 2^squarings for the complex
-    matrization M of an n-tuple, with per-step normalization and an
-    accumulated log so nothing over- or underflows.
+    matrization M of an n-tuple.  Each squaring takes the power-of-two
+    mantissa of its product, an exact scaling whose exponents are carried
+    along (doubled at each squaring), so nothing over- or underflows.
 
-    Per-step scaling uses the Frobenius norm (any submultiplicative norm
-    washes out in the K-th root); the final norm is the spectral norm of
-    Ad^(K)(I) = unvec(M^K vec(I)), as in the definition.  Exactly
-    nilpotent powers, M = 0 among them, return 0.
+    The final norm is the spectral norm of Ad^(K)(I) = unvec(M^K vec(I)),
+    as in the definition.  Exactly nilpotent powers, M = 0 among them,
+    return 0.
     """
-    norm = float(np.linalg.norm(M))
-    if norm == 0:
-        return 0.0
-    B = M / norm
-    log_acc = float(np.log(norm))
+    B, e = _pow2_scaled(M)
     for _ in range(squarings):
-        B = B @ B
-        s = float(np.linalg.norm(B))
-        if s == 0:
-            return 0.0
-        B /= s
-        log_acc = 2.0 * log_acc + float(np.log(s))
-    K = float(2 ** squarings)
+        B, k = _pow2_scaled(B @ B)
+        e = 2 * e + k
+    K = 2 ** squarings
     wnorm = float(np.linalg.norm(unvec(B @ vec(np.eye(n)), n), 2))
     if wnorm == 0:
         return 0.0
-    return float(np.exp((log_acc + np.log(wnorm)) / K))
+    return wnorm ** (1.0 / K) * 2.0 ** (e / K)
 
 
 def _arnoldi_eigs(cp, k, which="LM"):

@@ -59,7 +59,7 @@ from .spectral import (
     real_form,
     spr_below,
 )
-from .words import NCPolynomial, words_up_to
+from .words import NCPolynomial, _pow2_scaled, words_up_to
 
 CLASS_RESOLVENT = "resolvent"
 CLASS_SIGMAPM = "sigma_pm"
@@ -402,12 +402,12 @@ def _eval_any(f, Z):
 
 
 def witness_residual(f, Z, y):
-    """||y* f(Z)|| for y scaled to unit norm (ValueError if y is 0 or its
-    norm is not finite), inf where it overflows: the norm is taken of the
-    mantissa 2^-k f of ``f.pow2`` and scaled back by 2^k, so it neither
-    over- nor underflows on the way."""
+    """||y* f(Z)|| for y scaled to unit norm (ValueError if y is 0 or not
+    finite), inf where it overflows.  Both norms are taken of mantissas,
+    2^-e y by ``_pow2_scaled`` and 2^-k f of ``f.pow2`` (scaled back by
+    2^k), so neither over- nor underflows on the way."""
     Z = as_matrix_tuple(Z)
-    y = np.asarray(y, dtype=complex).reshape(-1)
+    y = _pow2_scaled(np.asarray(y, dtype=complex).reshape(-1))[0]
     norm = np.linalg.norm(y)
     if not 0.0 < norm < math.inf:
         raise ValueError(f"witness vector y has norm {norm:.6g}")

@@ -633,6 +633,36 @@ def test_scaled_factor_and_witness_runs_warn_nothing(capsys, argv):
         assert json.loads(out)["found"] is True
 
 
+# inv(1 - 1e154*z1*z1), whose mantissa has Ad entries near 1e-309, answers
+# with spr 1e77; 1 + 1e200*z1, whose cleanup overflows on the Taylor tail,
+# answers numerical-failure
+_HUGE_SQUARE = "inv(1 - 1e154*z1*z1)"
+_HUGE_LINEAR = "1 + 1e200*z1"
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, "-d", "1", _HUGE_SQUARE]
+      for command in ("spr", "norm", "member", "kernel", "inner-test",
+                      "boundary-sing", "spectrum-sample")),
+    *([command, "-d", "2", _HUGE_LINEAR, *extra]
+      for command, *extra in (["spr"], ["norm"], ["member"], ["kernel"],
+                              ["outer-test"], ["inner-test"],
+                              ["boundary-sing"], ["realize", "--minimize"],
+                              ["spectrum-sample"]))])
+def test_rescaled_tuples_answer_in_json_without_warnings(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1) and err == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    obj = json.loads(out)
+    if _HUGE_LINEAR in argv:
+        assert obj["error"]["code"] == "numerical-failure"
+    elif argv[0] == "spr":
+        assert obj["spr"] == pytest.approx(1e77, rel=1e-12)
+
+
 def _artifact_script():
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_artifacts.py"
     spec = importlib.util.spec_from_file_location("cli_artifacts", path)
@@ -681,10 +711,12 @@ def test_artifact_script_covers_every_subcommand():
 
 
 # the artifact runs on 1/(1 - z/2) scaled through c to 1e-170 and through
-# b to 1e160, and on the tuple A = 1e160, whose Ad(I) overflows
+# b to 1e160, and on the tuple A = 1e160, whose Ad(I) overflows and whose
+# inverse 1 - 1e160*z1 is outer
 _SCALED_RUNS = [
     ["outer-test", "--realization", "inputs/tiny-c.json"],
     ["outer-test", "--realization", "inputs/huge-b.json"],
+    ["outer-test", "--realization", "inputs/huge-a.json"],
     ["spectrum-scan", "--realization", "inputs/tiny-c.json",
      "--rect=1e-170,2e-170,-5e-171,5e-171", "--res", "1.25e-171",
      "--out", "{run}/scan"],

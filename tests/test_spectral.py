@@ -96,6 +96,20 @@ def test_spr_of_an_overflowing_matrization_is_its_exact_rescaling(n):
     assert out.witness_sigma_min <= 1e-8
 
 
+@pytest.mark.parametrize("c", [1e100, 1e150, 1e154])
+def test_iterate_agrees_with_matrized_where_ad_of_the_mantissa_is_tiny(c):
+    # the minimal tuple of inv(1 - c*z1*z1) has a mantissa of spr about
+    # 1/sqrt(c): Ad of it has entries down to about 1/c^2, subnormal at
+    # c = 1e154, and its squares underflow in a Frobenius norm from
+    # c = 1e100 on; the exact power-of-two steps keep both methods at sqrt(c)
+    A = nf.minimize(nf.from_expression(f"inv(1 - {c!r}*z1*z1)", 1)).A
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = nf.spr(A, method="matrized")
+        assert s == pytest.approx(math.sqrt(c), rel=1e-12)
+        assert nf.spr(A, method="iterate") == pytest.approx(s, rel=1e-9)
+
+
 def test_spr_fixture(fixture_tuple):
     assert nf.spr(fixture_tuple) == pytest.approx(2 ** -0.25, abs=1e-12)
     assert nf.spr(fixture_tuple, method="iterate") == pytest.approx(

@@ -509,6 +509,31 @@ def test_stacked_certificates_stay_within_the_block(monkeypatch,
     assert all(np.prod(shape) <= spectrum._STEIN_BLOCK for shape in stacks)
 
 
+def test_scan_from_the_switch_up_matches_the_forced_certificate():
+    """A random minimal d = 2 realization whose resolvent has 12 states
+    scans 16 cells, each at least 0.01 from the edge, by one Arnoldi band a
+    cell; the stacked Stein certificate, forced by raising the switch,
+    marks and classes the same cells."""
+    rng = np.random.default_rng(12)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    A = gaussian(2, 12, 12)
+    A *= 0.6 / np.linalg.norm(np.hstack(list(A)), 2)
+    r = nf.minimize(nf.Realization(A, gaussian(12), gaussian(12)))
+    assert _Resolvent(r).n >= spectrum.MATRIX_FREE_MIN_N
+    g = r.value_at_zero()
+    rect = (g.real - 2.0, g.real + 2.0, g.imag - 2.0, g.imag + 2.0)
+    scan = nf.grid_scan(r, rect, 1.0)
+    assert set(scan.classes.ravel()) == {CLASS_RESOLVENT, CLASS_SIGMAPM}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectrum, "MATRIX_FREE_MIN_N", 10 ** 9)
+        forced = nf.grid_scan(r, rect, 1.0)
+    assert np.array_equal(scan.member, forced.member)
+    assert np.array_equal(scan.classes, forced.classes)
+
+
 def test_contains_lambda_witness_kills_minimized_inverse(
         z1, fixture_realization):
     for r, lam in ((z1, 0.5), (z1, 0.2 - 0.6j),
@@ -580,6 +605,17 @@ def test_witness_residual_rejects_a_zero_or_non_finite_y():
             with pytest.raises(ValueError, match="witness vector y"):
                 nf.witness_residual(f, [[[0.3]]], y)
     assert nf.witness_residual(f, [[[0.3]]], [2.0]) == pytest.approx(0.7)
+
+
+def test_witness_residual_of_a_y_whose_norm_overflows():
+    # y = [1e308, 1e308] names the direction of [1, 1] though its 2-norm
+    # overflows: its power-of-two mantissa gives the same unit vector
+    f = nf.NCPolynomial(1, {(): 1.0, (1,): -1.0})
+    Z = [[[0.3, 0.1], [-0.2, 0.4]]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert nf.witness_residual(f, Z, [1e308, 1e308]) == \
+            nf.witness_residual(f, Z, [1.0, 1.0])
 
 
 def test_variety_search_finds_P6(poly_P6):

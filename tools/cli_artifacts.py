@@ -46,6 +46,7 @@ POLY_D3 = ("1 + 1.7*z3*z1*z3*z3 + 1.5*z2*z1 + 0.7*z1*z1*z3*z1*z2"
 CYCLIC13 = "inv(1 - 2*z1*z2*z1*z1*z2*z2*z1*z2*z2*z2*z1*z1*z2)"
 EDGE = "inv(1 - 0.9999999995*z1)"
 NEAR_EDGE = "inv(1 - 0.999999997*z1)"
+HUGE_SQUARE = "inv(1 - 1e154*z1*z1)"
 EXPRESSIONS = {"fixture": FIXTURE, "poly": POLY, "rational41": RATIONAL41,
                "inv4": INV4}
 
@@ -265,6 +266,14 @@ COMMANDS = _per_expression() + [
     # Stein solves are finite sums and the band needs no certificate
     *([command, "-d", "3", POLY_D3]
       for command in ("norm", "kernel", "inner-test")),
+    # a mantissa whose Ad has entries near 1e-309, spr 1e77
+    *([*command, "-d", "1", HUGE_SQUARE]
+      for command in (["spr"], ["spr", "--method", "iterate"], ["member"],
+                      ["boundary-sing"])),
+    # the inverse 1 - 1e160*z1 of the tuple whose Ad(I) overflows: outer
+    ["outer-test", "--realization", "inputs/huge-a.json"],
+    # a Taylor tail that overflows in the cleanup: a coded error
+    ["member", "-d", "2", "1 + 1e200*z1"],
 ]
 
 
