@@ -40,7 +40,7 @@ from .realization import (
 )
 from .spectral import _ABOVE, _EDGE, spr_below, stein_solve
 from .spectrum import _Resolvent
-from .words import NCPolynomial, suffix_closure
+from .words import NCPolynomial, _pow2_scaled, suffix_closure
 
 _RESIDUAL_TOL = 1e-8   # autocorrelation residual of an outer_factor root
 _INNER_TOL = 1e-7      # is_inner tolerance of its quotient
@@ -124,15 +124,15 @@ class InnerResult:
 
 
 def is_inner(r, tol=1e-7):
-    """Solved on the mantissa ``Realization.pow2``: c* Q c is scaled back by
-    a power of two, inf where it overflows; the other defect is scale-free."""
+    """Solved on the mantissa ``Realization.pow2`` and taken of the mantissa
+    of Q c: c* Q c is scaled back, inf where it overflows."""
     spr_below(r.cpmap, "not a bounded multiplier: spr(A) = {s:.12g}")
     m, e = r.pow2
     Q = stein_solve(r.cpmap, np.outer(m.b, np.conj(m.b)), side="left")
-    Qc = Q @ m.c
+    Qc, e_Qc = _pow2_scaled(Q @ m.c)
     gram = np.conj(m.c) @ Qc
     with np.errstate(over="ignore"):
-        unit = complex(*np.ldexp([gram.real, gram.imag], 2 * e))
+        unit = complex(*np.ldexp([gram.real, gram.imag], 2 * e + e_Qc))
     unit_defect = abs(unit - 1.0)
     # orthonormal basis of span{A^g c : |g| >= 1} = span_j A_j K,
     # K the controllability space

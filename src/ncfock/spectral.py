@@ -72,15 +72,14 @@ spr is the printed estimate.
 
 One ``CPMap`` (a realization's is ``Realization.cpmap``) holds a tuple's
 power bound, spr, band, Perron pair and real form, each computed once on
-the mantissa 2^-k A of ``_pow2_scaled``, where no Ad^m(I) or R overflows:
-rho(Ad) and R are 4^-k times those of A, spr is 2^-k times, and 2^j A has
-the same mantissa.  In range every result is bitwise what A itself gives.
-``spr``, ``stein_solve``, ``similarity_to_contraction`` and
-``boundary_singularity`` take it, or read a realization's, in place of the
-tuple, so the last reuses the Perron pair that ``spr`` read.  It certifies
-its point by an upper bound on sigma_min of the n^2 x n^2 pencil, the
-relative residual of the pencil's known null vector P^(1/2), at O(d n^3)
-instead of an O(n^6) SVD.
+the mantissa M = 2^-k A of ``_pow2_scaled``.  M and k are the one scale of
+every tuple that reaches a Stein solve or a certificate: no Ad^m(I) or R
+of M overflows, spr is 2^k that of M, the Stein solves and the band divide
+by 4^-k t^2 from ``np.ldexp``, the scan's ``_Resolvent`` compresses M, and
+in range every result is bitwise what A gives.  ``spr``, ``stein_solve``,
+``similarity_to_contraction`` and ``boundary_singularity`` take a CPMap,
+so the last reuses the Perron pair; it certifies its point at O(d n^3) by
+the residual of the pencil's null vector P^(1/2), a bound on sigma_min.
 """
 
 import math
@@ -190,15 +189,14 @@ class CPMap:
         self.A = A.X if isinstance(A, MatrixTuple) else MatrixTuple(A).X
         self.mantissa, self.k = _pow2_scaled(self.A)
         self._mantissa_star = np.conj(np.swapaxes(self.mantissa, 1, 2))
-        # 4^-k, as two factors that are each a finite double
-        self._rho_scale = 2.0 ** -self.k * 2.0 ** -self.k
 
     @property
     def n(self):
         return self.A.shape[1]
 
     def __call__(self, P):
-        return self._mantissa_ad(P) / self._rho_scale
+        return np.ldexp(self._mantissa_ad(P).view(float),
+                        2 * self.k).view(complex)
 
     def _mantissa_ad(self, P, side="right"):
         """Ad of the mantissa at P, or on the left its adjoint
@@ -248,9 +246,8 @@ class CPMap:
         ``band(spr)`` from MATRIX_FREE_MIN_N up and where that cannot tell."""
         where = _BELOW if self.power_bound == 0.0 else None
         if where is None and self.n < MATRIX_FREE_MIN_N:
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                where = _stein_bands(self.real_matrization[None], self.n,
-                                     self._rho_scale)[0]
+            where = _stein_bands(self.real_matrization[None], self.n,
+                                 self.k)[0]
         return band(self.spr) if where is None else where
 
     @cached_property
@@ -420,20 +417,22 @@ def stein_solve(A, Q0, side="right"):
     if side not in ("right", "left"):
         raise ValueError(f"unknown side {side!r}")
     spr_below(cp, "Stein equation needs spr(A) < 1 (got spr = {s:.12g})")
-    P = _stein(cp, Q0.reshape((-1, cp.n, cp.n)), side, cp._rho_scale)
+    P = _stein(cp, Q0.reshape((-1, cp.n, cp.n)), side, 1.0)
     return P.reshape(Q0.shape)
 
 
-def _stein(cp, Q0, side, s):
-    """The stack of P with P - Ad(P) / s = Q0[i], Ad that of the mantissa
-    of cp (its adjoint on the left): the finite sum where ``power_bound``
-    is exactly 0, at every state size, and one LU otherwise."""
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _stein(cp, Q0, side, t2):
+    """The stack of P with P - Ad(P) / t2 = Q0[i], Ad that of cp's tuple
+    (its adjoint on the left): the finite sum where ``power_bound`` is 0, at
+    every state size, else one LU, both of Ad of the mantissa over 4^-k t2
+    from ``np.ldexp``, 0 where that underflows (so the quotients fail)."""
+    s = np.ldexp(t2, -2 * cp.k)
     if cp.power_bound == 0.0:
         return _nilpotent_stein(cp, Q0, side, s)
     return _stein_real(cp.real_matrization, Q0, side, s)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _nilpotent_stein(cp, Q0, side, s):
     """The exact solutions sum_{m<n} Ad^m(Q0[i]) / s^m (the adjoint's on
     the left) for a jointly nilpotent n-tuple, whose Ad^n is 0, at O(d n^4)
@@ -455,7 +454,6 @@ def _nilpotent_stein(cp, Q0, side, s):
 _REFINE_ABOVE = 16 * np.finfo(float).eps
 
 
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _stein_real(R, Q0, side, s):
     """The stack of P with P - Ad(P) = Q0[i] (side "right", or the adjoint
     on the left), where R / s is the real form of Ad, by one LU of
@@ -491,37 +489,37 @@ def _stein_real(R, Q0, side, s):
     return P
 
 
-def _stein_bands(R, n, s=1.0):
-    """``band`` of spr(B) for each R[k] / s, the real form of Ad_B, in a
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _stein_bands(R, n, k=0):
+    """``band`` of spr(B) for each R[i], the real form of Ad of 2^-k B, in a
     stack, by the Stein certificate (Popescu, J. reine angew. Math. 561,
     2003) at t = 1 - 1e-9, then at t = 1 + 1e-9 on the cells still open;
-    None where it cannot tell or R / (s t^2) overflows.  The solve of
-    (I - R/t^2) x = coords(I) gives P with P - Ad_{B/t}(P) = I + E, E the
-    residual in these isometric coordinates.  Its norm plus the rounding
-    bound gamma_{n^2+2} ||I - R/t^2||_F ||x|| (Higham, ch. 3) below 1 makes
+    None where it cannot tell or K = I - R / (4^-k t^2) overflows.  The
+    solve of K x = coords(I) gives P with P - Ad_{B/t}(P) = I + E, E the
+    residual in these isometric coordinates; its norm plus the rounding
+    bound gamma_{n^2+2} ||K||_F ||x|| (Higham, ch. 3) below 1 makes
     I + E > 0.  Then lambda_min(P) > mu proves spr(B) < t (Ad_{B/t}(P) < P
-    with P > 0), and lambda_min(P) < -mu proves spr(B) >= t (for
-    spr(B) < t, P = sum_k Ad_{B/t}^k(I + E) > 0); mu = 8 n eps
-    max|lambda(P)| covers the error of eigvalsh.  Each t costs one stacked
-    solve and eigvalsh, bitwise the per-matrix calls; a LinAlgError or a
-    non-finite solution in a stack of more than one cell sends that stack
-    back to one certificate per cell."""
+    with P > 0) and lambda_min(P) < -mu proves spr(B) >= t (for spr(B) < t,
+    P = sum_k Ad_{B/t}^k(I + E) > 0), mu = 8 n eps max|lambda(P)| covering
+    the error of eigvalsh.  Each t costs one stacked solve and eigvalsh,
+    bitwise the per-matrix calls; a LinAlgError or a non-finite solution
+    in a stack of more cells sends it back to one certificate per cell."""
     bands = np.full(len(R), None)
     open_ = np.arange(len(R))
     diagonal = np.arange(n * n)
     coords_I = hermitian_coords(np.eye(n))
     eps = np.finfo(float).eps
     u = (n * n + 2) * eps / 2
-    # gamma_{n^2+2} ||I - R/t^2||_F at either t
+    # gamma_{n^2+2} ||K||_F at either t
     slack = u / (1.0 - u) * (n + np.sqrt(np.einsum("kij,kij->k", R, R))
-                             / ((1.0 - SPR_BOUNDARY_TOL) ** 2 * s))
+                             / np.ldexp((1 - SPR_BOUNDARY_TOL) ** 2, -2 * k))
     for t, below_t in ((1.0 - SPR_BOUNDARY_TOL, _BELOW),
                        (1.0 + SPR_BOUNDARY_TOL, _EDGE)):
         if open_.size == 0:
             return bands.tolist()
-        # I - R / t^2, bitwise: a 0 - x that keeps +0, then 1 on the diagonal
+        # K bitwise: a 0 - x that keeps +0, then 1 on the diagonal
         K = R[open_]
-        K /= t * t * s
+        K /= np.ldexp(t * t, -2 * k)
         np.subtract(0.0, K, out=K)
         K[:, diagonal, diagonal] += 1.0
         try:
@@ -532,8 +530,8 @@ def _stein_bands(R, n, s=1.0):
         except np.linalg.LinAlgError:
             if len(R) == 1:
                 return bands.tolist()
-            return [band for k in range(len(R))
-                    for band in _stein_bands(R[k:k + 1], n, s)]
+            return [band for i in range(len(R))
+                    for band in _stein_bands(R[i:i + 1], n, k)]
         resid = np.matmul(K, x[:, :, None])[:, :, 0] - coords_I
         positive = (np.sqrt(np.einsum("ki,ki->k", resid, resid))
                     + slack[open_] * np.sqrt(np.einsum("ki,ki->k", x, x))
@@ -564,8 +562,7 @@ def similarity_to_contraction(A, margin):
     if not (0.0 < margin < 1.0 - s):
         raise ValueError("margin must lie in (0, 1 - spr(A))")
     tau = s + margin
-    G = _stein(cp, np.eye(cp.n, dtype=complex)[None], "right",
-               cp._rho_scale * (tau * tau))[0]
+    G = _stein(cp, np.eye(cp.n, dtype=complex)[None], "right", tau * tau)[0]
     w, V = np.linalg.eigh(G)
     w = np.maximum(w, 1e-300)
     S = (V * np.sqrt(w)) @ V.conj().T

@@ -93,20 +93,21 @@ def _bounded(r_min):
 class _Resolvent:
     """B(lambda) of a minimal r, compressed to O with orthonormal basis U:
     U* A_j U - U* c b* A_j U / (b* c - lambda), from products made once.
-    As r is observable, O is the joint range of the A_j*.  b and c enter as
-    the mantissas of ``Realization.pow2``, lambda as lambda 2^-e: bitwise
-    the same in range, and no overflow at any scale of b and c; ``at``,
-    ``gamma`` and ``bands`` take lambda in the caller's units."""
+    As r is observable, O is the joint range of the A_j*.  A, b and c enter
+    as the mantissas 2^-k A of ``r.cpmap`` and of ``Realization.pow2``,
+    lambda (in the caller's units) as lambda 2^-e; ``_stein_bands`` takes k,
+    and ``at`` and ``inverse_cpmap`` scale back by 2^k: bitwise the same in
+    range, and no overflow at any scale."""
 
     def __init__(self, r):
-        Q, s, _ = np.linalg.svd(np.hstack(np.conj(np.swapaxes(r.A, 1, 2))),
+        Q, s, _ = np.linalg.svd(np.hstack(r.cpmap._mantissa_star),
                                 full_matrices=False)
         U = Q[:, s > DEFAULT_RANK_TOL * s[0]]
-        self.r = r
+        self.r, self.k = r, r.cpmap.k
         self.gamma = r.value_at_zero()
-        self.A = U.conj().T @ r.A @ U
+        self.A = U.conj().T @ r.cpmap.mantissa @ U
         self.c = U.conj().T @ r.pow2[0].c
-        self.b_A = np.conj(r.pow2[0].b) @ r.A @ U     # row j: b'* A_j U
+        self.b_A = np.conj(r.pow2[0].b) @ r.cpmap.mantissa @ U  # b'* M_j U
         self.cb = self.c[:, None] * self.b_A[:, None, :]
 
     @property
@@ -119,7 +120,8 @@ class _Resolvent:
         return gamma - lam * h1 * h2
 
     def at(self, lam):
-        return self.A - self.cb / self._gap(lam)
+        B = self.A - self.cb / self._gap(lam)
+        return np.ldexp(B.view(float), self.k).view(complex)
 
     def inverse_cpmap(self, lam):
         """None where r(0) = lambda, else the ``CPMap`` of a realization of
@@ -131,7 +133,8 @@ class _Resolvent:
             return None
         n, g = self.n, 1.0 / self._gap(lam)
         A = np.zeros((self.r.d, n + 1, n + 1), dtype=complex)
-        A[:, 0, 1:], A[:, 1:, 1:] = self.b_A, self.at(lam)
+        A[:, 0, 1:] = np.ldexp(self.b_A.view(float), self.k).view(complex)
+        A[:, 1:, 1:] = self.at(lam)
         inverse = Realization(A, np.eye(n + 1)[0],
                               np.append(g, -g * g * self.c))
         return _nilpotent_cleanup(inverse).cpmap
@@ -169,7 +172,7 @@ class _Resolvent:
                    (alpha.real, alpha.imag, np.abs(alpha) ** 2))
         R0, Y1, Y2, R3 = self._real_terms
         R = R0 - a * Y1 - b * Y2 + s * R3
-        for k, where in zip(cells, _stein_bands(R, self.n)):
+        for k, where in zip(cells, _stein_bands(R, self.n, self.k)):
             bands[k] = where
         return bands
 

@@ -401,24 +401,41 @@ def _fuzz_argv(draw, out):
     return argv
 
 
+def _run_recording(argv):
+    """(exit code, stdout) of main(argv), or (None, "") for a usage error,
+    which must exit 2; stderr must stay empty (argparse's usage message
+    aside) and no RuntimeWarning may be raised."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        except SystemExit as exit_:
+            assert exit_.code == 2, argv
+            code = None
+    assert not [w for w in caught
+                if issubclass(w.category, RuntimeWarning)], argv
+    if code is None:
+        return None, ""
+    assert code in (0, 1) and stderr.getvalue() == "", argv
+    return code, stdout.getvalue()
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_cli_error_contract_fuzz(data, tmp_path_factory):
     """Any numeric flag value or expression text gives a result, a coded JSON
-    error with exit 1, or a usage error with exit 2; never a traceback."""
+    error with exit 1, or a usage error with exit 2; never a traceback, a
+    RuntimeWarning or, but for a usage error, anything on stderr."""
     out = str(tmp_path_factory.mktemp("fuzz") / "scan")
     argv = data.draw(_fuzz_argv(out))
-    stdout = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
-    except SystemExit as exit_:
-        assert exit_.code == 2, argv
+    code, stdout = _run_recording(argv)
+    if code is None:
         return
-    assert code in (0, 1), argv
     if code == 1:
-        error = json.loads(stdout.getvalue())["error"]
+        error = json.loads(stdout)["error"]
         assert set(error) == {"code", "message"}, argv
 
 
@@ -511,30 +528,22 @@ def _file_flag_argv(draw, tmp):
     return argv
 
 
-# entries near the overflow threshold make numpy warn of overflow and of
-# invalid values; the outcome is what the test checks
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_cli_file_and_flag_fuzz(data, tmp_path_factory):
     """--tol, --starts, --attempts, --point and --realization with valid,
     non-finite, malformed or wrongly shaped values: exit 0, a coded JSON
-    error with exit 1, or a usage error with exit 2; never a traceback.
+    error with exit 1, or a usage error with exit 2; never a traceback, a
+    RuntimeWarning or, but for a usage error, anything on stderr.
     A realization that overflows gives numerical-failure wherever it is
     minimized or analysed; eval may print the overflowed value."""
     tmp = tmp_path_factory.mktemp("files")
     argv = data.draw(_file_flag_argv(tmp))
-    stdout = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
-    except SystemExit as exit_:
-        assert exit_.code == 2, argv
+    code, stdout = _run_recording(argv)
+    if code is None:
         return
-    assert code in (0, 1), argv
     if code == 1:
-        error = json.loads(stdout.getvalue())["error"]
+        error = json.loads(stdout)["error"]
         assert set(error) == {"code", "message"}, argv
     realization = tmp / "realization.json"
     if argv[0] != "eval" and "--realization" in argv \
@@ -547,7 +556,6 @@ def test_cli_file_and_flag_fuzz(data, tmp_path_factory):
     ["realize", "--minimize"], ["spr"], ["norm"], ["member"], ["kernel"],
     ["outer-test"], ["inner-test"], ["boundary-sing"],
     ["variety-search", "--level", "1", "--attempts", "1"]])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_realization_is_a_numerical_failure(capsys, tmp_path,
                                                         command):
     path = tmp_path / "realization.json"
@@ -568,7 +576,6 @@ def test_kernel_of_a_long_power_sum_is_a_numerical_failure(capsys):
     assert json.loads(out)["error"]["code"] == "numerical-failure"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_failed_inverse_self_check_is_a_numerical_failure(capsys):
     code, out = run_cli(capsys, "member", "-d", "1", "inv(1 - 1e200*z1)")
     assert code == 1
@@ -635,9 +642,13 @@ def test_scaled_factor_and_witness_runs_warn_nothing(capsys, argv):
 
 # inv(1 - 1e154*z1*z1), whose mantissa has Ad entries near 1e-309, answers
 # with spr 1e77; 1 + 1e200*z1, whose cleanup overflows on the Taylor tail,
-# answers numerical-failure
+# answers numerical-failure, as do 1e170*z2 and 1e170*z1*z1, whose Stein
+# sum overflows (their 4^-k is below the smallest double); inner-test of
+# 1e100*z2 and of 1 + 1e100*z1, whose Q c has a norm that overflows,
+# answers with the unit defect 1e200
 _HUGE_SQUARE = "inv(1 - 1e154*z1*z1)"
 _HUGE_LINEAR = "1 + 1e200*z1"
+_HUGE_NILPOTENT = ("1e170*z2", "1e170*z1*z1")
 
 
 @pytest.mark.parametrize("argv", [
@@ -648,7 +659,13 @@ _HUGE_LINEAR = "1 + 1e200*z1"
       for command, *extra in (["spr"], ["norm"], ["member"], ["kernel"],
                               ["outer-test"], ["inner-test"],
                               ["boundary-sing"], ["realize", "--minimize"],
-                              ["spectrum-sample"]))])
+                              ["spectrum-sample"])),
+    *([command, "-d", "2", "1e170*z2"]
+      for command in ("norm", "member", "kernel", "inner-test")),
+    *([command, "-d", "1", "1e170*z1*z1"] for command in ("kernel",
+                                                           "inner-test")),
+    ["inner-test", "-d", "2", "1e100*z2"],
+    ["inner-test", "-d", "1", "1 + 1e100*z1"]])
 def test_rescaled_tuples_answer_in_json_without_warnings(capsys, argv):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -657,10 +674,40 @@ def test_rescaled_tuples_answer_in_json_without_warnings(capsys, argv):
     assert code in (0, 1) and err == ""
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     obj = json.loads(out)
-    if _HUGE_LINEAR in argv:
+    if _HUGE_LINEAR in argv or argv[3] in _HUGE_NILPOTENT:
         assert obj["error"]["code"] == "numerical-failure"
+    elif "1e100" in argv[3]:
+        assert obj["inner"] is False and obj["orthogonality_defect"] == 0.0
+        assert obj["unit_defect"] == pytest.approx(1e200, rel=1e-12)
     elif argv[0] == "spr":
         assert obj["spr"] == pytest.approx(1e77, rel=1e-12)
+
+
+@pytest.mark.parametrize("text, probe_error", [
+    ("1e100*z2", "spectral-radius-too-large"),
+    ("1e200*z2", "numerical-failure")])
+def test_scans_of_a_huge_tuple_answer_without_warnings(
+        capsys, tmp_path, monkeypatch, text, probe_error):
+    """The scan resolvent of a*z2 is built from the mantissa of A: all 16
+    cells lie in the spectrum, the disk of radius a.  The probe's noisy
+    copy is unbounded at a = 1e100 and overflows at 1e200, a coded error
+    either way.  Nothing reaches stderr and no RuntimeWarning is raised."""
+    monkeypatch.chdir(tmp_path)
+    for command, *out in (["spectrum-scan", "--out", "scan"],
+                          ["continuity-probe"]):
+        argv = [command, "-d", "2", text, "--rect=-2,2,-2,2", "--res", "1",
+                *out]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        stdout, err = capsys.readouterr()
+        assert err == "" and not [w for w in caught if issubclass(
+            w.category, RuntimeWarning)], argv
+        obj = json.loads(stdout)
+        if command == "spectrum-scan":
+            assert code == 0 and obj["cells"] == obj["members"] == 16
+        else:
+            assert code == 1 and obj["error"]["code"] == probe_error
 
 
 def _artifact_script():

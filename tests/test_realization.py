@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ncfock as nf
@@ -379,20 +379,26 @@ def test_from_ast_of_an_overflowing_product_is_a_numerical_failure():
     assert r.value_at_zero() == 0.0
 
 
-# raw polynomial ASTs over z1, z2 with constants +-m 2^k, m in [1/2, 1]
-# and |k| <= 40, so products of constants span many orders of magnitude
-_POWER_SCALARS = st.builds(
-    lambda sign, m, k: ex.Scalar(complex(sign * math.ldexp(m, k))),
-    st.sampled_from((1, -1)), st.floats(0.5, 1.0), st.integers(-40, 40))
-_POLYNOMIAL_ASTS = st.recursive(
-    st.builds(ex.Variable, st.integers(1, 2)) | _POWER_SCALARS,
-    lambda children: st.one_of(
-        st.lists(children, min_size=2, max_size=3).map(
-            lambda terms: ex.Sum(tuple(terms))),
-        st.lists(children, min_size=2, max_size=3).map(
-            lambda factors: ex.Product(tuple(factors))),
-        children.map(ex.Negate)),
-    max_leaves=8)
+def _polynomial_asts(max_exponent):
+    """Raw polynomial ASTs over z1, z2 with constants +-m 2^k, m in
+    [1/2, 1] and |k| <= max_exponent, so products of constants span many
+    orders of magnitude."""
+    scalars = st.builds(
+        lambda sign, m, k: ex.Scalar(complex(sign * math.ldexp(m, k))),
+        st.sampled_from((1, -1)), st.floats(0.5, 1.0),
+        st.integers(-max_exponent, max_exponent))
+    return st.recursive(
+        st.builds(ex.Variable, st.integers(1, 2)) | scalars,
+        lambda children: st.one_of(
+            st.lists(children, min_size=2, max_size=3).map(
+                lambda terms: ex.Sum(tuple(terms))),
+            st.lists(children, min_size=2, max_size=3).map(
+                lambda factors: ex.Product(tuple(factors))),
+            children.map(ex.Negate)),
+        max_leaves=8)
+
+
+_POLYNOMIAL_ASTS = _polynomial_asts(40)
 
 
 def _modulus_ast(a):
@@ -416,6 +422,23 @@ def test_compiled_and_expanded_folds_agree(a):
     for word in set(got.coeffs) | set(want.coeffs) | set(bound.coeffs):
         assert abs(got.coeff(word) - want.coeff(word)) \
             <= 1e-13 * abs(bound.coeff(word)), word
+
+
+@pytest.mark.xfail(strict=True, reason="minimize drops or rescales a "
+                   "state of a diagonally unbalanced tuple: h2_norm is 0.0 "
+                   "for each example (FOUND lines in CHANGES.md)")
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_polynomial_asts(300))
+@example(ex.parse("1e12*z1*z1", 2))
+@example(ex.parse("z1*1e8*z2", 2))
+@example(ex.parse("1e-170*z2", 2))
+def test_minimized_polynomial_ast_keeps_its_h2_norm(a):
+    """h2_norm(minimize(from_ast(a))) is the l2 norm of the expansion of a
+    to 1e-8 relative, at every scale of the constants."""
+    want = nf.as_polynomial(a, 2).l2_norm()
+    assume(0.0 < want < math.inf)
+    got = nf.h2_norm(nf.minimize(nf.from_ast(a, 2)))
+    assert got == pytest.approx(want, rel=1e-8)
 
 
 # longest word of a random polynomial in d variables

@@ -458,11 +458,10 @@ def test_stein_bands_decide_within_roundoff_of_the_band(n, d, seed):
     for t in (1.0 - SPR_BOUNDARY_TOL, 1.0 + SPR_BOUNDARY_TOL):
         for delta in (1e-9, 1e-11, 1e-13):
             for s in (t * (1.0 + delta), t * (1.0 - delta)):
-                # the R of the mantissa 2^-k sB and 4^-k, as CPMap.band
+                # the R of the mantissa 2^-k sB and k, as CPMap.band
                 # passes them
                 cp = nf.CPMap(s * B)
-                where = _stein_bands(cp.real_matrization[None], n,
-                                     cp._rho_scale)[0]
+                where = _stein_bands(cp.real_matrization[None], n, cp.k)[0]
                 want = band(s)
                 if delta == 1e-13:
                     assert where in (want, None), (t, s)

@@ -274,6 +274,19 @@ COMMANDS = _per_expression() + [
     ["outer-test", "--realization", "inputs/huge-a.json"],
     # a Taylor tail that overflows in the cleanup: a coded error
     ["member", "-d", "2", "1 + 1e200*z1"],
+    # tuples whose 4^-k is below the smallest double (the Stein sum
+    # overflows), whose Q c has a norm that overflows, and whose scan
+    # resolvent is built from a mantissa of 1e100 or 1e200
+    *([command, "-d", "2", "1e170*z2"]
+      for command in ("norm", "member", "kernel", "inner-test")),
+    ["kernel", "-d", "1", "1e170*z1*z1"],
+    ["inner-test", "-d", "1", "1e170*z1*z1"],
+    ["inner-test", "-d", "2", "1e100*z2"],
+    ["inner-test", "-d", "1", "1 + 1e100*z1"],
+    *([command, "-d", "2", text, "--rect=-2,2,-2,2", "--res", "1", *out]
+      for text in ("1e100*z2", "1e200*z2")
+      for command, *out in (["spectrum-scan", "--out", "{run}/scan"],
+                            ["continuity-probe"])),
 ]
 
 
