@@ -37,7 +37,8 @@ _WITNESS_TOL = 1e-8    # sigma_min goal of an is_in_fock boundary witness
 
 
 class KernelVector:
-    """NC Szego kernel datum {Z, y, v}; Z must be a strict row contraction."""
+    """NC Szego kernel datum {Z, y, v}: Z, y and v are finite and Z is a
+    strict row contraction, else the construction raises ValueError."""
 
     __slots__ = ("Z", "y", "v")
 
@@ -47,6 +48,8 @@ class KernelVector:
         v = np.asarray(v, dtype=complex).reshape(-1)
         if y.shape[0] != Z.n or v.shape[0] != Z.n:
             raise DimensionMismatchError("kernel vectors must match the point size")
+        if not all(np.isfinite(x).all() for x in (Z.X, y, v)):
+            raise ValueError("kernel data {Z, y, v} must be finite")
         if not Z.is_strict_row_contraction():
             raise ValueError(
                 f"kernel point must be a strict row contraction "
@@ -86,22 +89,19 @@ def kernel_from_realization(r):
 
     Applies the similarity to a row contraction W = S^{-1} A S of row norm
     <= spr(A) + min((1 - spr(A)) / 2, 0.1) and returns {conj(W), conj(S* b),
-    conj(S^{-1} c)}, whose coefficients are the b* A^w c.  Raises
-    ``NumericalFailureError`` where W is not finite or not a strict row
-    contraction, as where the Gram matrix of the similarity is too
-    ill-conditioned to give one.
+    conj(S^{-1} c)}, whose coefficients are the b* A^w c, or raises
+    ``NumericalFailureError`` where that is no ``KernelVector``: where it
+    overflows, or the Gram matrix of the similarity is too ill-conditioned.
     """
     spr_below(r.cpmap, "not in Fock space: spr(A) = {s:.12g} is not < 1")
     s = r.cpmap.spr
     S, W = similarity_to_contraction(r.cpmap, min(0.5 * (1.0 - s), 0.1))
-    x = S.conj().T @ r.b
-    u = np.linalg.solve(S, r.c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, u = S.conj().T @ r.b, np.linalg.solve(S, r.c)
     failed = "the similarity to a row contraction failed"
-    if not np.isfinite(W.X).all():
-        raise NumericalFailureError(f"{failed}: W is not finite")
     try:
         return KernelVector(W.conjugate(), np.conj(x), np.conj(u))
-    except ValueError as exc:     # W is not a strict row contraction
+    except ValueError as exc:    # not finite, or no strict row contraction
         raise NumericalFailureError(f"{failed}: {exc}") from None
 
 

@@ -108,7 +108,9 @@ def as_matrix_tuple(X, d=None):
 
 @dataclass(frozen=True)
 class Realization:
-    """Triple (A, b, c); A has shape (d, n, n), b and c have shape (n,)."""
+    """Triple (A, b, c); A has shape (d, n, n), b and c have shape (n,),
+    and every entry is finite: a construction given an inf or a nan, as an
+    overflow leaves it, raises NumericalFailureError."""
 
     A: np.ndarray
     b: np.ndarray
@@ -122,6 +124,11 @@ class Realization:
             raise DimensionMismatchError("A must be a d x n x n array")
         if b.shape[0] != A.shape[1] or c.shape[0] != A.shape[1]:
             raise DimensionMismatchError("b, c must be length-n vectors")
+        # count_nonzero is numpy's cheapest all() on small arrays
+        if (np.count_nonzero(np.isfinite(A)) + np.count_nonzero(np.isfinite(b))
+                + np.count_nonzero(np.isfinite(c)) < A.size + 2 * b.size):
+            raise NumericalFailureError(
+                "the entries of the realization overflow")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -148,18 +155,32 @@ class Realization:
 
     @cached_property
     def _value_and_scale(self):
-        """r(0), |b| |c| and 2^-e, the last as two finite factors, in the
-        units of ``pow2``; a scan asks once per cell, so they are kept."""
+        """r(0), |b| |c| and e, the first two in the units of ``pow2``; a
+        scan asks for every block of cells, so they are kept."""
         m, e = self.pow2
         scale = float(np.linalg.norm(m.b) * np.linalg.norm(m.c))
-        return m.value_at_zero(), scale, 2.0 ** -(e // 2), 2.0 ** (e // 2 - e)
+        return m.value_at_zero(), scale, e
+
+    def _mantissa_shift(self, lam):
+        """lam 2^-e, in the units of ``pow2``, for one complex lam or an
+        array, by ``np.ldexp``: inf where that overflows (under the caller's
+        ``np.errstate``)."""
+        lam = np.asarray(lam, dtype=complex)
+        return np.ldexp(np.atleast_1d(lam).view(float),
+                        -self._value_and_scale[2]).view(complex).reshape(
+                            lam.shape)
 
     def vanishes_at_zero(self, shift=0.0):
         """r(0) = shift relative to max(|b| |c|, |shift|), with no floor, in
-        the units of ``pow2``, where a shift that overflows is no zero of r."""
-        gamma, scale, h1, h2 = self._value_and_scale
-        shift = shift * h1 * h2
-        return abs(gamma - shift) <= 1e-14 * max(scale, abs(shift)) < math.inf
+        the units of ``pow2``, for one shift or an array (a scan asks for a
+        block of cells at once), where a shift that overflows there is no
+        zero of r."""
+        gamma, scale, _ = self._value_and_scale
+        with np.errstate(over="ignore"):
+            shift = self._mantissa_shift(shift)
+        size = np.abs(shift)
+        return (np.abs(gamma - shift) <= 1e-14 * np.maximum(scale, size)) \
+            & (size < math.inf)
 
     @cached_property
     def cpmap(self):
@@ -284,18 +305,25 @@ def pencil(r, X):
     return L
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate(r, X):
-    """r(X) = (b* x I) L_A(X)^{-1} (c x I); raises DomainError off-domain."""
+    """r(X) = (b* x I) L_A(X)^{-1} (c x I); raises DomainError off-domain
+    and NumericalFailureError where the pencil or r(X) overflows."""
     Z = as_matrix_tuple(X, r.d)
     n = Z.n
     L = pencil(r, Z)
+    if not np.isfinite(L).all():
+        raise NumericalFailureError("the pencil L_A(X) overflows")
     sing = np.linalg.svd(L, compute_uv=False)
     # the pencil is monic, so its natural scale is at least 1
     if sing[-1] / max(sing[0], 1.0) < PENCIL_RCOND:
         raise DomainError("X not in domain: realization pencil is singular")
     eye = np.eye(n, dtype=complex)
     sol = np.linalg.solve(L, _kron(r.c[:, None], eye))
-    return _kron(np.conj(r.b)[None, :], eye) @ sol
+    value = _kron(np.conj(r.b)[None, :], eye) @ sol
+    if not np.isfinite(value).all():
+        raise NumericalFailureError("the value r(X) overflows")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +344,11 @@ def taylor_table(r, max_len):
     """NCPolynomial of all coefficients with word length <= max_len."""
     coeffs = {}
     bstar = np.conj(r.b)
-    # a word whose A^w c is exactly zero has the coefficient 0, and so
-    # have all its extensions, wherever A and b are finite; so a
-    # polynomial's shift realization visits its hereditary tree only
-    finite = np.isfinite(r.A).all() and np.isfinite(r.b).all()
+    # A^w c = 0 gives the word and its extensions the coefficient 0, as A
+    # and b are finite: a polynomial's shift realization visits its tree
     level = {(): r.c}
     for length in range(max_len + 1):
-        if finite:
-            level = {word: vec for word, vec in level.items() if vec.any()}
+        level = {word: vec for word, vec in level.items() if vec.any()}
         for word, vec in level.items():
             coeffs[word] = complex(bstar @ vec)
         if length == max_len:
@@ -347,19 +372,16 @@ def _krylov_basis(A, seed, tol):
     accumulated basis, and orthonormalizes the remainder with a singular
     value cutoff relative to the largest scale seen so far: 1 for the
     normalized seed, the largest singular value of each image after it, so
-    that the cutoff does not depend on the scale of the seed.  The seed is
-    first scaled by a power of two (``_pow2_scaled``), so that a seed of
-    any finite scale has a finite, nonzero norm.  Expanding
-    generation by generation (instead of re-factoring the whole stack)
-    keeps the graded zero structure of polynomial realizations exact, so
-    jointly nilpotent functions compress to exactly nilpotent tuples.
+    that the cutoff does not depend on the scale of the seed, which is first
+    scaled by a power of two (``_pow2_scaled``) to a finite nonzero norm; a
+    generation that overflows raises NumericalFailureError.  Expanding by
+    generations (not re-factoring the whole stack) keeps the graded zero
+    structure of polynomial realizations exact, so jointly nilpotent
+    functions compress to exactly nilpotent tuples.
     """
     n = A.shape[1]
     seed = _pow2_scaled(seed)[0]
     norm_seed = np.linalg.norm(seed)
-    # finite for any finite seed; a compressed b can overflow
-    if not np.isfinite(norm_seed):
-        raise NumericalFailureError("the norm of b or c overflows")
     if norm_seed == 0:
         return np.zeros((n, 0), dtype=complex)
     scale = 1.0
@@ -370,6 +392,8 @@ def _krylov_basis(A, seed, tol):
         fresh = np.hstack([A[j] @ generation for j in range(A.shape[0])])
         for block in basis:
             fresh = fresh - block @ (block.conj().T @ fresh)
+        if np.count_nonzero(np.isfinite(fresh)) < fresh.size:
+            raise NumericalFailureError("a Krylov generation overflows")
         Q, s, _ = np.linalg.svd(fresh, full_matrices=False)
         scale = max(scale, float(s[0]) if s.size else 0.0)
         rank = int(np.sum(s > tol * scale))
@@ -409,19 +433,20 @@ def minimize(r, tol=DEFAULT_RANK_TOL):
     Jointly nilpotent functions (polynomials) come out structurally
     nilpotent: ``_nilpotent_cleanup`` restores, in polynomial time, the
     exact zeros that basis mixing smears at roundoff level.  Raises
-    NumericalFailureError when r(0) = b* c overflows, ToleranceError
-    for a tol outside [0, 1).
+    NumericalFailureError when a Krylov generation, the compression or
+    r(0) = b* c overflows, ToleranceError for a tol outside [0, 1).
     """
     if not 0.0 <= tol < 1.0:
         raise ToleranceError(f"expected a tolerance in [0, 1), got {tol!r}")
-    U = _krylov_basis(r.A, r.c, tol)
-    if U.shape[1] == 0:
-        return const(0.0, r.d)
-    cur = _compress(r, U)
-    W = _krylov_basis(np.conj(np.transpose(cur.A, (0, 2, 1))), cur.b, tol)
-    if W.shape[1] == 0:
-        return const(0.0, r.d)
-    cur = _compress(cur, W)
+    with np.errstate(over="ignore", invalid="ignore"):
+        U = _krylov_basis(r.A, r.c, tol)
+        if U.shape[1] == 0:
+            return const(0.0, r.d)
+        cur = _compress(r, U)
+        W = _krylov_basis(np.conj(np.transpose(cur.A, (0, 2, 1))), cur.b, tol)
+        if W.shape[1] == 0:
+            return const(0.0, r.d)
+        cur = _compress(cur, W)
     return _nilpotent_cleanup(r if cur.n == r.n else cur)
 
 
@@ -506,8 +531,7 @@ def from_ast(node, d=None):
     """Compile an expression AST into a realization by one ``expr.fold``.
 
     The expression must be regular at 0: every inverse node's operand has a
-    nonzero value at the zero tuple.  Raises NumericalFailureError where
-    the realization's entries overflow.
+    nonzero value at the zero tuple.
     """
     if d is None:
         d = max(ex.max_variable_index(node), 1)
@@ -526,8 +550,6 @@ def from_ast(node, d=None):
                     lambda terms: reduce(add, terms),
                     lambda factors: reduce(mul, factors),
                     lambda x: scale(x, -1.0), inverse)
-    if not all(np.isfinite(M).all() for M in (r.A, r.b, r.c)):
-        raise NumericalFailureError("the entries of the realization overflow")
     return r
 
 

@@ -115,9 +115,12 @@ class _Resolvent:
         return self.A.shape[1]
 
     def _gap(self, lam):
-        """(r(0) - lambda) 2^-e, in the units of the mantissa."""
-        gamma, _, h1, h2 = self.r._value_and_scale
-        return gamma - lam * h1 * h2
+        """(r(0) - lambda) 2^-e, in the units of the mantissa, for an array
+        of lambdas, or for one as a Python complex (the scalar arithmetic of
+        a cell); inf where lambda 2^-e overflows."""
+        shift = self.r._mantissa_shift(lam)
+        return self.r._value_and_scale[0] - (shift if shift.ndim
+                                             else complex(shift))
 
     def at(self, lam):
         B = self.A - self.cb / self._gap(lam)
@@ -131,13 +134,15 @@ class _Resolvent:
         comes out structurally nilpotent, so its spr is exactly 0."""
         if self.r.vanishes_at_zero(lam):
             return None
-        n, g = self.n, 1.0 / self._gap(lam)
+        n = self.n
         A = np.zeros((self.r.d, n + 1, n + 1), dtype=complex)
-        A[:, 0, 1:] = np.ldexp(self.b_A.view(float), self.k).view(complex)
-        A[:, 1:, 1:] = self.at(lam)
-        inverse = Realization(A, np.eye(n + 1)[0],
-                              np.append(g, -g * g * self.c))
-        return _nilpotent_cleanup(inverse).cpmap
+        # an entry that overflows is left to ``Realization``
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = 1.0 / self._gap(lam)
+            A[:, 0, 1:] = np.ldexp(self.b_A.view(float), self.k).view(complex)
+            A[:, 1:, 1:] = self.at(lam)
+            c = np.append(g, -g * g * self.c)
+        return _nilpotent_cleanup(Realization(A, np.eye(n + 1)[0], c)).cpmap
 
     @cached_property
     def _real_terms(self):
@@ -162,12 +167,14 @@ class _Resolvent:
         ``spectral._stein_bands``, None where it cannot tell and from
         MATRIX_FREE_MIN_N up.  The real forms are formed elementwise, so
         their bits do not depend on which cells share a stack."""
-        bands = [_ABOVE if self.r.vanishes_at_zero(lam) else None
-                 for lam in lams]
+        lams = np.array(lams, dtype=complex)
+        bands = [_ABOVE if zero else None
+                 for zero in self.r.vanishes_at_zero(lams)]
         if self.n >= MATRIX_FREE_MIN_N:
             return bands
         cells = [k for k, where in enumerate(bands) if where is None]
-        alpha = 1.0 / self._gap(np.array(lams)[cells])
+        with np.errstate(over="ignore", invalid="ignore"):
+            alpha = 1.0 / self._gap(lams[cells])
         a, b, s = (v[:, None, None] for v in
                    (alpha.real, alpha.imag, np.abs(alpha) ** 2))
         R0, Y1, Y2, R3 = self._real_terms

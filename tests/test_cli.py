@@ -862,6 +862,30 @@ def test_out_of_range_artifact_runs_answer_with_codes(capsys, tmp_path,
             assert code == 1 and obj["error"]["code"] == want, argv
 
 
+@pytest.mark.parametrize("argv", _artifact_script().OVERFLOW_RUNS,
+                         ids=lambda argv: " ".join(argv).replace(
+                             "--realization inputs/", ""))
+def test_overflowing_products_of_finite_entries_are_numerical_failures(
+        capsys, tmp_path, monkeypatch, argv):
+    """Finite realizations whose Krylov generations (every subcommand that
+    minimizes), kernel datum S* b, value r(1/2) or inverse tuple overflow:
+    each run is a coded numerical-failure, with nothing on stderr and no
+    RuntimeWarning."""
+    script = _artifact_script()
+    (tmp_path / "inputs").mkdir()
+    for name, obj in script.INPUTS.items():
+        (tmp_path / "inputs" / name).write_text(json.dumps(obj) + "\n")
+    (tmp_path / "run").mkdir()
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([a.replace("{run}", "run") for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert json.loads(out)["error"]["code"] == "numerical-failure"
+
+
 def test_imprimitive_artifact_runs_answer(capsys):
     """The 13-state tuple of a cyclic word has spr^2 times the 13th roots
     of unity as its peripheral spectrum; each run reads the one that is

@@ -97,6 +97,51 @@ def test_outer_factor_already_outer():
     assert res.outer.allclose(p, tol=1e-10)
 
 
+def test_outer_factor_without_an_inner_quotient_is_a_certification_error(
+        monkeypatch, capsys, poly_p5):
+    """Where no root's quotient is inner, outer_factor raises
+    CertificationError with its diagnostics, and CLI factor answers with
+    the code certification-failed."""
+    def never_inner(r, tol):
+        return factorization.InnerResult(inner=False, unit_defect=1.0,
+                                         orthogonality_defect=1.0, tol=tol)
+
+    monkeypatch.setattr(factorization, "is_inner", never_inner)
+    with pytest.raises(nf.CertificationError) as info:
+        nf.outer_factor(poly_p5, seed=0)
+    assert set(info.value.diagnostics) == {"solutions", "starts"}
+    assert info.value.diagnostics["solutions"] >= 1
+    from ncfock.cli import main
+    assert main(["factor", "-d", "2", "1 + z1 + z1*z2"]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "certification-failed"
+
+
+def test_outer_factor_goes_on_past_a_root_that_fails_outerness(monkeypatch,
+                                                               poly_p5):
+    """A root whose outerness certificate fails is skipped for the next
+    one; whatever outer_factor then returns passes the real certificates."""
+    real_is_outer = factorization.is_outer_rational
+    calls = []
+
+    def first_fails(r):
+        calls.append(r)
+        if len(calls) == 1:
+            return factorization.OuterResult(outer=False,
+                                             spr_inverse=math.inf)
+        return real_is_outer(r)
+
+    monkeypatch.setattr(factorization, "is_outer_rational", first_fails)
+    try:
+        res = nf.outer_factor(poly_p5, seed=0)
+    except nf.CertificationError as err:
+        assert err.diagnostics["solutions"] == len(calls)
+    else:
+        assert real_is_outer(nf.from_polynomial(res.outer))
+        assert nf.is_inner(res.inner, tol=1e-7)
+    assert len(calls) >= 2
+
+
 def test_factor_identity(poly_p5):
     res = nf.outer_factor(poly_p5, seed=0)
     table = factor_identity_table(res, poly_p5)

@@ -38,6 +38,16 @@ def test_kernel_requires_strict_contraction():
                         np.array([1.0]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("where", ["Z", "y", "v"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_kernel_data_are_finite_by_construction(where, bad):
+    data = {"Z": np.array([[[0.5]]]), "y": np.array([1.0]),
+            "v": np.array([1.0])}
+    data[where] = data[where] * bad
+    with pytest.raises(ValueError, match="finite"):
+        nf.KernelVector(nf.MatrixTuple(data["Z"]), data["y"], data["v"])
+
+
 def test_kernel_from_realization_geometric():
     k = nf.kernel_from_realization(geometric_half())
     table = nf.kernel_coefficients(k, 8)

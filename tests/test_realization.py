@@ -367,6 +367,45 @@ def test_minimize_keeps_a_scaled_product():
     assert _same_table(nf.minimize(r), r)
 
 
+@pytest.mark.parametrize("where", ["A", "b", "c"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_realization_is_finite_by_construction(where, bad):
+    data = {"A": np.array([[[0.5]]]), "b": np.array([1.0]),
+            "c": np.array([1.0])}
+    data[where] = data[where] * bad
+    with pytest.raises(nf.NumericalFailureError,
+                       match="the entries of the realization overflow"):
+        nf.Realization(data["A"], data["b"], data["c"])
+
+
+def test_the_algebra_reports_an_overflow_as_its_type_does():
+    """A scaling or a product whose entries overflow is refused by the
+    Realization it would build."""
+    big = nf.Realization(np.array([[[0.5]]]), np.array([1.0]),
+                         np.array([1e200]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for build in (lambda: nf.scale(big, 1e200), lambda: nf.mul(big, big)):
+            with pytest.raises(nf.NumericalFailureError, match="overflow"):
+                build()
+
+
+def test_evaluate_reports_an_overflow():
+    """r(X) of finite b = 1e308 overflows at X = 1/2; the pencil of A =
+    1e10 overflows at X = 1e300: coded errors, without a RuntimeWarning."""
+    r = nf.Realization(np.array([[[0.3, 0.5], [0.1, 0.2]]]),
+                       np.array([1e308, 1e307]), np.array([1.0, 2.0]))
+    small = nf.Realization(np.array([[[1e10]]]), np.ones(1), np.ones(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(nf.NumericalFailureError, match="r\\(X\\)"):
+            nf.evaluate(r, [[[0.5]]])
+        with pytest.raises(nf.NumericalFailureError, match="pencil"):
+            nf.evaluate(small, [[[1e300]]])
+        assert nf.evaluate(small, [[[1e-11]]])[0, 0] == pytest.approx(
+            1 / (1 - 0.1), rel=1e-14)
+
+
 def test_from_ast_of_an_overflowing_product_is_a_numerical_failure():
     """1e200*1e200*z1 compiles to an infinite entry, which is refused
     without a RuntimeWarning; 1e200*z1*1e200*z1 keeps its entries finite."""

@@ -928,6 +928,33 @@ def test_value_at_zero_test_does_not_depend_on_scale(s):
     assert outer.indeterminate and outer.spr_inverse == pytest.approx(1.0)
 
 
+def test_a_lambda_beyond_the_scale_of_r_warns_nothing():
+    """1/(1 - z/2) scaled through c to 1e-170: lambda 2^-e overflows from
+    about 1e139, where lambda is no zero of r.  vanishes_at_zero, the gaps,
+    contains_lambda and a scan take such a lambda with no RuntimeWarning;
+    in range a gap is r(0) - lambda 2^-e to the bit, and the zero test and
+    the gaps of an array are those of each lambda."""
+    r = nf.minimize(nf.Realization(np.array([[[0.5]]]), np.ones(1),
+                                   np.array([1e-170])))
+    e = r.pow2[1]
+    gamma = r.pow2[0].value_at_zero()
+    lams = [complex(3e-171, 1e-171), complex(1e300, 0),
+            complex(-1e300, 1e300)]
+    resolvent = _Resolvent(r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [r.vanishes_at_zero(lam) for lam in lams] == [False] * 3
+        assert r.vanishes_at_zero(1e-170)
+        assert r.vanishes_at_zero(np.array(lams + [1e-170])).tolist() == \
+            [False, False, False, True]
+        assert resolvent._gap(lams[0]) == gamma - lams[0] * 2.0 ** -e
+        assert nf.contains_lambda(r, 1e300).verdict == "resolvent"
+        nf.grid_scan(r, (-1e300, 1e300, -1e300, 1e300), 5e299)
+        with np.errstate(over="ignore"):
+            gaps = resolvent._gap(np.array(lams))
+            assert [resolvent._gap(lam) for lam in lams] == gaps.tolist()
+
+
 @st.composite
 def _scaled_minimal_realizations(draw):
     """A random minimal realization r with spr(A) < 1 (n <= 6, entries in

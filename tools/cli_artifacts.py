@@ -11,7 +11,7 @@ Each command runs in a fresh ``python -m ncfock`` process with the tree's
 Run k writes ``OUT_DIR/NNN-<subcommand>/`` holding ``argv`` (the command
 line), ``stdout``, ``stderr``, ``exit`` (the exit code) and the files that
 the run's ``--out`` wrote.  ``OUT_DIR/inputs/`` holds the fixed input files
-(a matrix tuple, realizations at extreme scales) and the realizations that
+(matrix tuples, realizations at extreme scales) and the realizations that
 earlier ``realize`` runs write for the ``--realization`` round trip.
 """
 
@@ -104,7 +104,54 @@ INPUTS = {
     "huge-a.json": {
         "d": 1, "n": 1, "A": [[[[1e160, 0.0]]]], "b": [[1.0, 0.0]],
         "c": [[1.0, 0.0]]},
+    # finite entries whose Krylov generations overflow: A = 1e308 in every
+    # entry, and a first row of 1.7e308
+    "full-1e308.json": {
+        "d": 1, "n": 2,
+        "A": [[[[1e308, 0.0], [1e308, 0.0]], [[1e308, 0.0], [1e308, 0.0]]]],
+        "b": [[1.0, 0.0], [0.0, 0.0]], "c": [[1.0, 0.0], [1.0, 0.0]]},
+    "row-1.7e308.json": {
+        "d": 1, "n": 2,
+        "A": [[[[1.7e308, 0.0], [1.7e308, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]],
+        "b": [[1.0, 0.0], [0.0, 0.0]], "c": [[1.0, 0.0], [1.0, 0.0]]},
+    # b = (1e308, 1e307): S* b of the kernel and r(1/2) overflow
+    "b-1e308.json": {
+        "d": 1, "n": 2,
+        "A": [[[[0.3, 0.0], [0.5, 0.0]], [[0.1, 0.0], [0.2, 0.0]]]],
+        "b": [[1e308, 0.0], [1e307, 0.0]], "c": [[1.0, 0.0], [2.0, 0.0]]},
+    "point-half.json": {"d": 1, "n": 1, "X": [[[[0.5, 0.0]]]]},
+    # a coupling of 2.5e307: the inverse tuple of outer-test overflows
+    "coupling-2.5e307.json": {
+        "d": 1, "n": 2,
+        "A": [[[[0.33315777974433414, 0.0], [0.4813035816465992, 0.0]],
+               [[2.5482929425047334e307, 0.0], [0.22333598467805735, 0.0]]]],
+        "b": [[-0.025445316692543535, 0.0], [-0.1470455068463331, 0.0]],
+        "c": [[-0.63057798997102, 0.0], [0.0553649749135539, 0.0]]},
 }
+
+# finite realizations whose Krylov generations (every subcommand that
+# minimizes, and the iterate route), kernel datum, value r(X) or inverse
+# tuple overflow: each answers numerical-failure, with nothing on stderr
+OVERFLOW_RUNS = [
+    [command, "--realization", f"inputs/{name}", *extra]
+    for name, commands in (
+        ("full-1e308.json", (
+            ["spr"], ["spr", "--method", "iterate"], ["norm"], ["member"],
+            ["kernel"], ["inner-test"], ["outer-test"], ["boundary-sing"],
+            ["realize", "--minimize"],
+            ["spectrum-scan", "--rect=-2,2,-2,2", "--res", "1", "--out",
+             "{run}/scan"],
+            ["spectrum-sample", "--samples", "20"],
+            ["variety-search", "--level", "1", "--attempts", "2"],
+            ["continuity-probe", "--rect=-2,2,-2,2", "--res", "1",
+             "--scales", "0.1"])),
+        ("row-1.7e308.json", (["spr"], ["member"],
+                              ["realize", "--minimize"])),
+        ("b-1e308.json", (["kernel"],
+                          ["eval", "--point", "inputs/point-half.json"],
+                          ["spectrum-sample", "--samples", "20"])),
+        ("coupling-2.5e307.json", (["outer-test"],)))
+    for command, *extra in commands]
 
 
 def _per_expression():
@@ -287,6 +334,7 @@ COMMANDS = _per_expression() + [
       for text in ("1e100*z2", "1e200*z2")
       for command, *out in (["spectrum-scan", "--out", "{run}/scan"],
                             ["continuity-probe"])),
+    *OVERFLOW_RUNS,
 ]
 
 
