@@ -70,6 +70,9 @@ def _load_realization(args):
     if args.realization:
         if args.expression is not None:
             raise NCFockError("give an expression or --realization, not both")
+        if args.d is not None:
+            raise NCFockError("-d goes with an expression, not with "
+                              "--realization")
         return rz.realization_from_json(_read_json(args.realization))
     if args.expression is None:
         raise NCFockError("an expression (with -d) or --realization is required")
@@ -112,7 +115,10 @@ def _cmd_parse(args):
 def _cmd_realize(args):
     r = _load_realization(args)
     if args.minimize:
-        r = rz.minimize(r, tol=args.tol)
+        r = rz.minimize(r, tol=rz.DEFAULT_RANK_TOL if args.tol is None
+                        else args.tol)
+    elif args.tol is not None:
+        raise NCFockError("--tol goes with --minimize")
     _emit_exact(rz.realization_to_json(r), args.out)
     return 0
 
@@ -366,7 +372,8 @@ def build_parser():
     s = subs.add_parser("realize", help="compile to a realization JSON")
     _add_source_args(s)
     s.add_argument("--minimize", action="store_true")
-    s.add_argument("--tol", type=_tol, default=1e-10)
+    s.add_argument("--tol", type=_tol, default=None,
+                   help="rank tolerance of --minimize (default 1e-10)")
     s.set_defaults(func=_cmd_realize)
 
     s = subs.add_parser("eval", help="evaluate at a matrix tuple JSON")

@@ -144,10 +144,6 @@ def _folded_scalar(value):
     return scalar(value)
 
 
-def make_inverse(node):
-    return Inverse(node)
-
-
 def _scalar_value(node):
     if isinstance(node, Scalar):
         return node.value
@@ -294,7 +290,7 @@ class _Parser:
             if kind != "num" or value != 1:
                 raise ParseError("only exponent -1 is allowed", pos)
             self.advance()
-            return make_inverse(base)
+            return Inverse(base)
         if kind != "num":
             raise ParseError("expected an exponent", pos)
         if value.imag != 0 or value.real != int(value.real) or value.real < 0:
@@ -318,7 +314,7 @@ class _Parser:
                 self.expect_op("(")
                 node = self.parse_expr()
                 self.expect_op(")")
-                return make_inverse(node)
+                return Inverse(node)
             match = re.fullmatch(r"z(\d+)", value)
             if match is None:
                 raise ParseError(f"unknown name {value!r}", pos)

@@ -32,6 +32,7 @@ from .lsq import least_squares
 from .realization import (
     Realization,
     _krylov_basis,
+    _orth_columns,
     from_polynomial,
     invert,
     minimize,
@@ -137,15 +138,9 @@ def is_inner(r, tol=1e-7):
     # orthonormal basis of span{A^g c : |g| >= 1} = span_j A_j K,
     # K the controllability space
     K = _krylov_basis(r.A, r.c, 1e-12)
-    shifted = np.hstack([r.A[j] @ K for j in range(r.d)]) if K.size else K
-    if shifted.size:
-        Qbasis, sing, _ = np.linalg.svd(shifted, full_matrices=False)
-        rank = int(np.sum(sing > 1e-12 * sing[0])) if sing.size else 0
-        U = Qbasis[:, :rank]
-        ortho_defect = float(np.linalg.norm(U.conj().T @ Qc)
-                             / max(np.linalg.norm(Qc), 1e-300))
-    else:
-        ortho_defect = 0.0
+    U = _orth_columns(np.hstack([A_j @ K for A_j in r.A]), 1e-12)[0]
+    ortho_defect = float(np.linalg.norm(U.conj().T @ Qc)
+                         / max(np.linalg.norm(Qc), 1e-300))
     return InnerResult(inner=bool(unit_defect <= tol and ortho_defect <= tol),
                        unit_defect=float(unit_defect),
                        orthogonality_defect=ortho_defect, tol=tol)

@@ -31,7 +31,7 @@ from .spectral import (
     spr_below,
     stein_solve,
 )
-from .words import monomial_count, words_up_to
+from .words import words_up_to
 
 _WITNESS_TOL = 1e-8    # sigma_min goal of an is_in_fock boundary witness
 
@@ -228,7 +228,7 @@ def toeplitz(f, degree):
     """Truncated left-multiplication matrix of the polynomial f."""
     words = monomial_basis(f.d, degree)
     index = {w: k for k, w in enumerate(words)}
-    size = monomial_count(f.d, degree)
+    size = len(words)
     T = np.zeros((size, size), dtype=complex)
     for col, beta in enumerate(words):
         for omega, value in f.coeffs.items():

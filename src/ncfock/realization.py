@@ -85,11 +85,7 @@ class MatrixTuple:
     def direct_sum(self, other):
         if self.d != other.d:
             raise DimensionMismatchError("direct sum needs matching d")
-        n, m = self.n, other.n
-        out = np.zeros((self.d, n + m, n + m), dtype=complex)
-        out[:, :n, :n] = self.X
-        out[:, n:, n:] = other.X
-        return MatrixTuple(out)
+        return MatrixTuple(_block_diagonal(self.X, other.X))
 
     def __repr__(self):
         return f"MatrixTuple(d={self.d}, n={self.n}, row_norm={self.row_norm():.6g})"
@@ -215,17 +211,25 @@ def _check_same_d(r1, r2):
             f"realizations over {r1.d} and {r2.d} variables")
 
 
+def _block_diagonal(X, Y):
+    """The stack of diag(X_j, Y_j) of two stacks of square matrices."""
+    d, n, m = X.shape[0], X.shape[1], Y.shape[1]
+    out = np.zeros((d, n + m, n + m), dtype=complex)
+    out[:, :n, :n] = X
+    out[:, n:, n:] = Y
+    return out
+
+
 def add(r1, r2):
     """Direct-sum realization of r1 + r2, size n1 + n2."""
     _check_same_d(r1, r2)
-    d, n1, n2 = r1.d, r1.n, r2.n
-    A = np.zeros((d, n1 + n2, n1 + n2), dtype=complex)
-    A[:, :n1, :n1] = r1.A
-    A[:, n1:, n1:] = r2.A
-    return Realization(A, np.concatenate([r1.b, r2.b]),
+    return Realization(_block_diagonal(r1.A, r2.A),
+                       np.concatenate([r1.b, r2.b]),
                        np.concatenate([r1.c, r2.c]))
 
 
+# scale, mul and invert leave an overflow to ``Realization``, silently
+@np.errstate(over="ignore", invalid="ignore")
 def scale(r, s):
     """Realization of s * r (scales c)."""
     return Realization(r.A, r.b, complex(s) * r.c)
@@ -235,14 +239,13 @@ def sub(r1, r2):
     return add(r1, scale(r2, -1.0))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mul(r1, r2):
     """Block-triangular coupling realization of the product r1 * r2."""
     _check_same_d(r1, r2)
     d, n1, n2 = r1.d, r1.n, r2.n
     gamma2 = r2.value_at_zero()
-    A = np.zeros((d, n1 + n2, n1 + n2), dtype=complex)
-    A[:, :n1, :n1] = r1.A
-    A[:, n1:, n1:] = r2.A
+    A = _block_diagonal(r1.A, r2.A)
     for j in range(d):
         A[j, :n1, n1:] = np.outer(r1.c, np.conj(r2.b) @ r2.A[j])
     b = np.concatenate([r1.b, np.zeros(n2)])
@@ -250,6 +253,7 @@ def mul(r1, r2):
     return Realization(A, b, c)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def invert(r):
     """Size-(n+1) realization of the pointwise inverse.
 
@@ -394,30 +398,38 @@ def _krylov_basis(A, seed, tol):
             fresh = fresh - block @ (block.conj().T @ fresh)
         if np.count_nonzero(np.isfinite(fresh)) < fresh.size:
             raise NumericalFailureError("a Krylov generation overflows")
-        Q, s, _ = np.linalg.svd(fresh, full_matrices=False)
-        scale = max(scale, float(s[0]) if s.size else 0.0)
-        rank = int(np.sum(s > tol * scale))
-        if rank == 0:
+        generation, scale = _orth_columns(fresh, tol, scale)
+        if generation.shape[1] == 0:
             break
-        generation = Q[:, :rank]
         # second projection pass guards against loss of orthogonality
         for block in basis:
             generation = generation - block @ (block.conj().T @ generation)
-        # the columns were orthonormal before this pass, so s2 is near 1
-        # for every column that the first pass kept for good reason
-        generation, s2, _ = np.linalg.svd(generation, full_matrices=False)
-        rank = int(np.sum(s2 > tol))
-        if rank == 0:
+        # the columns were orthonormal before this pass, so their singular
+        # values are near 1 where the first pass kept them for good reason
+        generation = _orth_columns(generation, tol, 1.0)[0]
+        if generation.shape[1] == 0:
             break
-        generation = generation[:, :rank]
         basis.append(generation)
-        total += rank
+        total += generation.shape[1]
     return np.hstack(basis)
 
 
+def _orth_columns(M, rel, top=0.0):
+    """The left singular vectors of M whose singular values exceed rel
+    max(top, sigma_1), and that maximum: the one rank cut of every
+    subspace of a realization; an empty M gives an empty basis."""
+    Q, s, _ = np.linalg.svd(M, full_matrices=False)
+    top = max(top, float(s[0]) if s.size else 0.0)
+    return Q[:, :int(np.sum(s > rel * top))], top
+
+
+def _restrict(X, U):
+    """U* X_j U for every matrix X_j of the stack X."""
+    return U.conj().T @ X @ U
+
+
 def _compress(r, U):
-    A = np.stack([U.conj().T @ r.A[j] @ U for j in range(r.d)])
-    return Realization(A, U.conj().T @ r.b, U.conj().T @ r.c)
+    return Realization(_restrict(r.A, U), U.conj().T @ r.b, U.conj().T @ r.c)
 
 
 def minimize(r, tol=DEFAULT_RANK_TOL):
@@ -450,11 +462,6 @@ def minimize(r, tol=DEFAULT_RANK_TOL):
     return _nilpotent_cleanup(r if cur.n == r.n else cur)
 
 
-def _orth_columns(M, cutoff):
-    Q, s, _ = np.linalg.svd(M, full_matrices=False)
-    return Q[:, : int(np.sum(s > cutoff))]
-
-
 def _nilpotent_cleanup(r):
     """Exactly nilpotent rewrite of a realization of a polynomial.
 
@@ -480,12 +487,11 @@ def _nilpotent_cleanup(r):
         # the tuple is pure roundoff: over the unit row ball the function
         # moves by a relative 1e-13 at most, so it is the constant b*c
         return Realization(np.zeros_like(r.A), r.b, r.c)
-    cutoff = 1e-8 * sing[0]
-    if np.sum(sing > cutoff) == n:
+    if np.sum(sing > 1e-8 * sing[0]) == n:
         return r
     flags, image = [np.eye(n, dtype=complex)], joint
     while True:
-        span = _orth_columns(image, cutoff)
+        span = _orth_columns(image, 1e-8, sing[0])[0]
         if span.shape[1] >= flags[-1].shape[1]:
             return r
         if span.shape[1] == 0:
@@ -510,17 +516,17 @@ def _nilpotent_cleanup(r):
     # complement of the joint range
     blocks, Q = [], np.zeros((n, 0), dtype=complex)
     for span in reversed(flags):
-        fresh = _orth_columns(span - Q @ (Q.conj().T @ span), 1e-8)
+        fresh = _orth_columns(span - Q @ (Q.conj().T @ span), 1e-8, 1.0)[0]
         if fresh.shape[1]:
             blocks.append(fresh)
             Q = np.hstack([Q, fresh])
     if Q.shape[1] != n:
         return r
     starts = np.cumsum([0] + [blk.shape[1] for blk in blocks])
-    A_new = np.stack([Q.conj().T @ A_j @ Q for A_j in r.A])
+    A = _restrict(r.A, Q)
     for t in range(len(blocks)):
-        A_new[:, starts[t]:, starts[t]:starts[t + 1]] = 0.0
-    return Realization(A_new, Q.conj().T @ r.b, Q.conj().T @ r.c)
+        A[:, starts[t]:, starts[t]:starts[t + 1]] = 0.0
+    return Realization(A, Q.conj().T @ r.b, Q.conj().T @ r.c)
 
 
 # ---------------------------------------------------------------------------
@@ -544,13 +550,11 @@ def from_ast(node, d=None):
                 "expression is not regular at 0: an inverted "
                 "subexpression vanishes at the zero tuple") from err
 
-    with np.errstate(all="ignore"):
-        r = ex.fold(node, lambda value: const(value, d),
-                    lambda index: variable(index, d),
-                    lambda terms: reduce(add, terms),
-                    lambda factors: reduce(mul, factors),
-                    lambda x: scale(x, -1.0), inverse)
-    return r
+    return ex.fold(node, lambda value: const(value, d),
+                   lambda index: variable(index, d),
+                   lambda terms: reduce(add, terms),
+                   lambda factors: reduce(mul, factors),
+                   lambda x: scale(x, -1.0), inverse)
 
 
 def from_expression(text, d):

@@ -94,7 +94,8 @@ from .errors import (
     NumericalFailureError,
     SpectralRadiusError,
 )
-from .realization import MatrixTuple, Realization, _kron, _pow2_scaled
+from .realization import (MatrixTuple, Realization, _kron, _pow2_scaled,
+                          _restrict)
 
 SPR_BOUNDARY_TOL = 1e-9
 
@@ -632,9 +633,7 @@ def _boundary_singularity(cp, tol):
         if depth <= 0 or keep.shape[1] >= sub.n:
             raise BoundarySingularityError(
                 "boundary singularity recursion failed")
-        inner, inner_null = build(
-            CPMap(np.stack([keep.conj().T @ Aj @ keep for Aj in sub.A])),
-            depth - 1)
+        inner, inner_null = build(CPMap(_restrict(sub.A, keep)), depth - 1)
         m = inner.shape[1]
         Z = np.zeros(sub.A.shape, dtype=complex)
         Z[:, :m, :m] = inner

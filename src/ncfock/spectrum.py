@@ -41,6 +41,8 @@ from .realization import (
     Realization,
     _kron,
     _nilpotent_cleanup,
+    _orth_columns,
+    _restrict,
     add,
     as_matrix_tuple,
     evaluate,
@@ -100,12 +102,11 @@ class _Resolvent:
     range, and no overflow at any scale."""
 
     def __init__(self, r):
-        Q, s, _ = np.linalg.svd(np.hstack(r.cpmap._mantissa_star),
-                                full_matrices=False)
-        U = Q[:, s > DEFAULT_RANK_TOL * s[0]]
+        U = _orth_columns(np.hstack(r.cpmap._mantissa_star),
+                          DEFAULT_RANK_TOL)[0]
         self.r, self.k = r, r.cpmap.k
         self.gamma = r.value_at_zero()
-        self.A = U.conj().T @ r.cpmap.mantissa @ U
+        self.A = _restrict(r.cpmap.mantissa, U)
         self.c = U.conj().T @ r.pow2[0].c
         self.b_A = np.conj(r.pow2[0].b) @ r.cpmap.mantissa @ U  # b'* M_j U
         self.cb = self.c[:, None] * self.b_A[:, None, :]
@@ -117,10 +118,12 @@ class _Resolvent:
     def _gap(self, lam):
         """(r(0) - lambda) 2^-e, in the units of the mantissa, for an array
         of lambdas, or for one as a Python complex (the scalar arithmetic of
-        a cell); inf where lambda 2^-e overflows."""
+        a cell); a real inf where lambda 2^-e overflows, so that 1/gap is
+        exactly 0, the limit B(lambda) -> A."""
         shift = self.r._mantissa_shift(lam)
-        return self.r._value_and_scale[0] - (shift if shift.ndim
-                                             else complex(shift))
+        gap = np.where(np.isinf(shift), np.inf,
+                       self.r._value_and_scale[0] - shift)
+        return gap if shift.ndim else complex(gap)
 
     def at(self, lam):
         B = self.A - self.cb / self._gap(lam)
@@ -297,6 +300,9 @@ def _grid_scan(r_min, rect, resolution, classify):
         raise ScanGridError(f"a scan grid of {cols:.3g} x {rows:.3g} cells "
                             f"exceeds the limit of {_MAX_CELLS} cells")
     cols, rows = int(round(cols)), int(round(rows))
+    if cols == 0 or rows == 0:
+        raise ScanGridError(f"empty scan grid: the rectangle rounds to "
+                            f"{rows} x {cols} cells")
     centers_re = re_min + (np.arange(cols) + 0.5) * resolution
     centers_im = im_max - (np.arange(rows) + 0.5) * resolution
     member = np.zeros((rows, cols), dtype=bool)

@@ -25,22 +25,10 @@ def check_word(word, d):
     return tuple(word)
 
 
-def words_of_length(d, length):
-    """All words of exactly ``length`` letters, lexicographic."""
-    return product(range(1, d + 1), repeat=length)
-
-
 def words_up_to(d, max_len):
     """All words of length <= max_len in length-then-lex order."""
     for length in range(max_len + 1):
-        yield from words_of_length(d, length)
-
-
-def monomial_count(d, max_len):
-    """Number of words of length <= max_len, i.e. (d^(k+1)-1)/(d-1) for d > 1."""
-    if d == 1:
-        return max_len + 1
-    return (d ** (max_len + 1) - 1) // (d - 1)
+        yield from product(range(1, d + 1), repeat=length)
 
 
 def _pow2_scaled(v):

@@ -148,7 +148,7 @@ def random_ast(rng, d, depth=3):
         ex.make_product([ex.scalar(0.3),
                          random_ast(rng, d, depth - 1)]),
     ])
-    return ex.make_inverse(inner)
+    return ex.Inverse(inner)
 
 
 def random_point(rng, d, n, scale=0.05):

@@ -200,16 +200,22 @@ _REQUIRED_OPTIONS = {
 }
 
 
-@pytest.mark.parametrize("command", _source_subcommands())
-def test_an_expression_and_a_realization_are_refused(tmp_path, capsys,
-                                                      monkeypatch, command):
-    # exactly one input source, for every subcommand: the expression is
-    # not silently preferred
+def _write_source_files(tmp_path, monkeypatch):
+    """f.json, a realization with d = 2, and pt.json, a point for eval, in
+    the working directory tmp_path."""
     monkeypatch.chdir(tmp_path)
     r = nf.from_expression("inv(1 - 0.5*z1*z2 - 0.5*z2*z1) - 2", 2)
     (tmp_path / "f.json").write_text(json.dumps(nf.realization_to_json(r)))
     (tmp_path / "pt.json").write_text(json.dumps(
         nf.matrix_tuple_to_json(nf.MatrixTuple.zeros(2, 1))))
+
+
+@pytest.mark.parametrize("command", _source_subcommands())
+def test_an_expression_and_a_realization_are_refused(tmp_path, capsys,
+                                                      monkeypatch, command):
+    # exactly one input source, for every subcommand: the expression is
+    # not silently preferred
+    _write_source_files(tmp_path, monkeypatch)
     code, out = run_cli(capsys, command, "-d", "2", "1 - z1*z2 - z2*z1",
                         "--realization", "f.json",
                         *_REQUIRED_OPTIONS.get(command, []))
@@ -217,6 +223,29 @@ def test_an_expression_and_a_realization_are_refused(tmp_path, capsys,
     assert json.loads(out) == {"error": {
         "code": "error",
         "message": "give an expression or --realization, not both"}}
+
+
+@pytest.mark.parametrize("command", _source_subcommands())
+def test_d_with_a_realization_is_refused(tmp_path, capsys, monkeypatch,
+                                         command):
+    # -d has no reader when the source is a file: it is not ignored
+    _write_source_files(tmp_path, monkeypatch)
+    code, out = run_cli(capsys, command, "-d", "7", "--realization",
+                        "f.json", *_REQUIRED_OPTIONS.get(command, []))
+    assert code == 1
+    assert json.loads(out) == {"error": {
+        "code": "error",
+        "message": "-d goes with an expression, not with --realization"}}
+
+
+def test_realize_tol_without_minimize_is_refused(capsys):
+    code, out = run_cli(capsys, "realize", "-d", "1", "z1", "--tol", "1e-8")
+    assert code == 1
+    assert json.loads(out) == {"error": {
+        "code": "error", "message": "--tol goes with --minimize"}}
+    code, out = run_cli(capsys, "realize", "-d", "1", "z1*z1", "--minimize",
+                        "--tol", "1e-8")
+    assert code == 0 and json.loads(out)["n"] == 3
 
 
 def test_module_entry_point(tmp_path):

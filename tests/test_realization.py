@@ -252,7 +252,6 @@ def test_minimize_keeps_a_small_tuple_against_large_b_and_c():
                                           rel=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("A, bc", [(1e308 * (1 + 1j), 1e308),
                                    (1e200 * (1 + 1j), 1e200),
                                    (0.5, 1e300)])
@@ -276,7 +275,6 @@ def test_minimize_rejects_a_tolerance_outside_0_1(tol):
     assert isinstance(info.value, ValueError)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_failed_inverse_self_check_is_coded():
     with pytest.raises(nf.NumericalFailureError):
         nf.from_expression("inv(1 - 1e200*z1)", 1)
@@ -379,13 +377,16 @@ def test_a_realization_is_finite_by_construction(where, bad):
 
 
 def test_the_algebra_reports_an_overflow_as_its_type_does():
-    """A scaling or a product whose entries overflow is refused by the
-    Realization it would build."""
+    """A scaling, a product or an inverse whose entries overflow is refused
+    by the Realization it would build, without a RuntimeWarning."""
     big = nf.Realization(np.array([[[0.5]]]), np.array([1.0]),
                          np.array([1e200]))
+    tiny = nf.Realization(np.array([[[0.5]]]), np.array([1.0]),
+                          np.array([1e-320]))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for build in (lambda: nf.scale(big, 1e200), lambda: nf.mul(big, big)):
+        warnings.simplefilter("error")
+        for build in (lambda: nf.scale(big, 1e200), lambda: nf.mul(big, big),
+                      lambda: nf.invert(tiny)):
             with pytest.raises(nf.NumericalFailureError, match="overflow"):
                 build()
 

@@ -955,6 +955,32 @@ def test_a_lambda_beyond_the_scale_of_r_warns_nothing():
             assert [resolvent._gap(lam) for lam in lams] == gaps.tolist()
 
 
+def test_a_lambda_whose_both_parts_overflow_is_in_the_resolvent():
+    """1/(1 - z/2) scaled through c to 1e-170: at lambda = 1e300 (1 + i)
+    both parts of lambda 2^-e overflow, and the gap is a real inf, so that
+    B(lambda) -> A; the cells of the +-1e300 square lie in the resolvent."""
+    r = nf.minimize(nf.Realization(np.array([[[0.5]]]), np.ones(1),
+                                   np.array([1e-170])))
+    member = nf.contains_lambda(r, complex(1e300, 1e300))
+    assert member.verdict == "resolvent"
+    assert member.spr_value == pytest.approx(0.5)
+    scan = nf.grid_scan(r, (-1e300, 1e300, -1e300, 1e300), 5e299)
+    assert scan.classes.shape == (4, 4)
+    assert (scan.classes == "resolvent").all()
+
+
+@pytest.mark.parametrize("rect, res", [((0, 0.1, 0, 0.1), 1.0),
+                                       ((0, 2, 0, 0.1), 1.0),
+                                       ((0, 0.1, 0, 2), 1.0)])
+def test_a_grid_of_no_cells_is_refused(rect, res):
+    """A rectangle that rounds to zero rows or columns is an empty grid."""
+    r = nf.from_expression("z1", 1)
+    with pytest.raises(nf.ScanGridError, match="empty scan grid"):
+        nf.grid_scan(r, rect, res)
+    with pytest.raises(nf.ScanGridError, match="empty scan grid"):
+        nf.continuity_probe(r, rect, res, scales=(0.1,))
+
+
 @st.composite
 def _scaled_minimal_realizations(draw):
     """A random minimal realization r with spr(A) < 1 (n <= 6, entries in

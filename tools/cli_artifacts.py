@@ -335,6 +335,18 @@ COMMANDS = _per_expression() + [
       for command, *out in (["spectrum-scan", "--out", "{run}/scan"],
                             ["continuity-probe"])),
     *OVERFLOW_RUNS,
+    # lambda = 1e300 (+-1 +-i): both parts of lambda 2^-e overflow, and the
+    # cells lie in the resolvent
+    ["spectrum-scan", "--realization", "inputs/tiny-c.json",
+     "--rect=-1e300,1e300,-1e300,1e300", "--res", "5e299",
+     "--out", "{run}/scan"],
+    # a grid that rounds to no cells, and options without a reader: coded
+    # errors
+    ["spectrum-scan", "-d", "1", "z1", "--rect=0,0.1,0,0.1", "--res", "1",
+     "--out", "{run}/scan"],
+    ["continuity-probe", "-d", "1", "z1", "--rect=0,0.1,0,0.1", "--res", "1"],
+    ["member", "-d", "7", "--realization", "inputs/tiny-c.json"],
+    ["realize", "-d", "1", "z1", "--tol", "1e-8"],
 ]
 
 
