@@ -11,28 +11,24 @@ for a fixed seed.  Module errors exit 1 with a machine-readable JSON object
 Report numbers are printed with 15 significant digits.  Realization JSON
 files keep full float precision so that feeding ``realize`` output back
 through ``--realization`` reproduces analyses byte-identically.
+
+Each handler imports the modules it calls, so a process loads only what
+its subcommand runs: ``parse`` needs no numpy.
 """
 
 import argparse
 import json
+import math
 import sys
-from math import isinf
-
-import numpy as np
 
 from . import expr as ex
-from . import factorization as fz
-from . import fock
-from . import realization as rz
-from . import spectral
-from . import spectrum as sp
 from .errors import (MalformedJSONError, NCFockError, NotPolynomialError,
                      ParseError)
 
 
 def _round15(obj):
     if isinstance(obj, float):
-        if isinf(obj) or np.isnan(obj):
+        if not math.isfinite(obj):
             return repr(obj)
         return float(f"{obj:.15g}")
     if isinstance(obj, complex):
@@ -67,6 +63,8 @@ def _read_json(path):
 
 
 def _load_realization(args):
+    from . import realization as rz
+
     if args.realization:
         if args.expression is not None:
             raise NCFockError("give an expression or --realization, not both")
@@ -113,6 +111,8 @@ def _cmd_parse(args):
 
 
 def _cmd_realize(args):
+    from . import realization as rz
+
     r = _load_realization(args)
     if args.minimize:
         r = rz.minimize(r, tol=rz.DEFAULT_RANK_TOL if args.tol is None
@@ -124,6 +124,8 @@ def _cmd_realize(args):
 
 
 def _cmd_eval(args):
+    from . import realization as rz
+
     r = _load_realization(args)
     Z = rz.matrix_tuple_from_json(_read_json(args.point))
     value = rz.evaluate(r, Z)
@@ -132,6 +134,8 @@ def _cmd_eval(args):
 
 
 def _cmd_spr(args):
+    from . import realization as rz, spectral
+
     r_min = rz.minimize(_load_realization(args))
     _emit({"spr": spectral.spr(r_min.A, method=args.method),
            "n_minimal": r_min.n}, args.out)
@@ -139,18 +143,22 @@ def _cmd_spr(args):
 
 
 def _cmd_norm(args):
+    from . import fock, realization as rz
+
     r = rz.minimize(_load_realization(args))
     _emit({"h2_norm": fock.h2_norm(r)}, args.out)
     return 0
 
 
 def _membership_json(result):
+    from . import realization as rz
+
     out = {
         "verdict": {"in": "in_H2", "not_in": "not_in_H2",
                     "boundary": "boundary_indeterminate"}[result.verdict],
         "in_h2": result.in_h2,
         "spr": result.spr,
-        "radius": "inf" if isinf(result.radius) else result.radius,
+        "radius": "inf" if math.isinf(result.radius) else result.radius,
     }
     if result.h2_norm is not None:
         out["h2_norm"] = result.h2_norm
@@ -162,12 +170,16 @@ def _membership_json(result):
 
 
 def _cmd_member(args):
+    from . import fock, realization as rz
+
     r = rz.minimize(_load_realization(args))
     _emit(_membership_json(fock.is_in_fock(r)), args.out)
     return 0
 
 
 def _cmd_kernel(args):
+    from . import fock, realization as rz
+
     r = rz.minimize(_load_realization(args))
     kernel = fock.kernel_from_realization(r)
     _emit({
@@ -180,6 +192,8 @@ def _cmd_kernel(args):
 
 
 def _cmd_factor(args):
+    from . import factorization as fz, realization as rz
+
     node = ex.parse(args.expression, args.d)
     poly = ex.as_polynomial(node, args.d)
     result = fz.outer_factor(poly, n_starts=args.starts, seed=args.seed)
@@ -200,6 +214,8 @@ def _cmd_factor(args):
 
 
 def _cmd_outer_test(args):
+    from . import factorization as fz
+
     cert = fz.is_outer_rational(_load_realization(args))
     _emit({"outer": cert.outer, "spr_inverse": cert.spr_inverse,
            "indeterminate": cert.indeterminate, "reason": cert.reason},
@@ -208,6 +224,8 @@ def _cmd_outer_test(args):
 
 
 def _cmd_inner_test(args):
+    from . import factorization as fz, realization as rz
+
     r = rz.minimize(_load_realization(args))
     cert = fz.is_inner(r, tol=args.tol)
     _emit({"inner": cert.inner, "unit_defect": cert.unit_defect,
@@ -217,6 +235,8 @@ def _cmd_inner_test(args):
 
 
 def _cmd_boundary_sing(args):
+    from . import realization as rz, spectral
+
     cp = rz.minimize(_load_realization(args)).cpmap
     Z, sigma_min = spectral._boundary_singularity(cp, args.tol)
     _emit({
@@ -249,7 +269,7 @@ def _rect(text):
 def _scales(text):
     """argparse type of --scales: finite noise scales."""
     scales = _float_list(text)
-    if not all(np.isfinite(scales)):
+    if not all(map(math.isfinite, scales)):
         raise argparse.ArgumentTypeError(
             f"noise scales must be finite, got {text!r}")
     return scales
@@ -282,6 +302,8 @@ def _tol(text):
 
 
 def _cmd_spectrum_scan(args):
+    from . import spectrum as sp
+
     scan = sp.grid_scan(_load_realization(args), args.rect, args.res,
                         classify=not args.no_classify)
     prefix = args.out or "spectrum"
@@ -296,6 +318,8 @@ def _cmd_spectrum_scan(args):
 
 
 def _cmd_spectrum_sample(args):
+    from . import spectrum as sp
+
     eigs, levels = sp.finite_spectrum_sample(
         _load_realization(args), level_max=args.levels, samples=args.samples,
         seed=args.seed)
@@ -310,6 +334,8 @@ def _cmd_spectrum_sample(args):
 
 
 def _cmd_variety_search(args):
+    from . import realization as rz, spectrum as sp
+
     if not (args.realization or args.expression is None or args.d is None):
         node = ex.parse(args.expression, args.d)
         try:
@@ -334,6 +360,8 @@ def _cmd_variety_search(args):
 
 
 def _cmd_continuity_probe(args):
+    from . import spectrum as sp
+
     probe = sp.continuity_probe(_load_realization(args), args.rect,
                                 args.res, scales=args.scales, seed=args.seed)
     _emit({"scales": list(probe.scales), "distances": list(probe.distances),

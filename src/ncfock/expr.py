@@ -27,12 +27,11 @@ An expression here is a single syntactic object; equality of the NC rational
 their realizations, not here.
 """
 
+import cmath
 import functools
 import math
 import re
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     DimensionMismatchError,
@@ -139,7 +138,7 @@ def make_product(factors):
 
 def _folded_scalar(value):
     """A folded constant that overflows is a parse error, as a literal is."""
-    if not np.isfinite(value):
+    if not cmath.isfinite(value):
         raise ParseError(f"constant overflow: the folded value is {value}")
     return scalar(value)
 
@@ -217,7 +216,7 @@ def tokenize(text):
             if imaginary and body == "":
                 body = "1"
             value = float(body)
-            if not np.isfinite(value):
+            if not cmath.isfinite(value):
                 raise ParseError(f"literal overflow in {raw!r}", match.start("num"))
             tokens.append(("num", 1j * value if imaginary else complex(value),
                            match.start("num")))
@@ -434,6 +433,8 @@ def eval_ast(node, X):
     Raises DomainError when an inverse node meets a numerically singular
     matrix (reciprocal condition number below SINGULARITY_RCOND).
     """
+    import numpy as np
+
     mats = [np.asarray(Xj, dtype=complex) for Xj in X]
     n = mats[0].shape[0]
     for Xj in mats:

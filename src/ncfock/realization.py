@@ -10,6 +10,7 @@ Only the spectrum functions and the outerness test minimize their input; the
 Fock and innerness certificates take a realization as given.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -334,18 +335,31 @@ def evaluate(r, X):
 # Taylor coefficients
 # ---------------------------------------------------------------------------
 
+def _finite_coefficient(word, value):
+    """A Taylor coefficient, or NumericalFailureError where it overflows
+    (A, b and c are finite, so an inf or a nan is an overflow)."""
+    if not cmath.isfinite(value):
+        raise NumericalFailureError(
+            f"the Taylor coefficient of the word {word} overflows")
+    return value
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def taylor_coeff(r, word):
     """Coefficient b* A_{i1} ... A_{ik} c of the word (i1, ..., ik)."""
+    word = tuple(word)
     v = r.c
-    for letter in reversed(tuple(word)):
+    for letter in reversed(word):
         if not (1 <= letter <= r.d):
             raise DimensionMismatchError(f"letter {letter} out of range 1..{r.d}")
         v = r.A[letter - 1] @ v
-    return complex(np.vdot(r.b, v))
+    return _finite_coefficient(word, complex(np.vdot(r.b, v)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def taylor_table(r, max_len):
-    """NCPolynomial of all coefficients with word length <= max_len."""
+    """NCPolynomial of all coefficients with word length <= max_len;
+    NumericalFailureError where one of them overflows."""
     coeffs = {}
     bstar = np.conj(r.b)
     # A^w c = 0 gives the word and its extensions the coefficient 0, as A
@@ -354,7 +368,7 @@ def taylor_table(r, max_len):
     for length in range(max_len + 1):
         level = {word: vec for word, vec in level.items() if vec.any()}
         for word, vec in level.items():
-            coeffs[word] = complex(bstar @ vec)
+            coeffs[word] = _finite_coefficient(word, complex(bstar @ vec))
         if length == max_len:
             break
         nxt = {}

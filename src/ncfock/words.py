@@ -6,9 +6,8 @@ truncations) is length-then-lexicographic with 1 < 2 < ... < d.
 """
 
 import math
+import numbers
 from itertools import product
-
-import numpy as np
 
 from .errors import DimensionMismatchError
 
@@ -32,11 +31,11 @@ def words_up_to(d, max_len):
 
 
 def _pow2_scaled(v):
-    """(v 2^-e, e) with the largest modulus of v 2^-e in [1/2, 1], or (v, 0)
-    for a zero or non-finite v.  The scaling is exact, so the norm of v 2^-e
-    neither over- nor underflows and, wherever that of v does neither,
-    equals it times 2^-e to the bit."""
-    top = np.abs(v).max(initial=0.0)
+    """(v 2^-e, e) for a numpy array v, with the largest modulus of v 2^-e
+    in [1/2, 1], or (v, 0) for a zero or non-finite v.  The scaling is
+    exact, so the norm of v 2^-e neither over- nor underflows and, wherever
+    that of v does neither, equals it times 2^-e to the bit."""
+    top = abs(v).max(initial=0.0)
     if not 0.0 < top < math.inf:
         return v, 0
     e = max(math.frexp(top)[1], -1021)    # 2^1021 is the largest factor
@@ -123,7 +122,7 @@ class NCPolynomial:
             )
 
     def __add__(self, other):
-        if np.isscalar(other):
+        if isinstance(other, numbers.Number):
             other = NCPolynomial.constant(self.d, other)
         self._check_same_d(other)
         table = dict(self.coeffs)
@@ -137,7 +136,7 @@ class NCPolynomial:
         return NCPolynomial(self.d, {w: -v for w, v in self.coeffs.items()})
 
     def __sub__(self, other):
-        if np.isscalar(other):
+        if isinstance(other, numbers.Number):
             other = NCPolynomial.constant(self.d, other)
         return self + (-other)
 
@@ -145,7 +144,7 @@ class NCPolynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if np.isscalar(other):
+        if isinstance(other, numbers.Number):
             return NCPolynomial(
                 self.d, {w: other * v for w, v in self.coeffs.items()}
             )
@@ -158,14 +157,14 @@ class NCPolynomial:
         return NCPolynomial(self.d, table)
 
     def __rmul__(self, other):
-        if np.isscalar(other):
+        if isinstance(other, numbers.Number):
             return self * other
         return NotImplemented
 
     def conjugate(self):
         """Coefficientwise complex conjugation (the Fock-space conjugation C)."""
         return NCPolynomial(
-            self.d, {w: np.conj(v) for w, v in self.coeffs.items()}
+            self.d, {w: v.conjugate() for w, v in self.coeffs.items()}
         )
 
     @property
@@ -173,6 +172,8 @@ class NCPolynomial:
         """(2^-e p, e) with the largest coefficient modulus of 2^-e p in
         [1/2, 1], as ``_pow2_scaled`` gives it: exact, so 2^j p has the
         mantissa 2^-e p of p and the exponent e + j."""
+        import numpy as np
+
         values, e = _pow2_scaled(np.array(list(self.coeffs.values()),
                                           dtype=complex))
         return NCPolynomial(self.d, dict(zip(self.coeffs, values.tolist()))), e
@@ -189,7 +190,7 @@ class NCPolynomial:
             return math.inf
 
     def allclose(self, other, tol=1e-10):
-        if np.isscalar(other):
+        if isinstance(other, numbers.Number):
             other = NCPolynomial.constant(self.d, other)
         self._check_same_d(other)
         words = set(self.coeffs) | set(other.coeffs)
@@ -197,6 +198,8 @@ class NCPolynomial:
 
     def evaluate(self, X):
         """Evaluate at a d-tuple of n x n matrices, returning an n x n matrix."""
+        import numpy as np
+
         mats = [np.asarray(Xj, dtype=complex) for Xj in X]
         if len(mats) != self.d:
             raise DimensionMismatchError(

@@ -365,13 +365,15 @@ def _scaled(n, target, seed):
 
 @pytest.mark.parametrize("n", [3, 8, MATRIX_FREE_MIN_N - 1])
 def test_gates_below_the_switch_compute_no_spr(monkeypatch, n):
-    # below the switch the Stein certificate of CPMap.band passes the gate
+    # below the switch the Stein certificate of CPMap.band passes the gate;
+    # _scaled calls spr itself, so the tuples are built before the count
     from ncfock import spectral
 
+    r1, r2, r3 = (_scaled(n, 0.7, seed=n) for _ in range(3))
     calls = count_calls(monkeypatch, spectral, "spr")
-    nf.h2_norm(_scaled(n, 0.7, seed=n))
-    nf.stein_solve(_scaled(n, 0.7, seed=n).A, np.eye(n))
-    nf.is_inner(_scaled(n, 0.7, seed=n))
+    nf.h2_norm(r1)
+    nf.stein_solve(r2.A, np.eye(n))
+    nf.is_inner(r3)
     assert calls == []
 
 

@@ -391,6 +391,22 @@ def test_the_algebra_reports_an_overflow_as_its_type_does():
                 build()
 
 
+def test_taylor_coefficients_report_an_overflow():
+    """b* A^w c of A = 1e200 overflows at the word z1^2: a coded error from
+    the table and from the single coefficient, without a RuntimeWarning,
+    while the shorter words keep their values."""
+    r = nf.Realization(np.array([[[1e200]]]), np.ones(1), np.ones(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for coefficients in (lambda: nf.taylor_table(r, 3),
+                             lambda: nf.taylor_coeff(r, (1, 1))):
+            with pytest.raises(nf.NumericalFailureError,
+                               match=r"word \(1, 1\) overflows"):
+                coefficients()
+        assert nf.taylor_table(r, 1).coeffs == {(): 1, (1,): 1e200}
+        assert nf.taylor_coeff(r, (1,)) == 1e200
+
+
 def test_evaluate_reports_an_overflow():
     """r(X) of finite b = 1e308 overflows at X = 1/2; the pencil of A =
     1e10 overflows at X = 1e300: coded errors, without a RuntimeWarning."""

@@ -347,6 +347,9 @@ COMMANDS = _per_expression() + [
     ["continuity-probe", "-d", "1", "z1", "--rect=0,0.1,0,0.1", "--res", "1"],
     ["member", "-d", "7", "--realization", "inputs/tiny-c.json"],
     ["realize", "-d", "1", "z1", "--tol", "1e-8"],
+    # a folded constant and an imaginary literal, on the parse that loads
+    # no numpy
+    ["parse", "-d", "2", "(2*3 - 0.5) + 1.5i*z1 - (1-2i)*z2*z1"],
 ]
 
 
