@@ -31,7 +31,6 @@ import cmath
 import functools
 import math
 import re
-from dataclasses import dataclass
 
 from .errors import (
     DimensionMismatchError,
@@ -49,34 +48,60 @@ SINGULARITY_RCOND = 1e-12
 # AST nodes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Scalar:
-    value: complex
+class _Node:
+    """An AST node of one field, the single name in ``__slots__``, as a
+    frozen dataclass would be, without importing ``dataclasses``: equal to
+    a node of the same class with an equal field, hashable, and refusing
+    assignment with AttributeError."""
+
+    __slots__ = ()
+
+    def __init__(self, field):
+        object.__setattr__(self, self.__slots__[0], field)
+
+    def _field(self):
+        return getattr(self, self.__slots__[0])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._field() == other._field()
+
+    def __hash__(self):
+        return hash((self._field(),))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.__slots__[0]}={self._field()!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class Variable:
-    index: int
+class Scalar(_Node):
+    __slots__ = ("value",)      # complex
 
 
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple
+class Variable(_Node):
+    __slots__ = ("index",)      # int
 
 
-@dataclass(frozen=True)
-class Product:
-    factors: tuple
+class Sum(_Node):
+    __slots__ = ("terms",)      # tuple of nodes
 
 
-@dataclass(frozen=True)
-class Inverse:
-    operand: object
+class Product(_Node):
+    __slots__ = ("factors",)    # tuple of nodes
 
 
-@dataclass(frozen=True)
-class Negate:
-    operand: object
+class Inverse(_Node):
+    __slots__ = ("operand",)
+
+
+class Negate(_Node):
+    __slots__ = ("operand",)
 
 
 def scalar(value):

@@ -107,7 +107,13 @@ def as_matrix_tuple(X, d=None):
 class Realization:
     """Triple (A, b, c); A has shape (d, n, n), b and c have shape (n,),
     and every entry is finite: a construction given an inf or a nan, as an
-    overflow leaves it, raises NumericalFailureError."""
+    overflow leaves it, raises NumericalFailureError.
+
+    The facts every verdict reads are computed once and kept on the object:
+    ``cpmap``, the mark that ``minimize`` gives its output (so that
+    ``minimize`` is a fixed point) and, on a minimal r, the scan resolvent
+    of ``spectrum._resolvent``.  They hold for the arrays as built, so A, b
+    and c must not be changed in place after construction."""
 
     A: np.ndarray
     b: np.ndarray
@@ -447,7 +453,9 @@ def _compress(r, U):
 
 
 def minimize(r, tol=DEFAULT_RANK_TOL):
-    """Jointly controllable and observable realization of the same function.
+    """Jointly controllable and observable realization of the same function,
+    marked minimal at tol: a realization so marked comes back at once, so
+    ``minimize(minimize(r)) is minimize(r)``; another tol computes again.
 
     One round suffices: compress to the Krylov space of c under A
     (controllability), then to that of b under A* (observability).  The
@@ -464,6 +472,16 @@ def minimize(r, tol=DEFAULT_RANK_TOL):
     """
     if not 0.0 <= tol < 1.0:
         raise ToleranceError(f"expected a tolerance in [0, 1), got {tol!r}")
+    if r.__dict__.get("_minimal_at") == tol:
+        return r
+    out = _minimal(r, tol)
+    object.__setattr__(out, "_minimal_at", tol)
+    return out
+
+
+def _minimal(r, tol):
+    """The work of ``minimize``: one round of both compressions, then
+    ``_nilpotent_cleanup``."""
     with np.errstate(over="ignore", invalid="ignore"):
         U = _krylov_basis(r.A, r.c, tol)
         if U.shape[1] == 0:

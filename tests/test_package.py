@@ -82,14 +82,15 @@ def test_a_package_name_follows_its_owner(monkeypatch):
 
 
 def _loaded(code):
-    """The ncfock modules and numpy that a fresh interpreter holds after
-    running code, with the CLI's stdout swallowed."""
+    """The ncfock modules, numpy and dataclasses that a fresh interpreter
+    holds after running code, with the CLI's stdout swallowed."""
     proc = subprocess.run(
         [sys.executable, "-c",
          "import contextlib, io, sys\n"
          f"{code}\n"
          "print(sorted(m for m in sys.modules\n"
-         "             if m == 'numpy' or m.startswith('ncfock')))"],
+         "             if m in ('numpy', 'dataclasses')\n"
+         "             or m.startswith('ncfock')))"],
         env=src_env(), capture_output=True, text=True, check=True)
     assert proc.stderr == ""
     return set(eval(proc.stdout.strip().splitlines()[-1]))
@@ -103,6 +104,7 @@ def _after_cli(*argv):
 
 def test_a_process_loads_only_what_its_command_runs():
     assert _loaded("import ncfock") == {"ncfock"}
+    # parse imports neither numpy nor dataclasses
     assert _after_cli("parse", "-d", "2", "2*3 + 1.5i*z1 - inv(z2)") == {
         "ncfock", "ncfock.cli", "ncfock.errors", "ncfock.expr",
         "ncfock.words"}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import ncfock as nf
 from ncfock import expr as ex
 from ncfock import realization as rz
-from conftest import random_ast, random_point
+from conftest import DEGREE9_POLY, random_ast, random_point
 
 
 def test_scalar_and_variable_base_cases():
@@ -61,7 +61,21 @@ def test_minimize_is_idempotent_and_preserves_fixture(fixture_realization):
     assert m1.n == 3
     assert nf.taylor_table(m1, 5).allclose(
         nf.taylor_table(fixture_realization, 5), tol=1e-12)
-    assert nf.minimize(m1).n == 3
+    assert nf.minimize(m1) is m1
+
+
+@pytest.mark.parametrize("text", ["1 + z1 + z1*z2", DEGREE9_POLY])
+def test_minimize_of_a_polynomial_is_a_fixed_point(text):
+    # a second round would rotate the polynomial's flag to new bits
+    r = nf.from_expression(text, 2)
+    m = nf.minimize(r)
+    assert nf.minimize(m) is m
+    again = nf.minimize(m, tol=1e-8)
+    assert again is not m and again.n == m.n
+    length = min(m.n + 1, 10)
+    assert nf.taylor_table(again, length).allclose(
+        nf.taylor_table(m, length), tol=1e-12)
+    assert nf.minimize(again, tol=1e-8) is again
 
 
 def test_minimize_removes_unreachable_block(fixture_realization):
@@ -353,8 +367,7 @@ def test_minimize_properties(r):
     Astar = np.conj(np.transpose(m.A, (0, 2, 1)))
     assert rz._krylov_basis(m.A, m.c, rz.DEFAULT_RANK_TOL).shape[1] == m.n
     assert rz._krylov_basis(Astar, m.b, rz.DEFAULT_RANK_TOL).shape[1] == m.n
-    again = nf.minimize(m)
-    assert again.n == m.n and _same_table(again, m)
+    assert nf.minimize(m) is m
 
 
 @pytest.mark.xfail(strict=True, reason="minimize changes the function of a "
@@ -495,6 +508,15 @@ def test_minimized_polynomial_ast_keeps_its_h2_norm(a):
     assume(0.0 < want < math.inf)
     got = nf.h2_norm(nf.minimize(nf.from_ast(a, 2)))
     assert got == pytest.approx(want, rel=1e-8)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_POLYNOMIAL_ASTS)
+def test_minimize_of_a_polynomial_ast_is_a_fixed_point(a):
+    m = nf.minimize(nf.from_ast(a, 2))
+    assert nf.minimize(m) is m
+    again = nf.minimize(m, tol=1e-8)
+    assert nf.minimize(again, tol=1e-8) is again
 
 
 # longest word of a random polynomial in d variables

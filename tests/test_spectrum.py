@@ -1,7 +1,9 @@
+import gc
 import math
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +26,9 @@ from ncfock.spectrum import (
     _Resolvent,
     _WitnessSystem,
 )
+
+
+FIXTURE_TEXT = "inv(1 - 0.5*z1*z2 - 0.5*z2*z1)"
 
 
 @pytest.fixture(scope="module")
@@ -402,6 +407,37 @@ def test_cell_decision_runs_once_per_cell(monkeypatch, z1):
     scan = nf.grid_scan(z1, (-1.3, 1.3, -1.3, 1.3), 0.2)
     assert len(calls) == scan.member.size == 169
     assert len({complex(call[1]) for call in calls}) == 169
+
+
+def test_a_minimal_realization_keeps_its_proof_and_resolvent(monkeypatch):
+    from ncfock import realization
+
+    r = nf.minimize(nf.from_expression(FIXTURE_TEXT, 2))
+    krylov = count_calls(monkeypatch, realization, "_krylov_basis")
+    built = count_calls(monkeypatch, spectrum, "_Resolvent")
+    for _ in range(2):
+        nf.grid_scan(r, (0.4, 3.6, -1.6, 1.6), 0.8)
+    for lam in (0.0, 0.5, 1.0, 2.0, 1j):
+        nf.contains_lambda(r, lam)
+    assert nf.is_outer_rational(r).outer
+    assert krylov == [] and len(built) == 1
+
+
+def test_a_scanned_realization_is_freed_without_the_cyclic_collector():
+    # r keeps its resolvent: a resolvent that kept r would make a cycle,
+    # and every copy that continuity_probe scans would wait for the
+    # collector
+    gc.disable()
+    try:
+        r = nf.minimize(nf.from_expression(FIXTURE_TEXT, 2))
+        nf.grid_scan(r, (0.4, 3.6, -1.6, 1.6), 0.8)
+        nf.contains_lambda(r, 2.0)
+        nf.continuity_probe(r, (0.4, 3.6, -1.6, 1.6), 0.8, scales=(1e-2,))
+        alive = weakref.ref(r)
+        del r
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def _knife_edge_real_form(rng, d, n, offset):
