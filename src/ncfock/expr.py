@@ -51,8 +51,8 @@ SINGULARITY_RCOND = 1e-12
 class _Node:
     """An AST node of one field, the single name in ``__slots__``, as a
     frozen dataclass would be, without importing ``dataclasses``: equal to
-    a node of the same class with an equal field, hashable, and refusing
-    assignment with AttributeError."""
+    a node of the same class with an equal field, hashable, refusing
+    assignment with AttributeError, and copied and pickled by value."""
 
     __slots__ = ()
 
@@ -78,6 +78,11 @@ class _Node:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild a node through __init__, as slot state
+        # would be restored through the refusing __setattr__
+        return type(self), (self._field(),)
 
 
 class Scalar(_Node):

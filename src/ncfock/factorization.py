@@ -40,7 +40,7 @@ from .realization import (
     taylor_table,
 )
 from .spectral import _ABOVE, _EDGE, spr_below, stein_solve
-from .spectrum import _resolvent
+from .spectrum import _Resolvent
 from .words import NCPolynomial, _pow2_scaled, suffix_closure
 
 _RESIDUAL_TOL = 1e-8   # autocorrelation residual of an outer_factor root
@@ -96,7 +96,7 @@ def is_outer_rational(r):
     """Outerness of the function of r, which need not be minimal."""
     r_min = minimize(r)
     gamma = r_min.value_at_zero()
-    cp = _resolvent(r_min).inverse_cpmap(0.0)
+    cp = _Resolvent(r_min).inverse_cpmap(0.0)
     if cp is None:
         return OuterResult(outer=False, spr_inverse=float("inf"),
                            value_at_zero=gamma, reason="value at zero is zero")

@@ -109,11 +109,10 @@ class Realization:
     and every entry is finite: a construction given an inf or a nan, as an
     overflow leaves it, raises NumericalFailureError.
 
-    The facts every verdict reads are computed once and kept on the object:
-    ``cpmap``, the mark that ``minimize`` gives its output (so that
-    ``minimize`` is a fixed point) and, on a minimal r, the scan resolvent
-    of ``spectrum._resolvent``.  They hold for the arrays as built, so A, b
-    and c must not be changed in place after construction."""
+    Two facts are computed once and kept on the object: ``cpmap`` and the
+    mark that ``minimize`` gives its output (so that ``minimize`` is a
+    fixed point).  They hold for the arrays as built, so A, b and c must
+    not be changed in place after construction."""
 
     A: np.ndarray
     b: np.ndarray

@@ -10,8 +10,7 @@ the band of that spr against 1 +- 1e-9, which the Stein certificate of
 ``spectral._stein_bands`` gives for a block of cells (_STEIN_BLOCK entries
 of real form) in stacked calls.  ``_Resolvent.inverse_cpmap`` owns the rule
 of one lambda: ``contains_lambda``, an undecided cell and the lambda = 0
-cell, the outerness of r (``factorization.is_outer_rational``), read it,
-from the one ``_Resolvent`` that a minimal r keeps (``_resolvent``).
+cell, the outerness of r (``factorization.is_outer_rational``), read it.
 Random finite-level eigenvalue sampling provides the complementary lower
 bound, and sigma_0 / sigma_pm classification of spectrum cells follows the
 outerness of r - lambda.
@@ -25,7 +24,6 @@ surface as ``indeterminate`` cells.
 """
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -101,23 +99,17 @@ class _Resolvent:
     as the mantissas 2^-k A of ``r.cpmap`` and of ``Realization.pow2``,
     lambda (in the caller's units) as lambda 2^-e; ``_stein_bands`` takes k,
     and ``at`` and ``inverse_cpmap`` scale back by 2^k: bitwise the same in
-    range, and no overflow at any scale.  r keeps its resolvent
-    (``_resolvent``), so the resolvent keeps r by a weak reference: a cycle
-    would keep both alive until the cyclic collector runs."""
+    range, and no overflow at any scale."""
 
     def __init__(self, r):
         U = _orth_columns(np.hstack(r.cpmap._mantissa_star),
                           DEFAULT_RANK_TOL)[0]
-        self._r, self.k = weakref.ref(r), r.cpmap.k
+        self.r, self.k = r, r.cpmap.k
         self.gamma = r.value_at_zero()
         self.A = _restrict(r.cpmap.mantissa, U)
         self.c = U.conj().T @ r.pow2[0].c
         self.b_A = np.conj(r.pow2[0].b) @ r.cpmap.mantissa @ U  # b'* M_j U
         self.cb = self.c[:, None] * self.b_A[:, None, :]
-
-    @property
-    def r(self):
-        return self._r()
 
     @property
     def n(self):
@@ -195,17 +187,6 @@ class _Resolvent:
         return bands
 
 
-def _resolvent(r_min):
-    """The ``_Resolvent`` of a minimal realization, built on first use and
-    kept on it, as ``Realization.cpmap`` is: every scan of r_min,
-    ``contains_lambda`` and the outerness test read the same one."""
-    resolvent = r_min.__dict__.get("_resolvent")
-    if resolvent is None:
-        resolvent = _Resolvent(r_min)
-        object.__setattr__(r_min, "_resolvent", resolvent)
-    return resolvent
-
-
 def contains_lambda(r, lam, want_witness=False):
     """Decide lambda in sigma(r(L)) for a bounded realization.
 
@@ -215,7 +196,7 @@ def contains_lambda(r, lam, want_witness=False):
     "edge" keeps the spectrum verdict but sets ``indeterminate``.
     """
     r_min = _bounded(minimize(r))
-    cp = _resolvent(r_min).inverse_cpmap(complex(lam))
+    cp = _Resolvent(r_min).inverse_cpmap(complex(lam))
     if cp is None:
         return SpectrumMembership(verdict="spectrum", zero_level=True,
                                   witness=MatrixTuple.zeros(r_min.d, 1)
@@ -290,8 +271,8 @@ def grid_scan(r, rect, resolution, classify=True):
     triangular with blocks B(lambda) and 0, every B(lambda)_j* maps O into
     itself and minimality makes A_j vanish off O.  The cell asks only for
     the band of that spr.  Below MATRIX_FREE_MIN_N the Stein certificate
-    answers (``_Resolvent.bands``, whose four real terms a minimal r
-    keeps) for row-major blocks of 2**15 // n**4 cells, 256 KB of real form,
+    answers (``_Resolvent.bands``, whose four real terms are built once per
+    scan) for row-major blocks of 2**15 // n**4 cells, 256 KB of real form,
     in stacked solves; a cell it leaves open (every cell from the switch
     up) reads the ``CPMap.band`` of its inverse, as ``contains_lambda``
     does.  Spectrum cells are tagged sigma_pm (spectrum if unclassified):
@@ -336,7 +317,7 @@ def _grid_scan(r_min, rect, resolution, classify):
             member[row, col] = True
             classes[row, col] = CLASS_SIGMAPM if classify else CLASS_SPECTRUM
     else:
-        resolvent = _resolvent(r_min)
+        resolvent = _Resolvent(r_min)
         lams = [complex(x, y) for y in centers_im for x in centers_re]
         step = max(_STEIN_BLOCK // resolvent.n ** 4, 1)
         for start in range(0, len(lams), step):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,19 @@ def test_parse_polynomial_example():
     assert ast.terms[0] == ex.Scalar(1 + 0j)
     assert ast.terms[1] == ex.Variable(1)
     assert ast.terms[2] == ex.Product((ex.Variable(1), ex.Variable(2)))
+
+
+def test_ast_nodes_are_frozen_values():
+    node = ex.Product((ex.Scalar(2 + 0j), ex.Negate(ex.Variable(1))))
+    assert ex.Scalar(1) != ex.Variable(1)
+    assert hash(node) == hash(ex.Product((ex.Scalar(2 + 0j),
+                                          ex.Negate(ex.Variable(1)))))
+    assert repr(ex.Variable(2)) == "Variable(index=2)"
+    with pytest.raises(AttributeError):
+        node.factors = ()
+    for twin in (copy.copy(node), copy.deepcopy(node),
+                 pickle.loads(pickle.dumps(node))):
+        assert twin == node and type(twin) is ex.Product
 
 
 def test_parse_nested_inverses():

@@ -368,6 +368,9 @@ def test_minimize_properties(r):
     assert rz._krylov_basis(m.A, m.c, rz.DEFAULT_RANK_TOL).shape[1] == m.n
     assert rz._krylov_basis(Astar, m.b, rz.DEFAULT_RANK_TOL).shape[1] == m.n
     assert nf.minimize(m) is m
+    # the mark returns m at once; the algorithm itself keeps a minimal m
+    again = rz._minimal(m, rz.DEFAULT_RANK_TOL)
+    assert again.n == m.n and _same_table(again, m)
 
 
 @pytest.mark.xfail(strict=True, reason="minimize changes the function of a "
@@ -517,6 +520,9 @@ def test_minimize_of_a_polynomial_ast_is_a_fixed_point(a):
     assert nf.minimize(m) is m
     again = nf.minimize(m, tol=1e-8)
     assert nf.minimize(again, tol=1e-8) is again
+    # the algorithm itself, run on the unmarked m at the same tol, keeps it
+    redone = rz._minimal(m, rz.DEFAULT_RANK_TOL)
+    assert redone.n == m.n and _same_table(redone, m)
 
 
 # longest word of a random polynomial in d variables

@@ -409,23 +409,26 @@ def test_cell_decision_runs_once_per_cell(monkeypatch, z1):
     assert len({complex(call[1]) for call in calls}) == 169
 
 
-def test_a_minimal_realization_keeps_its_proof_and_resolvent(monkeypatch):
-    from ncfock import realization
+def test_a_minimal_realization_keeps_its_proof(monkeypatch):
+    from ncfock import factorization, realization
 
     r = nf.minimize(nf.from_expression(FIXTURE_TEXT, 2))
     krylov = count_calls(monkeypatch, realization, "_krylov_basis")
     built = count_calls(monkeypatch, spectrum, "_Resolvent")
+    built_outer = count_calls(monkeypatch, factorization, "_Resolvent")
     for _ in range(2):
         nf.grid_scan(r, (0.4, 3.6, -1.6, 1.6), 0.8)
     for lam in (0.0, 0.5, 1.0, 2.0, 1j):
         nf.contains_lambda(r, lam)
     assert nf.is_outer_rational(r).outer
-    assert krylov == [] and len(built) == 1
+    # no Krylov pass, and one resolvent per call, none per cell
+    assert krylov == []
+    assert len(built) == 2 + 5 and len(built_outer) == 1
 
 
 def test_a_scanned_realization_is_freed_without_the_cyclic_collector():
-    # r keeps its resolvent: a resolvent that kept r would make a cycle,
-    # and every copy that continuity_probe scans would wait for the
+    # nothing that a scan builds may be kept on r with a reference back to
+    # r: every copy that continuity_probe scans would then wait for the
     # collector
     gc.disable()
     try:
